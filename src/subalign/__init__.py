@@ -18,11 +18,13 @@ from .grassmann import (
     projector,
     weighted_hausdorff_sq,
 )
+from .kernel import GramResult, centered_gram, evaluate_gram
 from .model import (
     DataPair,
     JointCovariance,
     ScientistParams,
     identity_pair,
+    mvn_gram,
     mvn_sample,
     reversed_pair,
     scientists_covariance,

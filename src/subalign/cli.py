@@ -8,8 +8,10 @@ illus3   coordinate-reversed pair; adds the isometry-corrected distance
 compute  eps^2 / d^2 / plug-in rho for user-supplied CSV matrices
 
 Outputs: a records CSV (fixed column order, floats at 12 significant
-digits) and a summary JSON.  Exit codes: 0 all replicates completed, 1
-some replicates failed, 2 usage or I/O error, 3 deficient rank in
+digits) and a summary JSON (strict RFC 8259: non-finite values are
+written as null).  Exit codes: 0 all replicates completed, 1 some
+replicates failed, 2 usage or I/O error (including infeasible models and
+non-finite input), 3 deficient rank or degenerate projection in
 ``compute``.
 """
 
@@ -18,13 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
-from .grassmann import hausdorff_sq, projector, weighted_hausdorff_sq
-from .pca import RankDeficientError, center, pca_subspace, trivial_subspace
-from .procrustes import fit_error_sq, normalize_projected
+from .kernel import centered_gram, evaluate_gram
 from .sim import ExperimentConfig, ReplicateRecord, build_models, run_experiment, summarize
 from .theory import plugin_rho, rho
 
@@ -47,8 +48,9 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-def _round12(value: float) -> float:
-    return float(f"{value:.12g}")
+def _round12(value: float):
+    """12 significant digits; None (JSON null) for NaN and infinities."""
+    return float(f"{value:.12g}") if math.isfinite(value) else None
 
 
 def write_records_csv(records: list[ReplicateRecord], path: str) -> None:
@@ -88,11 +90,11 @@ def read_records_csv(path: str) -> list[ReplicateRecord]:
     return records
 
 
-def _reference_lines(cfg: ExperimentConfig) -> list[dict]:
+def _reference_lines(models, k_values) -> list[dict]:
     """Limit lines eps^2 = intercept + slope * distance, per (sweep value, k)."""
     lines = []
-    for sweep_param, jc, _ in build_models(cfg):
-        for k in cfg.k_values:
+    for sweep_param, jc, _ in models:
+        for k in k_values:
             r = rho(jc, k)
             lines.append({
                 "sweep_param": _round12(sweep_param), "k": k, "rho": _round12(r),
@@ -101,7 +103,8 @@ def _reference_lines(cfg: ExperimentConfig) -> list[dict]:
     return lines
 
 
-def _summary_payload(cfg: ExperimentConfig, records, threads: int, full_scale: bool) -> dict:
+def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int,
+                     full_scale: bool) -> dict:
     stats = summarize(records)
     failed = sum(s.failed for s in stats)
     groups = []
@@ -127,23 +130,36 @@ def _summary_payload(cfg: ExperimentConfig, records, threads: int, full_scale: b
             "full_scale": full_scale,
         },
         "failed_replicates": failed,
-        "reference_lines": _reference_lines(cfg),
+        "reference_lines": lines,
         "summary": groups,
     }
 
 
-def _run_and_write(cfg: ExperimentConfig, args) -> int:
-    for sweep_param, jc, _ in build_models(cfg):
-        for k in cfg.k_values:
-            print(f"rho(sweep_param={sweep_param:g}, k={k}) = {rho(jc, k):.12g}")
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _run_and_write(args, **config) -> int:
+    """Validate the run (config, models, --threads), then run it and write both outputs."""
+    if args.threads < 1:
+        return _usage_error(f"--threads must be >= 1, got {args.threads}")
+    try:
+        cfg = ExperimentConfig(**config)
+        models = build_models(cfg)
+    except ValueError as exc:
+        return _usage_error(exc)
+    lines = _reference_lines(models, cfg.k_values)
+    for line in lines:
+        print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
     records = run_experiment(cfg, workers=args.threads)
-    payload = _summary_payload(cfg, records, args.threads, args.full_scale)
+    payload = _summary_payload(cfg, records, lines, args.threads, args.full_scale)
     out_path = args.out or f"{cfg.experiment}_records.csv"
     summary_path = args.summary or f"{cfg.experiment}_summary.json"
     try:
         write_records_csv(records, out_path)
         with open(summary_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
+            json.dump(payload, handle, indent=2, allow_nan=False)
             handle.write("\n")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
@@ -171,15 +187,14 @@ def _add_run_flags(sp, *, m, reps):
 
 
 def cmd_illus1(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="illus1", m=args.m,
+    return _run_and_write(
+        args, experiment="illus1", m=args.m,
         k_values=args.k or [2],
         n_values=args.n or [1000, 10000],
         sweep=args.beta if args.beta is not None else ILLUS1_BETAS,
         replicates=1000 if args.full_scale else args.reps,
         base_seed=args.seed, method=args.method,
     )
-    return _run_and_write(cfg, args)
 
 
 def cmd_illus2(args) -> int:
@@ -193,17 +208,16 @@ def cmd_illus2(args) -> int:
         n_values = args.n or [10000]
         sweep = args.lambda2 if args.lambda2 is not None else ILLUS2_LAMBDAS
         full = 10000
-    cfg = ExperimentConfig(
-        experiment="illus2", m=args.m, k_values=k_values, n_values=n_values,
+    return _run_and_write(
+        args, experiment="illus2", m=args.m, k_values=k_values, n_values=n_values,
         sweep=sweep, replicates=full if args.full_scale else args.reps,
         base_seed=args.seed, method=args.method, beta=args.beta,
     )
-    return _run_and_write(cfg, args)
 
 
 def cmd_illus3(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="illus3", m=args.m,
+    return _run_and_write(
+        args, experiment="illus3", m=args.m,
         k_values=args.k or [1, 2, 10],
         n_values=args.n or [10000],
         sweep=[args.beta],
@@ -211,7 +225,6 @@ def cmd_illus3(args) -> int:
         base_seed=args.seed, method=args.method,
         beta=args.beta, lambda2=args.lambda2,
     )
-    return _run_and_write(cfg, args)
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -224,49 +237,39 @@ def cmd_compute(args) -> int:
         x = _load_matrix(args.x)
         y = _load_matrix(args.y)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read matrix: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"cannot read matrix: {exc}")
     if x.shape != y.shape:
-        print(f"error: shape mismatch: {x.shape} vs {y.shape}", file=sys.stderr)
-        return 2
+        return _usage_error(f"shape mismatch: {x.shape} vs {y.shape}")
     m, n = x.shape
     if not 1 <= args.k <= m:
-        print(f"error: k must satisfy 1 <= k <= m = {m}, got {args.k}", file=sys.stderr)
-        return 2
+        return _usage_error(f"k must satisfy 1 <= k <= m = {m}, got {args.k}")
     if n < 2:
-        print("error: need at least 2 observations", file=sys.stderr)
-        return 2
+        return _usage_error("need at least 2 observations")
     cross = None
     if args.cross_cov:
         try:
             cross = _load_matrix(args.cross_cov)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot read cross covariance: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(f"cannot read cross covariance: {exc}")
         if cross.shape != (m, m):
-            print(f"error: cross covariance must be {m} x {m}, got {cross.shape}",
-                  file=sys.stderr)
-            return 2
-    cx, cy = center(x), center(y)
-    try:
-        if args.method == "pca":
-            sub_a, sub_b = pca_subspace(cx, args.k), pca_subspace(cy, args.k)
-        else:
-            sub_a = sub_b = trivial_subspace(m, args.k)
-        result = {
-            "m": m, "n": n, "k": args.k, "method": args.method,
-            "eps_sq": _round12(fit_error_sq(
-                normalize_projected(projector(sub_a), cx.matrix, args.k),
-                normalize_projected(projector(sub_b), cy.matrix, args.k),
-            )),
-            "d_sq": _round12(hausdorff_sq(sub_a, sub_b)),
-            "rho_hat": _round12(plugin_rho(cx, cy, args.k)),
-        }
-        if cross is not None:
-            result["eth_sq"] = _round12(weighted_hausdorff_sq(sub_a, sub_b, cross))
-    except RankDeficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            return _usage_error(f"cross covariance must be {m} x {m}, got {cross.shape}")
+    for name, mat in (("X", x), ("Y", y), ("cross covariance", cross)):
+        if mat is not None and not np.all(np.isfinite(mat)):
+            return _usage_error(f"{name} has non-finite entries (nan or inf)")
+    gram = centered_gram(np.vstack([x, y]))
+    out = evaluate_gram(gram, args.k, args.method, n, cross)
+    if out.status != "ok":
+        reason = out.status.replace("_", " ")
+        print(f"error: {reason} for requested dimension k = {args.k}", file=sys.stderr)
         return 3
+    result = {
+        "m": m, "n": n, "k": args.k, "method": args.method,
+        "eps_sq": _round12(out.eps_sq),
+        "d_sq": _round12(out.d_sq),
+        "rho_hat": _round12(plugin_rho(gram, args.k)),
+    }
+    if cross is not None:
+        result["eth_sq"] = _round12(out.eth_sq)
     print(json.dumps(result, indent=2))
     return 0
 

@@ -30,6 +30,7 @@ __all__ = [
     "hausdorff_sq",
     "weighted_hausdorff_sq",
     "apply_isometry",
+    "check_isometry",
 ]
 
 # Columnwise orthonormality tolerance for bases and isometries.
@@ -166,16 +167,20 @@ def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> fl
     return min(max(value, 0.0), 2.0 * k)
 
 
-def apply_isometry(w: np.ndarray, b: Subspace) -> Subspace:
-    """Image of a subspace under an orthogonal map: span of ``w @ b.basis``.
-
-    The projector of the result is ``w @ projector(b) @ w.T``.
-    """
+def check_isometry(w: np.ndarray, m: int) -> np.ndarray:
+    """``w`` as a float array, after checking it is an orthogonal m x m matrix."""
     w = np.asarray(w, dtype=float)
-    m = b.ambient_dim
     if w.shape != (m, m):
         raise ValueError(f"isometry must be {m} x {m}, got {w.shape}")
     err = np.max(np.abs(w.T @ w - np.eye(m)))
     if err > ORTHONORMAL_TOL:
         raise ValueError(f"matrix is not orthogonal (max deviation {err:.3e})")
-    return Subspace(w @ b.basis)
+    return w
+
+
+def apply_isometry(w: np.ndarray, b: Subspace) -> Subspace:
+    """Image of a subspace under an orthogonal map: span of ``w @ b.basis``.
+
+    The projector of the result is ``w @ projector(b) @ w.T``.
+    """
+    return Subspace(check_isometry(w, b.ambient_dim) @ b.basis)

@@ -10,16 +10,20 @@ Two families are provided.
   Cov(X) = Cov(Y) = alpha I, Cov(X, Y) = gamma^2 alpha I.
 
 * :func:`mvn_sample` draws zero-mean jointly Gaussian pairs with an
-  arbitrary :class:`JointCovariance`; preset constructors cover the
-  identity, spiked-diagonal, and coordinate-reversed covariance structures
-  used by the simulation experiments.
+  arbitrary :class:`JointCovariance`, and :func:`mvn_gram` returns the
+  centered Gram matrix of the same draw without forming the pairs; preset
+  constructors cover the identity, spiked-diagonal, and
+  coordinate-reversed covariance structures used by the simulation
+  experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .kernel import centered_gram
 
 __all__ = [
     "JointCovariance",
@@ -28,6 +32,7 @@ __all__ = [
     "scientists_sample",
     "scientists_covariance",
     "mvn_sample",
+    "mvn_gram",
     "identity_pair",
     "spiked_diag_pair",
     "reversed_pair",
@@ -48,14 +53,20 @@ class JointCovariance:
     """Block covariance of a stacked pair (X, Y) of m-dimensional vectors.
 
     ``cov_xy`` is Cov(X, Y): rows index X components, columns index Y.
-    Validated at construction: ``cov_x`` and ``cov_y`` symmetric, positive
-    semidefinite and nonzero, and the assembled 2m x 2m block matrix
-    positive semidefinite (min eigenvalue >= -1e-10).
+    Validated at construction: all entries finite, ``cov_x`` and ``cov_y``
+    symmetric, positive semidefinite and nonzero, and the assembled 2m x 2m
+    block matrix positive semidefinite (min eigenvalue >= -1e-10).
+
+    ``root`` is the symmetric PSD square root of the block matrix, from the
+    eigendecomposition that validates it, with negative eigenvalues clamped
+    to zero; singular blocks (e.g. perfectly correlated pairs) have one
+    where a Cholesky factor would fail.
     """
 
     cov_x: np.ndarray
     cov_y: np.ndarray
     cov_xy: np.ndarray
+    root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cov_x = np.array(self.cov_x, dtype=float)
@@ -65,6 +76,8 @@ class JointCovariance:
         for name, mat in (("cov_x", cov_x), ("cov_y", cov_y), ("cov_xy", cov_xy)):
             if mat.shape != (m, m) or m == 0:
                 raise ValueError(f"{name} must be m x m, got shape {mat.shape}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} has non-finite entries")
         for name, mat in (("cov_x", cov_x), ("cov_y", cov_y)):
             skew = np.max(np.abs(mat - mat.T))
             if skew > _SYM_TOL:
@@ -74,13 +87,16 @@ class JointCovariance:
             low = np.linalg.eigvalsh(mat).min()
             if low < _PSD_TOL:
                 raise ValueError(f"{name} not positive semidefinite (min eig {low:.3e})")
-        block = _assemble_block(cov_x, cov_y, cov_xy)
-        low = np.linalg.eigvalsh(block).min()
-        if low < _PSD_TOL:
-            raise ValueError(f"block covariance not positive semidefinite (min eig {low:.3e})")
+        eigvals, eigvecs = np.linalg.eigh(_assemble_block(cov_x, cov_y, cov_xy))
+        if eigvals[0] < _PSD_TOL:
+            raise ValueError(
+                f"block covariance not positive semidefinite (min eig {eigvals[0]:.3e})"
+            )
+        root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
         object.__setattr__(self, "cov_x", _readonly(cov_x))
         object.__setattr__(self, "cov_y", _readonly(cov_y))
         object.__setattr__(self, "cov_xy", _readonly(cov_xy))
+        object.__setattr__(self, "root", _readonly(root))
 
     @property
     def m(self) -> int:
@@ -183,19 +199,23 @@ def scientists_covariance(params: ScientistParams) -> JointCovariance:
 def mvn_sample(jc: JointCovariance, n: int, rng: np.random.Generator) -> DataPair:
     """Draw n iid zero-mean Gaussian pairs with the given block covariance.
 
-    Uses the symmetric PSD square root from an eigendecomposition, with
-    negative eigenvalues clamped to zero, so singular covariances (e.g.
-    perfectly correlated pairs) sample cleanly where a Cholesky would fail.
+    Multiplies one ``(2m, n)`` standard-normal block by ``jc.root``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    block = jc.block()
-    eigvals, eigvecs = np.linalg.eigh(block)
-    if eigvals.min() < -1e-8:
-        raise ValueError(f"not positive semidefinite (min eig {eigvals.min():.3e})")
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-    draws = root @ rng.standard_normal((2 * jc.m, n))
+    draws = jc.root @ rng.standard_normal((2 * jc.m, n))
     return DataPair(draws[: jc.m], draws[jc.m :])
+
+
+def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Centered 2m x 2m Gram matrix of the pairs :func:`mvn_sample` draws from ``rng``.
+
+    Consumes the same ``(2m, n)`` standard-normal block, but never forms the
+    data: centering commutes with ``jc.root``, so the Gram matrix of the
+    centered draw is ``L (Gc Gc^T) L^T`` with ``Gc`` the centered normal block.
+    """
+    root = jc.root
+    return root @ centered_gram(rng.standard_normal((2 * jc.m, n))) @ root.T
 
 
 def identity_pair(m: int, beta: float) -> JointCovariance:

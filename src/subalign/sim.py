@@ -1,10 +1,13 @@
 """Monte Carlo harness: replicate runs, deterministic seeding, summaries.
 
-A replicate samples one paired data set, derives the two projection
-subspaces (PCA or the trivial first-k-coordinates baseline), and records
-the square subspace distance, its weighted form (using the model's true
+A replicate samples one paired data set, reduces it to the 2m x 2m Gram
+matrix of the stacked centered data, derives the two projection subspaces
+from it (PCA or the trivial first-k-coordinates baseline), and records the
+square subspace distance, its weighted form (using the model's true
 cross-covariance block), the square Procrustes fitting-error, the
-predicted limiting value, and the residual.
+predicted limiting value, and the residual (see :mod:`subalign.kernel`).
+Quantities fixed by the model, rho and the weight's scale, are computed
+once per (model, k) cell.
 
 Seeding contract
 ----------------
@@ -21,18 +24,16 @@ the number of workers; runs with equal configs are bit-identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
-from math import nan
-from typing import Optional, Union
+from math import isfinite, nan
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .grassmann import Subspace, apply_isometry, hausdorff_sq, projector, weighted_hausdorff_sq
-from .model import JointCovariance, ScientistParams, mvn_sample, scientists_covariance, scientists_sample
+from .kernel import centered_gram, evaluate_gram, weight_scale
+from .model import JointCovariance, ScientistParams, mvn_gram, scientists_covariance, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
-from .pca import RankDeficientError, center, pca_subspace, trivial_subspace
-from .procrustes import DegenerateProjectionError, fit_error_sq, normalize_projected
 from .theory import predicted_fit_error_sq, residual, rho
 
 __all__ = [
@@ -40,9 +41,11 @@ __all__ = [
     "METHODS",
     "ExperimentConfig",
     "ReplicateRecord",
+    "CellConstants",
     "SummaryStats",
     "replicate_seed",
     "build_models",
+    "cell_constants",
     "run_replicate",
     "run_experiment",
     "summarize",
@@ -113,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"k values must satisfy 1 <= k <= m = {self.m}: {self.k_values}")
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError(f"n values must be >= 2: {self.n_values}")
+        if not all(map(isfinite, (*self.sweep, self.beta, self.lambda2))):
+            raise ValueError("sweep, beta and lambda2 must be finite")
         if self.experiment == "custom":
             if not self.models:
                 raise ValueError("custom experiment requires models")
@@ -161,6 +166,24 @@ def build_models(cfg: ExperimentConfig) -> list[tuple[float, Model, Optional[np.
     return list(cfg.models)
 
 
+class CellConstants(NamedTuple):
+    """What every replicate of one (model, k) cell shares.
+
+    The model's rho, its cross-covariance block (the eth^2 weight) and that
+    weight's scale (:func:`subalign.kernel.weight_scale`).
+    """
+
+    rho: float
+    cross_cov: np.ndarray
+    scale: float
+
+
+def cell_constants(model: Model, k: int) -> CellConstants:
+    """Compute the per-cell constants once, for all replicates of the cell."""
+    jc = scientists_covariance(model) if isinstance(model, ScientistParams) else model
+    return CellConstants(rho(jc, k), jc.cov_xy, weight_scale(jc.cov_xy, k))
+
+
 def run_replicate(
     model: Model,
     k: int,
@@ -172,67 +195,62 @@ def run_replicate(
     experiment: str = "custom",
     sweep_param: float = nan,
     replicate: int = 0,
+    constants: Optional[CellConstants] = None,
 ) -> ReplicateRecord:
     """Sample one paired data set and evaluate all per-replicate quantities.
 
-    Rank-deficient PCA and degenerate (zero) projections yield a failed
-    record with a reason code rather than raising; these have probability
-    zero under continuous models with n > k but occur at extreme settings
-    (e.g. n <= k).
+    The draw is reduced to its 2m x 2m centered Gram matrix and evaluated
+    by :func:`subalign.kernel.evaluate_gram`.  ``constants`` (from
+    :func:`cell_constants`) is computed here when omitted.  Rank-deficient
+    PCA and degenerate (zero) projections yield a failed record with a
+    reason code rather than raising; these have probability zero under
+    continuous models with n > k but occur at extreme settings (e.g. n <= k).
     """
+    if constants is None:
+        constants = cell_constants(model, k)
     rng = np.random.default_rng(seed)
     if isinstance(model, ScientistParams):
-        jc = scientists_covariance(model)
         pair = scientists_sample(model, n, rng)
+        gram = centered_gram(np.vstack([pair.x, pair.y]))
     else:
-        jc = model
-        pair = mvn_sample(jc, n, rng)
-    m = jc.m
+        gram = mvn_gram(model, n, rng)
+    out = evaluate_gram(gram, k, method, n, constants.cross_cov, scale=constants.scale,
+                        isometry=isometry)
     echo = dict(
-        experiment=experiment, method=method, m=m, k=k, n=n,
+        experiment=experiment, method=method, m=model.m, k=k, n=n,
         sweep_param=sweep_param, replicate=replicate,
     )
-    try:
-        cx = center(pair.x)
-        cy = center(pair.y)
-        if method == "pca":
-            sub_a = pca_subspace(cx, k)
-            sub_b = pca_subspace(cy, k)
-        else:
-            sub_a = trivial_subspace(m, k)
-            sub_b = sub_a
-        d_sq = hausdorff_sq(sub_a, sub_b)
-        eth_sq = weighted_hausdorff_sq(sub_a, sub_b, jc.cov_xy)
-        x_norm = normalize_projected(projector(sub_a), cx.matrix, k)
-        y_norm = normalize_projected(projector(sub_b), cy.matrix, k)
-        eps_sq = fit_error_sq(x_norm, y_norm)
-        predicted = predicted_fit_error_sq(rho(jc, k), k, eth_sq)
-        d_sq_corrected = (
-            hausdorff_sq(sub_a, apply_isometry(isometry, sub_b)) if isometry is not None else None
-        )
-    except RankDeficientError:
+    if out.status != "ok":
         return ReplicateRecord(**echo, d_sq=None, eth_sq=None, eps_sq=None,
-                               predicted=None, residual=None, status="deficient_rank")
-    except DegenerateProjectionError:
-        return ReplicateRecord(**echo, d_sq=None, eth_sq=None, eps_sq=None,
-                               predicted=None, residual=None, status="degenerate_projection")
+                               predicted=None, residual=None, status=out.status)
+    predicted = predicted_fit_error_sq(constants.rho, k, out.eth_sq)
     return ReplicateRecord(
-        **echo, d_sq=d_sq, eth_sq=eth_sq, eps_sq=eps_sq, predicted=predicted,
-        residual=residual(eps_sq, predicted), d_sq_corrected=d_sq_corrected,
+        **echo, d_sq=out.d_sq, eth_sq=out.eth_sq, eps_sq=out.eps_sq, predicted=predicted,
+        residual=residual(out.eps_sq, predicted), d_sq_corrected=out.d_sq_corrected,
     )
 
 
 def _run_task(task) -> ReplicateRecord:
-    model, w, k, n, seed, echo = task
+    model, w, k, n, seed, constants, echo = task
     return run_replicate(model, k, n, echo["method"], seed, isometry=w,
                          experiment=echo["experiment"], sweep_param=echo["sweep_param"],
-                         replicate=echo["replicate"])
+                         replicate=echo["replicate"], constants=constants)
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes worth starting: no more than requested, usable CPUs, or tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus, tasks))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRecord]:
     """Run the full sweep; records are ordered by (parameter tuple, replicate).
 
-    ``workers > 1`` fans replicates out to a process pool; because every
+    ``workers > 1`` fans replicates out to a process pool of at most
+    ``min(workers, usable CPUs, replicates)`` processes; because every
     replicate is a pure function of its derived seed, the output is
     identical at any worker count.
     """
@@ -241,15 +259,20 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
     param_index = 0
     for sweep_param, model, w in models:
         for k in cfg.k_values:
+            constants = cell_constants(model, k)
             for n in cfg.n_values:
                 for rep in range(cfg.replicates):
                     echo = dict(experiment=cfg.experiment, method=cfg.method,
                                 sweep_param=sweep_param, replicate=rep)
                     seed = replicate_seed(cfg.base_seed, param_index, rep)
-                    tasks.append((model, w, k, n, seed, echo))
+                    tasks.append((model, w, k, n, seed, constants, echo))
                 param_index += 1
-    if workers <= 1:
+    workers = _pool_size(workers, len(tasks))
+    if workers == 1:
         return [_run_task(t) for t in tasks]
+    # Imported here: the pool machinery costs every serial run ~20 ms of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
         return list(pool.map(_run_task, tasks, chunksize=chunk))

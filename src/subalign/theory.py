@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import gram_blocks
 from .model import JointCovariance
-from .pca import CenteredData
 
 __all__ = [
     "TheoryParams",
@@ -142,23 +142,21 @@ def gamma_to_rho(gamma: float) -> float:
     return gamma**2
 
 
-def plugin_rho(cx: CenteredData, cy: CenteredData, k: int) -> float:
-    """Plug-in estimate of rho from sample covariances of centered data.
+def plugin_rho(gram: np.ndarray, k: int) -> float:
+    """Plug-in estimate of rho from the 2m x 2m Gram matrix of the stacked centered data.
 
-    Diagnostic only: the limit theory is stated for the true covariance
-    blocks, not their estimates.  The sample block covariance is PSD by
-    construction, so the estimate also lies in [0, 1].
+    The sample covariance blocks are the Gram blocks over n - 1; rho is
+    scale-free, so the factor cancels and any positive multiple of the Gram
+    matrix gives the same estimate.  Diagnostic only: the limit theory is
+    stated for the true covariance blocks, not their estimates.  The sample
+    block covariance is PSD by construction, so the estimate also lies in
+    [0, 1].
     """
-    if cx.matrix.shape != cy.matrix.shape:
-        raise ValueError(f"shape mismatch: {cx.matrix.shape} vs {cy.matrix.shape}")
-    if not 1 <= k <= cx.m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={cx.m}")
-    scale = 1.0 / (cx.n - 1)
-    num = _topk_mass(scale * (cx.matrix @ cy.matrix.T), k)
-    den = np.sqrt(
-        _topk_mass(scale * (cx.matrix @ cx.matrix.T), k)
-        * _topk_mass(scale * (cy.matrix @ cy.matrix.T), k)
-    )
+    sxx, syy, sxy = gram_blocks(gram)
+    if not 1 <= k <= sxx.shape[0]:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={sxx.shape[0]}")
+    num = _topk_mass(sxy, k)
+    den = np.sqrt(_topk_mass(sxx, k) * _topk_mass(syy, k))
     if den <= 0.0:
         raise ValueError("zero top-k spectrum in sample covariance")
     value = num / den

@@ -186,6 +186,69 @@ class TestCompute:
         assert code == 3
         assert "deficient rank" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["x", "y", "cross"])
+    def test_non_finite_input_exits_2(self, tmp_path, rng, capsys, bad):
+        paths = {}
+        for name, shape in (("x", (4, 30)), ("y", (4, 30)), ("cross", (4, 4))):
+            mat = rng.standard_normal(shape)
+            if name == bad:
+                mat[1, 2] = np.nan
+            paths[name] = tmp_path / f"{name}.csv"
+            write_matrix(paths[name], mat)
+        code = main(["compute", str(paths["x"]), str(paths["y"]), "--k", "2",
+                     "--cross-cov", str(paths["cross"])])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_degenerate_projection_exits_3(self, tmp_path, rng, capsys):
+        data = rng.standard_normal((4, 30))
+        data[:2] = 1.0  # constant rows: the first two coordinates carry no variance
+        x_path = tmp_path / "x.csv"
+        write_matrix(x_path, data)
+        code = main(["compute", str(x_path), str(x_path), "--k", "2", "--method", "trivial"])
+        assert code == 3
+        assert "degenerate projection" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["compute", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
                      "--k", "1"]) == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestUsageErrors:
+    def test_zero_reps_exits_2(self, tmp_path, capsys):
+        code, out, summary = run_illus1(tmp_path, "--reps", "0")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() and not summary.exists()
+
+    def test_infeasible_model_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["illus2", "--beta", "0.9", "--reps", "1", "--out", str(out),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive semidefinite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exits_2(self, tmp_path, capsys, threads):
+        code, out, _ = run_illus1(tmp_path, "--threads", threads)
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_summary_json_is_strict_when_replicates_fail(tmp_path):
+    out = tmp_path / "r.csv"
+    summary = tmp_path / "s.json"
+    code = main(["illus1", "--n", "2", "--k", "2", "--reps", "3", "--out", str(out),
+                 "--summary", str(summary)])
+    assert code == 1
+    payload = json.loads(summary.read_text(), parse_constant=_reject_constant)
+    assert payload["failed_replicates"] == 3 * len(ILLUS1_BETAS)
+    assert all(group["mean_eps_sq"] is None for group in payload["summary"])

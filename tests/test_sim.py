@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from subalign import (
     spiked_diag_pair,
     summarize,
 )
+from subalign import sim
 from subalign.sim import build_models
 
 
@@ -229,3 +232,28 @@ def test_trivial_identity_prediction_is_flat_line():
     for rec in run_experiment(cfg):
         assert rec.predicted == pytest.approx((1.0 - 0.5) * 4.0, abs=1e-12)
         assert rec.eth_sq == pytest.approx(0.0, abs=1e-12)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("workers, cpus, tasks, expected", [
+        (1, 8, 100, 1),
+        (4, 8, 100, 4),
+        (64, 2, 100, 2),
+        (64, 8, 3, 3),
+        (2, 2, 1, 1),
+    ])
+    def test_capped_by_cpus_and_tasks(self, monkeypatch, workers, cpus, tasks, expected):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert sim._pool_size(workers, tasks) == expected
+
+    def test_single_worker_runs_serially(self, monkeypatch):
+        # With one usable CPU no pool is started, whatever --threads asks for.
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig("illus1", 6, (2,), (200,), (0.5,), 3, base_seed=7)
+        assert run_experiment(cfg, workers=8) == run_experiment(cfg, workers=1)

@@ -7,6 +7,7 @@ from subalign import (
     TheoryParams,
     alpha_prime,
     center,
+    centered_gram,
     delta,
     gamma_to_rho,
     hausdorff_sq,
@@ -164,17 +165,27 @@ class TestPluginRho:
     def test_recovers_true_value(self):
         gen = np.random.default_rng(7)
         pair = mvn_sample(identity_pair(6, 0.5), 20_000, gen)
-        estimate = plugin_rho(center(pair.x), center(pair.y), 2)
+        estimate = plugin_rho(centered_gram(np.vstack([pair.x, pair.y])), 2)
         assert estimate == pytest.approx(0.5, abs=0.05)
         assert 0.0 <= estimate <= 1.0
 
     def test_identical_data_gives_one(self, rng):
         data = rng.standard_normal((5, 200))
-        cx = center(data)
-        assert plugin_rho(cx, cx, 2) == pytest.approx(1.0, abs=1e-9)
+        assert plugin_rho(centered_gram(np.vstack([data, data])), 2) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_shape_mismatch(self, rng):
-        cx = center(rng.standard_normal((5, 30)))
-        cy = center(rng.standard_normal((5, 40)))
+        gram = centered_gram(rng.standard_normal((5, 30)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            plugin_rho(cx, cy, 2)
+            plugin_rho(gram, 2)
+
+    def test_matches_sample_covariance_definition(self, rng):
+        # Oracle: rho of the sample covariance blocks, with their 1 / (n - 1).
+        x, y = rng.standard_normal((2, 6, 80))
+        cx, cy = center(x).matrix, center(y).matrix
+
+        def top3(a, b):
+            return np.linalg.svd(a @ b.T / 79, compute_uv=False)[:3].sum()
+
+        want = top3(cx, cy) / np.sqrt(top3(cx, cx) * top3(cy, cy))
+        assert plugin_rho(centered_gram(np.vstack([x, y])), 3) == pytest.approx(want, abs=1e-12)
