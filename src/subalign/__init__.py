@@ -14,7 +14,6 @@ from .grassmann import (
     apply_isometry,
     hausdorff_sq,
     principal_angles,
-    principal_angles_from_projectors,
     projector,
     weighted_hausdorff_sq,
 )
@@ -48,16 +47,6 @@ from .sim import (
     run_replicate,
     summarize,
 )
-from .theory import (
-    TheoryParams,
-    alpha_prime,
-    delta,
-    gamma_to_rho,
-    plugin_rho,
-    predicted_fit_error_sq,
-    residual,
-    rho,
-    theory_params,
-)
+from .theory import plugin_rho, predicted_fit_error_sq, residual, rho
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

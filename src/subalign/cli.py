@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from .kernel import centered_gram, evaluate_gram
-from .sim import ExperimentConfig, ReplicateRecord, build_models, run_experiment, summarize
-from .theory import plugin_rho, rho
+from .sim import ExperimentConfig, ReplicateRecord, run_experiment, summarize
+from .theory import plugin_rho
 
 __all__ = ["main", "entry", "CSV_COLUMNS", "write_records_csv", "read_records_csv"]
 
@@ -90,16 +90,15 @@ def read_records_csv(path: str) -> list[ReplicateRecord]:
     return records
 
 
-def _reference_lines(models, k_values) -> list[dict]:
-    """Limit lines eps^2 = intercept + slope * distance, per (sweep value, k)."""
+def _reference_lines(cells) -> list[dict]:
+    """Limit lines eps^2 = intercept + slope * distance, per (sweep value, k) cell."""
     lines = []
-    for sweep_param, jc, _ in models:
-        for k in k_values:
-            r = rho(jc, k)
-            lines.append({
-                "sweep_param": _round12(sweep_param), "k": k, "rho": _round12(r),
-                "intercept": _round12((1.0 - r) * 2.0 * k), "slope": _round12(r),
-            })
+    for cell in cells:
+        r = cell.constants.rho
+        lines.append({
+            "sweep_param": _round12(cell.sweep_param), "k": cell.k, "rho": _round12(r),
+            "intercept": _round12((1.0 - r) * 2.0 * cell.k), "slope": _round12(r),
+        })
     return lines
 
 
@@ -141,29 +140,33 @@ def _usage_error(message) -> int:
 
 
 def _run_and_write(args, **config) -> int:
-    """Validate the run (config, models, --threads), then run it and write both outputs."""
+    """Validate the run (config, models, --threads, output paths), then run it and write."""
     if args.threads < 1:
         return _usage_error(f"--threads must be >= 1, got {args.threads}")
     try:
         cfg = ExperimentConfig(**config)
-        models = build_models(cfg)
+        lines = _reference_lines(cfg.cells)
     except ValueError as exc:
         return _usage_error(exc)
-    lines = _reference_lines(models, cfg.k_values)
+    out_path = args.out or f"{cfg.experiment}_records.csv"
+    summary_path = args.summary or f"{cfg.experiment}_summary.json"
+    try:
+        for path in (out_path, summary_path):
+            with open(path, "a"):  # an unwritable path fails here, before any replicate runs
+                pass
+    except OSError as exc:
+        return _usage_error(f"cannot write output: {exc}")
     for line in lines:
         print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
     records = run_experiment(cfg, workers=args.threads)
     payload = _summary_payload(cfg, records, lines, args.threads, args.full_scale)
-    out_path = args.out or f"{cfg.experiment}_records.csv"
-    summary_path = args.summary or f"{cfg.experiment}_summary.json"
     try:
         write_records_csv(records, out_path)
         with open(summary_path, "w") as handle:
             json.dump(payload, handle, indent=2, allow_nan=False)
             handle.write("\n")
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"cannot write output: {exc}")
     failed = payload["failed_replicates"]
     print(f"wrote {len(records)} records to {out_path}; summary to {summary_path}")
     if failed:
@@ -256,6 +259,11 @@ def cmd_compute(args) -> int:
     for name, mat in (("X", x), ("Y", y), ("cross covariance", cross)):
         if mat is not None and not np.all(np.isfinite(mat)):
             return _usage_error(f"{name} has non-finite entries (nan or inf)")
+    # Every output is invariant to each side's scale, but the Gram matrix squares it.
+    # Dividing each side by the power of two just above its max |entry| keeps S in float
+    # range, and is exact: results at ordinary scales and exact zeros (a constant row
+    # centers to 0) are unchanged.  An all-zero side has exponent 0 and stays as it is.
+    x, y = (np.ldexp(mat, -np.frexp(np.max(np.abs(mat)))[1]) for mat in (x, y))
     gram = centered_gram(np.vstack([x, y]))
     out = evaluate_gram(gram, args.k, args.method, n, cross)
     if out.status != "ok":

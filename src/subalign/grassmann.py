@@ -13,7 +13,9 @@ and its cross-covariance-weighted generalization, which replaces the
 cosines by singular values of the projected weight matrix, normalized by
 the mean of the weight's k largest singular values.  When the weight is a
 nonzero scalar multiple of the identity the two coincide; for the zero
-weight the weighted distance is defined to be the unweighted one.
+weight the weighted distance is defined to be the unweighted one.  Both
+are computed from k x k matrices (:func:`chordal_sq`, :func:`weighted_sq`),
+which :mod:`subalign.kernel` shares; no m x m projector is formed.
 """
 
 from __future__ import annotations
@@ -26,9 +28,12 @@ __all__ = [
     "Subspace",
     "projector",
     "principal_angles",
-    "principal_angles_from_projectors",
     "hausdorff_sq",
     "weighted_hausdorff_sq",
+    "topk_mass",
+    "weight_scale",
+    "chordal_sq",
+    "weighted_sq",
     "apply_isometry",
     "check_isometry",
 ]
@@ -94,10 +99,9 @@ def _clamp_cosines(sigma: np.ndarray) -> np.ndarray:
     return np.clip(sigma, 0.0, 1.0)
 
 
-def _cosines(a: Subspace, b: Subspace) -> np.ndarray:
-    """Nonincreasing principal-angle cosines via the k x k inner-product matrix."""
-    sigma = np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)
-    return _clamp_cosines(sigma)
+def _cosines(inner: np.ndarray) -> np.ndarray:
+    """Nonincreasing principal-angle cosines from the k x k inner-product matrix."""
+    return _clamp_cosines(np.linalg.svd(inner, compute_uv=False))
 
 
 def projector(s: Subspace) -> np.ndarray:
@@ -109,28 +113,46 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     """Principal angles between two k-dimensional subspaces of R^m.
 
     Returns the k angles in radians, nondecreasing in [0, pi/2].  Computed
-    from the SVD of the k x k matrix ``a.basis.T @ b.basis`` (O(k^3)); see
-    :func:`principal_angles_from_projectors` for the equivalent m x m route.
+    from the SVD of the k x k matrix ``a.basis.T @ b.basis`` (O(k^3)).
     """
     _check_compatible(a, b)
-    return np.arccos(_cosines(a, b))
+    return np.arccos(_cosines(a.basis.T @ b.basis))
 
 
-def principal_angles_from_projectors(a: Subspace, b: Subspace) -> np.ndarray:
-    """Principal angles via the singular values of ``projector(a) @ projector(b)``.
+def topk_mass(mat: np.ndarray, k: int) -> float:
+    """Sum of the k largest singular values of ``mat``."""
+    return float(np.linalg.svd(mat, compute_uv=False)[:k].sum())
 
-    Mathematically identical to :func:`principal_angles` but O(m^3); kept as
-    the definitional cross-check path.
+
+def weight_scale(cross_cov: np.ndarray, k: int) -> float:
+    """Mean of the k largest singular values of the weight; 0 for an (entrywise) zero weight."""
+    c = np.asarray(cross_cov, dtype=float)
+    if np.max(np.abs(c)) < _ZERO_WEIGHT_TOL:
+        return 0.0
+    return topk_mass(c, k) / k
+
+
+def chordal_sq(inner: np.ndarray) -> float:
+    """``sum_i 2 (1 - cos theta_i)`` from the k x k matrix ``A^T B`` of basis inner products."""
+    return float(2.0 * np.sum(1.0 - _cosines(inner)))
+
+
+def weighted_sq(core: np.ndarray, scale: float) -> float:
+    """``sum_i 2 (1 - sigma_i(core) / scale)`` for the k x k core ``A^T C B``, clamped to [0, 2k].
+
+    ``scale`` is :func:`weight_scale` of C and must be positive.  The
+    nonzero singular values of ``P_a C P_b = A (A^T C B) B^T`` are those of
+    the core, so no projector is needed.
     """
-    _check_compatible(a, b)
-    sigma = np.linalg.svd(projector(a) @ projector(b), compute_uv=False)[: a.dim]
-    return np.arccos(_clamp_cosines(sigma))
+    k = core.shape[0]
+    value = float(2.0 * np.sum(1.0 - np.linalg.svd(core, compute_uv=False) / scale))
+    return min(max(value, 0.0), 2.0 * k)
 
 
 def hausdorff_sq(a: Subspace, b: Subspace) -> float:
     """Square chordal distance ``sum_i 2 (1 - cos theta_i)``; lies in [0, 2k]."""
     _check_compatible(a, b)
-    return float(2.0 * np.sum(1.0 - _cosines(a, b)))
+    return chordal_sq(a.basis.T @ b.basis)
 
 
 def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> float:
@@ -147,24 +169,20 @@ def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> fl
     -------
     float
         ``sum_{i<=k} 2 * (1 - sigma_i(P_a @ cross_cov @ P_b) / w)`` where
-        ``w`` is the mean of the k largest singular values of ``cross_cov``.
-        An (entrywise) zero weight falls back to :func:`hausdorff_sq`.  The
-        value lies in [0, 2k]; it is clamped there to absorb float drift at
-        the endpoints.
+        ``w`` is the mean of the k largest singular values of ``cross_cov``,
+        computed by :func:`weighted_sq` from the k x k core.  An (entrywise)
+        zero weight falls back to :func:`hausdorff_sq`.  The value lies in
+        [0, 2k]; it is clamped there to absorb float drift at the endpoints.
     """
     _check_compatible(a, b)
     c = np.asarray(cross_cov, dtype=float)
     m = a.ambient_dim
     if c.shape != (m, m):
         raise ValueError(f"cross_cov must be {m} x {m}, got {c.shape}")
-    if np.max(np.abs(c)) < _ZERO_WEIGHT_TOL:
+    scale = weight_scale(c, a.dim)
+    if scale == 0.0:
         return hausdorff_sq(a, b)
-    k = a.dim
-    mean_topk = np.linalg.svd(c, compute_uv=False)[:k].mean()
-    # Rank of the product is at most k, so the k largest values carry it all.
-    sigma = np.linalg.svd(projector(a) @ c @ projector(b), compute_uv=False)[:k]
-    value = float(2.0 * np.sum(1.0 - sigma / mean_topk))
-    return min(max(value, 0.0), 2.0 * k)
+    return weighted_sq(a.basis.T @ c @ b.basis, scale)
 
 
 def check_isometry(w: np.ndarray, m: int) -> np.ndarray:

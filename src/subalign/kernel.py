@@ -17,11 +17,13 @@ the 2m x 2m Gram matrix of the stacked centered data ``Zc = [Xc; Yc]``:
   values of the k x k matrices A^T B, A^T C B and A^T W B.
 
 No m x m projector and no projected or rescaled m x n copy of the data is
-formed.  The data-matrix route (``pca_subspace``, ``normalize_projected``,
-``fit_error_sq``, ``weighted_hausdorff_sq``) computes the same numbers and
-is kept as the test oracle.  Only subspace-level quantities leave this
-module, so the sign and order of the eigenvectors inside a basis do not
-matter.
+formed.  The distances use the same k x k formulas as
+:mod:`subalign.grassmann` (``chordal_sq``, ``weighted_sq``).  The
+data-matrix route (``center``, ``pca_subspace``, ``normalize_projected``,
+``fit_error_sq``) computes the subspaces and eps^2 independently and is kept
+as the test oracle, next to the projector forms of the distances, which live
+in the tests.  Only subspace-level quantities leave this module, so the sign
+and order of the eigenvectors inside a basis do not matter.
 
 Rank.  Centered data with n observations has rank at most n - 1, so
 ``n <= k`` is deficient outright.  Otherwise an eigenvalue of Sxx (Syy)
@@ -45,9 +47,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grassmann import _ZERO_WEIGHT_TOL, check_isometry
+from .grassmann import check_isometry, chordal_sq, weight_scale, weighted_sq
 
-__all__ = ["GramResult", "centered_gram", "gram_blocks", "weight_scale", "evaluate_gram"]
+__all__ = ["GramResult", "centered_gram", "gram_blocks", "evaluate_gram"]
 
 # ||P_a Xc||_F below sqrt of this makes the sqrt(k) rescaling undefined.
 _DEGENERATE_SQ = 1e-300
@@ -88,14 +90,6 @@ def gram_blocks(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[:m, :m], s[m:, m:], s[:m, m:]
 
 
-def weight_scale(cross_cov: np.ndarray, k: int) -> float:
-    """Mean of the k largest singular values of the weight; 0 for an (entrywise) zero weight."""
-    c = np.asarray(cross_cov, dtype=float)
-    if np.max(np.abs(c)) < _ZERO_WEIGHT_TOL:
-        return 0.0
-    return float(np.linalg.svd(c, compute_uv=False)[:k].mean())
-
-
 def _top_eigvecs(block: np.ndarray, k: int, n: int):
     """(basis, sum of the top-k eigenvalues), or None when the rank is below k."""
     if n - 1 < k:
@@ -105,12 +99,6 @@ def _top_eigvecs(block: np.ndarray, k: int, n: int):
     if not w[-k] > tol:
         return None
     return v[:, -k:], float(w[-k:].sum())
-
-
-def _chordal_sq(inner: np.ndarray) -> float:
-    """``sum 2 (1 - cos theta_i)`` from the k x k matrix of basis inner products."""
-    cos = np.clip(np.linalg.svd(inner, compute_uv=False), 0.0, 1.0)
-    return float(2.0 * np.sum(1.0 - cos))
 
 
 def evaluate_gram(
@@ -136,8 +124,8 @@ def evaluate_gram(
         Weight of eth^2, typically Cov(X, Y) of the model.  An entrywise
         zero weight gives eth^2 = d^2.
     scale : float, optional
-        ``weight_scale(cross_cov, k)``, for callers that evaluate one weight
-        many times; computed when omitted.
+        :func:`subalign.grassmann.weight_scale` of ``cross_cov``, for callers
+        that evaluate one weight many times; computed when omitted.
     isometry : (m, m) orthogonal ndarray, optional
         W of the corrected distance ``d^2(A, W B)``.
     """
@@ -161,7 +149,7 @@ def evaluate_gram(
     nuclear = np.linalg.svd(a.T @ sxy @ b, compute_uv=False).sum()
     eps_sq = 2.0 * k - 2.0 * k * nuclear / np.sqrt(var_x * var_y)
     eps_sq = min(max(float(eps_sq), 0.0), 2.0 * k)
-    d_sq = _chordal_sq(a.T @ b)
+    d_sq = chordal_sq(a.T @ b)
 
     eth_sq = None
     if cross_cov is not None:
@@ -169,13 +157,9 @@ def evaluate_gram(
         if c.shape != (m, m):
             raise ValueError(f"cross_cov must be {m} x {m}, got {c.shape}")
         scale = weight_scale(c, k) if scale is None else scale
-        if scale == 0.0:
-            eth_sq = d_sq
-        else:
-            sigma = np.linalg.svd(a.T @ c @ b, compute_uv=False)
-            eth_sq = min(max(float(2.0 * np.sum(1.0 - sigma / scale)), 0.0), 2.0 * k)
+        eth_sq = d_sq if scale == 0.0 else weighted_sq(a.T @ c @ b, scale)
 
     d_sq_corrected = None
     if isometry is not None:
-        d_sq_corrected = _chordal_sq(a.T @ check_isometry(isometry, m) @ b)
+        d_sq_corrected = chordal_sq(a.T @ check_isometry(isometry, m) @ b)
     return GramResult("ok", d_sq, eth_sq, eps_sq, d_sq_corrected)

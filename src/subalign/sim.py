@@ -7,7 +7,9 @@ square subspace distance, its weighted form (using the model's true
 cross-covariance block), the square Procrustes fitting-error, the
 predicted limiting value, and the residual (see :mod:`subalign.kernel`).
 Quantities fixed by the model, rho and the weight's scale, are computed
-once per (model, k) cell.
+once per (model, k) cell, when a config's cells are first built
+(:attr:`ExperimentConfig.cells`); the CLI's reference lines read the same
+cells.
 
 Seeding contract
 ----------------
@@ -26,12 +28,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite, nan
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .kernel import centered_gram, evaluate_gram, weight_scale
+from .grassmann import weight_scale
+from .kernel import centered_gram, evaluate_gram
 from .model import JointCovariance, ScientistParams, mvn_gram, scientists_covariance, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .theory import predicted_fit_error_sq, residual, rho
@@ -42,6 +46,7 @@ __all__ = [
     "ExperimentConfig",
     "ReplicateRecord",
     "CellConstants",
+    "Cell",
     "SummaryStats",
     "replicate_seed",
     "build_models",
@@ -124,6 +129,17 @@ class ExperimentConfig:
         elif not self.sweep:
             raise ValueError("sweep must be nonempty")
 
+    @cached_property
+    def cells(self) -> list[Cell]:
+        """The (sweep value, k) cells in parameter order, with their models and constants.
+
+        Built on first use, which also checks that the models are feasible,
+        and kept: the config is immutable, so one run builds each model and
+        computes each cell's rho once.
+        """
+        return [Cell(sweep_param, model, w, k, cell_constants(model, k))
+                for sweep_param, model, w in build_models(self) for k in self.k_values]
+
 
 @dataclass(frozen=True)
 class ReplicateRecord:
@@ -170,12 +186,22 @@ class CellConstants(NamedTuple):
     """What every replicate of one (model, k) cell shares.
 
     The model's rho, its cross-covariance block (the eth^2 weight) and that
-    weight's scale (:func:`subalign.kernel.weight_scale`).
+    weight's scale (:func:`subalign.grassmann.weight_scale`).
     """
 
     rho: float
     cross_cov: np.ndarray
     scale: float
+
+
+class Cell(NamedTuple):
+    """One (sweep value, k) cell of a sweep: its model, isometry and constants."""
+
+    sweep_param: float
+    model: Model
+    isometry: Optional[np.ndarray]
+    k: int
+    constants: CellConstants
 
 
 def cell_constants(model: Model, k: int) -> CellConstants:
@@ -254,19 +280,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
     replicate is a pure function of its derived seed, the output is
     identical at any worker count.
     """
-    models = build_models(cfg)
     tasks = []
     param_index = 0
-    for sweep_param, model, w in models:
-        for k in cfg.k_values:
-            constants = cell_constants(model, k)
-            for n in cfg.n_values:
-                for rep in range(cfg.replicates):
-                    echo = dict(experiment=cfg.experiment, method=cfg.method,
-                                sweep_param=sweep_param, replicate=rep)
-                    seed = replicate_seed(cfg.base_seed, param_index, rep)
-                    tasks.append((model, w, k, n, seed, constants, echo))
-                param_index += 1
+    for cell in cfg.cells:
+        for n in cfg.n_values:
+            for rep in range(cfg.replicates):
+                echo = dict(experiment=cfg.experiment, method=cfg.method,
+                            sweep_param=cell.sweep_param, replicate=rep)
+                seed = replicate_seed(cfg.base_seed, param_index, rep)
+                tasks.append((cell.model, cell.isometry, cell.k, n, seed, cell.constants, echo))
+            param_index += 1
     workers = _pool_size(workers, len(tasks))
     if workers == 1:
         return [_run_task(t) for t in tasks]

@@ -10,66 +10,36 @@ lies in [0, 1], and the square fitting-error of the two normalized
 projections converges almost surely to the convex combination
 
     (1 - rho) * 2k + rho * weighted_hausdorff_sq(A, B, Cov(X, Y)).
-
-:func:`delta` is the companion normalization constant
-1 / (mean top-k spectral mass of Cov(X) * mean top-k spectral mass of Cov(Y)),
-and :func:`gamma_to_rho` is the reduction for the two-device generators,
-where rho = gamma^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .grassmann import topk_mass
 from .kernel import gram_blocks
 from .model import JointCovariance
 
-__all__ = [
-    "TheoryParams",
-    "rho",
-    "delta",
-    "alpha_prime",
-    "theory_params",
-    "predicted_fit_error_sq",
-    "residual",
-    "gamma_to_rho",
-    "plugin_rho",
-]
+__all__ = ["rho", "predicted_fit_error_sq", "residual", "plugin_rho"]
 
 _RHO_SLACK = 1e-10
 _RANGE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class TheoryParams:
-    """Bundle of the limit constants for one (model, k) pair.
-
-    ``alpha_prime`` is the mean of the k largest singular values of Cov(X),
-    the normalization under which rho reduces to |beta| / alpha_prime when
-    Cov(X, Y) = beta I.
-    """
-
-    rho: float
-    delta: float
-    k: int
-    alpha_prime: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-
-
-def _topk_mass(mat: np.ndarray, k: int) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[:k].sum())
-
-
-def _check_k(jc: JointCovariance, k: int) -> None:
-    if not 1 <= k <= jc.m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={jc.m}")
+def _rho(cov_x: np.ndarray, cov_y: np.ndarray, cov_xy: np.ndarray, k: int) -> float:
+    """rho from the three covariance blocks (or any common positive multiple of them)."""
+    m = cov_x.shape[0]
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    den = np.sqrt(topk_mass(cov_x, k)) * np.sqrt(topk_mass(cov_y, k))
+    if den <= 0.0:
+        raise ValueError("zero top-k spectrum")
+    value = topk_mass(cov_xy, k) / den
+    if value > 1.0:
+        if value > 1.0 + _RHO_SLACK:
+            raise ValueError(f"rho {value!r} exceeds 1; the block covariance is not PSD")
+        value = 1.0
+    return float(value)
 
 
 def rho(jc: JointCovariance, k: int) -> float:
@@ -80,37 +50,7 @@ def rho(jc: JointCovariance, k: int) -> float:
     clamped; anything larger indicates an invalid (non-PSD) input and
     raises.
     """
-    _check_k(jc, k)
-    num = _topk_mass(jc.cov_xy, k)
-    den = np.sqrt(_topk_mass(jc.cov_x, k)) * np.sqrt(_topk_mass(jc.cov_y, k))
-    value = num / den
-    if value > 1.0:
-        if value > 1.0 + _RHO_SLACK:
-            raise ValueError(
-                f"correlation parameter {value!r} exceeds 1; input covariance is not PSD"
-            )
-        value = 1.0
-    return float(value)
-
-
-def delta(jc: JointCovariance, k: int) -> float:
-    """1 / (mean top-k singular value of Cov(X) * same for Cov(Y))."""
-    _check_k(jc, k)
-    mean_x = _topk_mass(jc.cov_x, k) / k
-    mean_y = _topk_mass(jc.cov_y, k) / k
-    if mean_x <= 0.0 or mean_y <= 0.0:
-        raise ValueError("zero top-k spectrum")
-    return 1.0 / (mean_x * mean_y)
-
-
-def alpha_prime(jc: JointCovariance, k: int) -> float:
-    """Mean of the k largest singular values of Cov(X)."""
-    _check_k(jc, k)
-    return _topk_mass(jc.cov_x, k) / k
-
-
-def theory_params(jc: JointCovariance, k: int) -> TheoryParams:
-    return TheoryParams(rho(jc, k), delta(jc, k), k, alpha_prime(jc, k))
+    return _rho(jc.cov_x, jc.cov_y, jc.cov_xy, k)
 
 
 def predicted_fit_error_sq(rho_value: float, k: int, eth_sq: float) -> float:
@@ -135,13 +75,6 @@ def residual(eps_sq: float, predicted: float) -> float:
     return eps_sq - predicted
 
 
-def gamma_to_rho(gamma: float) -> float:
-    """rho induced by the two-device generators with accuracy gamma: gamma^2."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return gamma**2
-
-
 def plugin_rho(gram: np.ndarray, k: int) -> float:
     """Plug-in estimate of rho from the 2m x 2m Gram matrix of the stacked centered data.
 
@@ -153,15 +86,4 @@ def plugin_rho(gram: np.ndarray, k: int) -> float:
     [0, 1].
     """
     sxx, syy, sxy = gram_blocks(gram)
-    if not 1 <= k <= sxx.shape[0]:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={sxx.shape[0]}")
-    num = _topk_mass(sxy, k)
-    den = np.sqrt(_topk_mass(sxx, k) * _topk_mass(syy, k))
-    if den <= 0.0:
-        raise ValueError("zero top-k spectrum in sample covariance")
-    value = num / den
-    if value > 1.0:
-        if value > 1.0 + _RHO_SLACK:
-            raise ValueError(f"plug-in estimate {value!r} exceeds 1 beyond tolerance")
-        value = 1.0
-    return float(value)
+    return _rho(sxx, syy, sxy, k)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from subalign import cli, sim, theory
 from subalign.cli import CSV_COLUMNS, ILLUS1_BETAS, build_parser, main, read_records_csv
 from subalign.sim import summarize
 
@@ -91,6 +92,39 @@ def test_failed_replicates_exit_code(tmp_path):
 def test_unwritable_output_path(tmp_path):
     code, *_ = run_illus1(tmp_path, "--out", str(tmp_path / "missing_dir" / "r.csv"))
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--out", "--summary"])
+def test_unwritable_output_fails_before_any_replicate(tmp_path, monkeypatch, capsys, flag):
+    def no_run(*args, **kwargs):
+        raise AssertionError("replicates ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    code, *_ = run_illus1(tmp_path, flag, str(tmp_path / "missing_dir" / "f"))
+    assert code == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
+def test_models_and_rho_are_computed_once_per_cell(tmp_path, monkeypatch):
+    built, rho_calls = [], []
+
+    def counted(fn, log):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "spiked_diag_pair", counted(sim.spiked_diag_pair, built))
+    # Counted wherever rho is bound, so a second computation in the CLI would show.
+    for module in (sim, cli):
+        monkeypatch.setattr(module, "rho", counted(theory.rho, rho_calls), raising=False)
+    code = main([
+        "illus2", "--m", "6", "--k", "1", "2", "--n", "40", "--lambda2", "0.7", "0.72", "0.74",
+        "--reps", "2", "--out", str(tmp_path / "r.csv"), "--summary", str(tmp_path / "s.json"),
+    ])
+    assert code == 0
+    assert sorted(args[1] for args in built) == [0.7, 0.72, 0.74]
+    assert len(rho_calls) == 3 * 2
 
 
 def test_invalid_flag_exits_2():
@@ -212,6 +246,26 @@ class TestCompute:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["compute", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
                      "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale_matches_unit_scale(self, tmp_path, rng, capsys, scale):
+        # Every output is scale-free, but the Gram matrix squares the scale:
+        # 1e200 overflowed it and 1e-200 underflowed it to a deficient rank.
+        x = rng.standard_normal((4, 50))
+        y = 0.6 * x + rng.standard_normal((4, 50))
+        paths = {name: tmp_path / f"{name}.csv" for name in ("x", "scaled", "y", "c")}
+        for name, mat in (("x", x), ("scaled", scale * x), ("y", y),
+                          ("c", rng.standard_normal((4, 4)))):
+            write_matrix(paths[name], mat)
+        results = []
+        for x_name in ("x", "scaled"):
+            code = main(["compute", str(paths[x_name]), str(paths["y"]), "--k", "2",
+                         "--cross-cov", str(paths["c"])])
+            assert code == 0
+            results.append(json.loads(capsys.readouterr().out))
+        unit, scaled = results
+        for key in ("eps_sq", "d_sq", "eth_sq", "rho_hat"):
+            assert scaled[key] == pytest.approx(unit[key], abs=1e-9)
 
 
 def _reject_constant(token):

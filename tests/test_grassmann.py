@@ -8,13 +8,32 @@ from subalign import (
     apply_isometry,
     hausdorff_sq,
     principal_angles,
-    principal_angles_from_projectors,
     projector,
     weighted_hausdorff_sq,
 )
 from subalign.grassmann import _clamp_cosines
 
 from conftest import random_orthogonal, random_subspace
+
+
+def principal_angles_from_projectors(a, b):
+    """Oracle: principal angles via the singular values of ``P_a @ P_b`` (O(m^3))."""
+    sigma = np.linalg.svd(projector(a) @ projector(b), compute_uv=False)[: a.dim]
+    return np.arccos(_clamp_cosines(sigma))
+
+
+def weighted_hausdorff_sq_from_projectors(a, b, c):
+    """Oracle: ``sum_{i<=k} 2 (1 - sigma_i(P_a C P_b) / w)`` with w the mean top-k sigma of C.
+
+    An entrywise zero weight gives the chordal distance, here from the
+    projector-route angles.
+    """
+    k = a.dim
+    if np.max(np.abs(c)) < 1e-14:
+        return float(2.0 * np.sum(1.0 - np.cos(principal_angles_from_projectors(a, b))))
+    w = np.linalg.svd(c, compute_uv=False)[:k].mean()
+    sigma = np.linalg.svd(projector(a) @ c @ projector(b), compute_uv=False)[:k]
+    return min(max(float(2.0 * np.sum(1.0 - sigma / w)), 0.0), 2.0 * k)
 
 
 def basis_of(*cols, m):
@@ -201,6 +220,24 @@ class TestWeightedHausdorffSq:
         a = random_subspace(rng, 6, 2)
         with pytest.raises(ValueError, match="6 x 6"):
             weighted_hausdorff_sq(a, a, np.eye(5))
+
+    def test_matches_projector_definition(self, rng):
+        # The k x k core A^T C B against the m x m definition P_a C P_b, on
+        # random weights, a zero weight and a weight of rank max(1, k - 1)
+        # (below both m and, for k > 1, k), including k = m.
+        dims = [(int(m), int(rng.integers(1, m + 1))) for m in rng.integers(2, 10, size=50)]
+        for m, k in dims + [(5, 5), (8, 8)]:
+            a = random_subspace(rng, m, k)
+            b = random_subspace(rng, m, k)
+            rank = max(1, k - 1)
+            weights = [
+                rng.standard_normal((m, m)),
+                np.zeros((m, m)),
+                rng.standard_normal((m, rank)) @ rng.standard_normal((rank, m)),
+            ]
+            for c in weights:
+                want = weighted_hausdorff_sq_from_projectors(a, b, c)
+                assert weighted_hausdorff_sq(a, b, c) == pytest.approx(want, abs=1e-9)
 
 
 class TestApplyIsometry:

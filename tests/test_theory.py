@@ -4,12 +4,8 @@ import pytest
 from subalign import (
     JointCovariance,
     ScientistParams,
-    TheoryParams,
-    alpha_prime,
     center,
     centered_gram,
-    delta,
-    gamma_to_rho,
     hausdorff_sq,
     identity_pair,
     mvn_sample,
@@ -20,7 +16,6 @@ from subalign import (
     rho,
     scientists_covariance,
     spiked_diag_pair,
-    theory_params,
     weighted_hausdorff_sq,
 )
 from subalign.grassmann import apply_isometry
@@ -46,7 +41,7 @@ class TestRho:
         params = ScientistParams(m=5, gamma=0.8)
         jc = scientists_covariance(params)
         for k in (1, 3, 5):
-            assert rho(jc, k) == pytest.approx(gamma_to_rho(0.8), abs=1e-12)
+            assert rho(jc, k) == pytest.approx(0.64, abs=1e-12)
 
     def test_bounds_fuzz(self, rng):
         for _ in range(300):
@@ -62,21 +57,9 @@ class TestRho:
         with pytest.raises(ValueError, match="1 <= k <= m"):
             rho(identity_pair(4, 0.5), 5)
 
-
-class TestDelta:
-    def test_identity_pair(self):
-        for k in (1, 2, 5):
-            assert delta(identity_pair(6, 0.3), k) == pytest.approx(1.0, abs=1e-12)
-
-    def test_spiked_diag(self):
-        assert delta(spiked_diag_pair(20, 0.7, 0.6), 2) == pytest.approx(
-            1.0 / (0.85 * 0.85), abs=1e-12
-        )
-
-    def test_inverse_square_homogeneity(self):
+    def test_scale_invariance(self):
         jc = spiked_diag_pair(12, 0.7, 0.4)
         scaled = JointCovariance(3.0 * jc.cov_x, 3.0 * jc.cov_y, 3.0 * jc.cov_xy)
-        assert delta(scaled, 2) == pytest.approx(delta(jc, 2) / 9.0, abs=1e-12)
         assert rho(scaled, 2) == pytest.approx(rho(jc, 2), abs=1e-12)
 
 
@@ -116,30 +99,13 @@ class TestResidual:
 
 
 class TestGammaToRho:
+    """The two-device generators with accuracy gamma induce rho = gamma^2."""
+
     @pytest.mark.parametrize("gamma,expected", [(0.0, 0.0), (1.0, 1.0), (0.8, 0.64)])
     def test_values(self, gamma, expected):
-        assert gamma_to_rho(gamma) == pytest.approx(expected, abs=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            gamma_to_rho(1.5)
-
-
-class TestTheoryParams:
-    def test_bundle_values(self):
-        jc = spiked_diag_pair(20, 0.7, 0.6)
-        tp = theory_params(jc, 2)
-        assert tp.rho == pytest.approx(12.0 / 17.0, abs=1e-12)
-        assert tp.delta == pytest.approx(1.0 / 0.85**2, abs=1e-12)
-        assert tp.alpha_prime == pytest.approx(0.85, abs=1e-12)
-        assert tp.k == 2
-        assert alpha_prime(jc, 2) == tp.alpha_prime
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="rho"):
-            TheoryParams(rho=1.5, delta=1.0, k=2, alpha_prime=1.0)
-        with pytest.raises(ValueError, match="delta"):
-            TheoryParams(rho=0.5, delta=0.0, k=2, alpha_prime=1.0)
+        jc = scientists_covariance(ScientistParams(m=4, gamma=gamma, alpha=2.5))
+        for k in (1, 4):
+            assert rho(jc, k) == pytest.approx(expected, abs=1e-15)
 
 
 def test_weighted_prediction_matches_corrected_distance_prediction(rng):
@@ -149,7 +115,7 @@ def test_weighted_prediction_matches_corrected_distance_prediction(rng):
     jc, w = reversed_pair(10, 0.7, 0.6)
     for k in (1, 2, 4):
         r = rho(jc, k)
-        ratio = 0.6 / alpha_prime(jc, k)
+        ratio = 0.6 / np.sort(np.diag(jc.cov_x))[::-1][:k].mean()
         assert r == pytest.approx(ratio, abs=1e-12)
         for _ in range(10):
             a = random_subspace(rng, 10, k)
@@ -189,3 +155,15 @@ class TestPluginRho:
 
         want = top3(cx, cy) / np.sqrt(top3(cx, cx) * top3(cy, cy))
         assert plugin_rho(centered_gram(np.vstack([x, y])), 3) == pytest.approx(want, abs=1e-12)
+
+    def test_equals_rho_of_the_sample_blocks(self, rng):
+        # plugin_rho and rho share one formula: rho of a JointCovariance built
+        # from the sample covariance blocks is the plug-in estimate.
+        for m, n in ((4, 30), (6, 200), (9, 12)):
+            x = rng.standard_normal((m, n))
+            y = 0.5 * x + rng.standard_normal((m, n))
+            gram = centered_gram(np.vstack([x, y]))
+            cov = gram / (n - 1)
+            jc = JointCovariance(cov[:m, :m], cov[m:, m:], cov[:m, m:])
+            for k in range(1, m + 1):
+                assert plugin_rho(gram, k) == pytest.approx(rho(jc, k), abs=1e-12)
