@@ -42,6 +42,7 @@ from .sim import (
     ExperimentConfig,
     ReplicateRecord,
     SummaryStats,
+    make_cell,
     replicate_seed,
     run_experiment,
     run_replicate,
@@ -49,4 +50,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, residual, rho
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

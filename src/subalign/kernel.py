@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grassmann import check_isometry, chordal_sq, weight_scale, weighted_sq
+from .grassmann import chordal_sq, weight_scale, weighted_sq
 
 __all__ = ["GramResult", "centered_gram", "gram_blocks", "evaluate_gram"]
 
@@ -127,7 +127,9 @@ def evaluate_gram(
         :func:`subalign.grassmann.weight_scale` of ``cross_cov``, for callers
         that evaluate one weight many times; computed when omitted.
     isometry : (m, m) orthogonal ndarray, optional
-        W of the corrected distance ``d^2(A, W B)``.
+        W of the corrected distance ``d^2(A, W B)``.  Not checked here: it
+        must already have passed :func:`subalign.grassmann.check_isometry`,
+        as :func:`subalign.sim.make_cell` does once per cell.
     """
     sxx, syy, sxy = gram_blocks(s)
     m = sxx.shape[0]
@@ -161,5 +163,5 @@ def evaluate_gram(
 
     d_sq_corrected = None
     if isometry is not None:
-        d_sq_corrected = chordal_sq(a.T @ check_isometry(isometry, m) @ b)
+        d_sq_corrected = chordal_sq(a.T @ isometry @ b)
     return GramResult("ok", d_sq, eth_sq, eps_sq, d_sq_corrected)

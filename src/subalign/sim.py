@@ -6,10 +6,11 @@ from it (PCA or the trivial first-k-coordinates baseline), and records the
 square subspace distance, its weighted form (using the model's true
 cross-covariance block), the square Procrustes fitting-error, the
 predicted limiting value, and the residual (see :mod:`subalign.kernel`).
-Quantities fixed by the model, rho and the weight's scale, are computed
-once per (model, k) cell, when a config's cells are first built
-(:attr:`ExperimentConfig.cells`); the CLI's reference lines read the same
-cells.
+A run is a list of cells, one per (model, k), each built and validated
+once by :func:`make_cell` when a config's cells are first read
+(:attr:`ExperimentConfig.cells`): rho, the weight and its scale are
+computed and the isometry is checked there, and every replicate of the
+cell reads them.  The CLI's reference lines read the same cells.
 
 Seeding contract
 ----------------
@@ -28,13 +29,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 from math import isfinite, nan
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .grassmann import weight_scale
+from .grassmann import check_isometry, weight_scale
 from .kernel import centered_gram, evaluate_gram
 from .model import JointCovariance, ScientistParams, mvn_gram, scientists_covariance, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
@@ -45,12 +47,10 @@ __all__ = [
     "METHODS",
     "ExperimentConfig",
     "ReplicateRecord",
-    "CellConstants",
     "Cell",
     "SummaryStats",
     "replicate_seed",
-    "build_models",
-    "cell_constants",
+    "make_cell",
     "run_replicate",
     "run_experiment",
     "summarize",
@@ -131,14 +131,26 @@ class ExperimentConfig:
 
     @cached_property
     def cells(self) -> list[Cell]:
-        """The (sweep value, k) cells in parameter order, with their models and constants.
+        """The (sweep value, k) cells in parameter order (see :func:`make_cell`).
 
-        Built on first use, which also checks that the models are feasible,
-        and kept: the config is immutable, so one run builds each model and
-        computes each cell's rho once.
+        Built on first use, which checks that the models are feasible and of
+        dimension ``m`` and that their isometries are orthogonal, before any
+        work; and kept: the config is immutable, so a run builds each cell once.
         """
-        return [Cell(sweep_param, model, w, k, cell_constants(model, k))
-                for sweep_param, model, w in build_models(self) for k in self.k_values]
+        if self.experiment == "illus1":
+            models = [(b, identity_pair(self.m, b), None) for b in self.sweep]
+        elif self.experiment == "illus2":
+            models = [(lam, spiked_diag_pair(self.m, lam, self.beta), None) for lam in self.sweep]
+        elif self.experiment == "illus3":
+            models = [(b, *reversed_pair(self.m, self.lambda2, b)) for b in self.sweep]
+        else:
+            models = self.models
+        cells = []
+        for sweep_param, model, w in models:
+            if model.m != self.m:
+                raise ValueError(f"model dimension {model.m} differs from m = {self.m}")
+            cells += [make_cell(model, k, w, sweep_param) for k in self.k_values]
+        return cells
 
 
 @dataclass(frozen=True)
@@ -158,109 +170,74 @@ class ReplicateRecord:
     n: int
     sweep_param: float
     replicate: int
-    d_sq: Optional[float]
-    eth_sq: Optional[float]
-    eps_sq: Optional[float]
-    predicted: Optional[float]
-    residual: Optional[float]
+    d_sq: Optional[float] = None
+    eth_sq: Optional[float] = None
+    eps_sq: Optional[float] = None
+    predicted: Optional[float] = None
+    residual: Optional[float] = None
     d_sq_corrected: Optional[float] = None
     status: str = "ok"
 
 
-def build_models(cfg: ExperimentConfig) -> list[tuple[float, Model, Optional[np.ndarray]]]:
-    """Materialize the sweep's models (validating feasibility) before any work."""
-    if cfg.experiment == "illus1":
-        return [(b, identity_pair(cfg.m, b), None) for b in cfg.sweep]
-    if cfg.experiment == "illus2":
-        return [(lam, spiked_diag_pair(cfg.m, lam, cfg.beta), None) for lam in cfg.sweep]
-    if cfg.experiment == "illus3":
-        out = []
-        for b in cfg.sweep:
-            jc, w = reversed_pair(cfg.m, cfg.lambda2, b)
-            out.append((b, jc, w))
-        return out
-    return list(cfg.models)
-
-
-class CellConstants(NamedTuple):
-    """What every replicate of one (model, k) cell shares.
-
-    The model's rho, its cross-covariance block (the eth^2 weight) and that
-    weight's scale (:func:`subalign.grassmann.weight_scale`).
-    """
-
-    rho: float
-    cross_cov: np.ndarray
-    scale: float
-
-
 class Cell(NamedTuple):
-    """One (sweep value, k) cell of a sweep: its model, isometry and constants."""
+    """One (sweep value, k) cell of a sweep, as built by :func:`make_cell`.
+
+    Holds what every replicate of the cell shares: the model, its checked
+    isometry (or None), the model's rho, its cross-covariance block (the
+    eth^2 weight) and that weight's scale
+    (:func:`subalign.grassmann.weight_scale`).
+    """
 
     sweep_param: float
     model: Model
     isometry: Optional[np.ndarray]
     k: int
-    constants: CellConstants
+    rho: float
+    cross_cov: np.ndarray
+    scale: float
 
 
-def cell_constants(model: Model, k: int) -> CellConstants:
-    """Compute the per-cell constants once, for all replicates of the cell."""
+def make_cell(model: Model, k: int, isometry: Optional[np.ndarray] = None,
+              sweep_param: float = nan) -> Cell:
+    """Build a cell: compute rho and the weight's scale, and check the isometry, once."""
     jc = scientists_covariance(model) if isinstance(model, ScientistParams) else model
-    return CellConstants(rho(jc, k), jc.cov_xy, weight_scale(jc.cov_xy, k))
+    if isometry is not None:
+        isometry = check_isometry(isometry, jc.m)
+    return Cell(sweep_param, model, isometry, k, rho(jc, k), jc.cov_xy,
+                weight_scale(jc.cov_xy, k))
 
 
-def run_replicate(
-    model: Model,
-    k: int,
-    n: int,
-    method: str,
-    seed: int,
-    *,
-    isometry: Optional[np.ndarray] = None,
-    experiment: str = "custom",
-    sweep_param: float = nan,
-    replicate: int = 0,
-    constants: Optional[CellConstants] = None,
-) -> ReplicateRecord:
-    """Sample one paired data set and evaluate all per-replicate quantities.
+def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: str,
+                  experiment: str = "custom") -> ReplicateRecord:
+    """Sample one paired data set from the cell's model and evaluate all per-replicate quantities.
 
     The draw is reduced to its 2m x 2m centered Gram matrix and evaluated
-    by :func:`subalign.kernel.evaluate_gram`.  ``constants`` (from
-    :func:`cell_constants`) is computed here when omitted.  Rank-deficient
-    PCA and degenerate (zero) projections yield a failed record with a
-    reason code rather than raising; these have probability zero under
-    continuous models with n > k but occur at extreme settings (e.g. n <= k).
+    by :func:`subalign.kernel.evaluate_gram` with the cell's weight, scale
+    and isometry.  Rank-deficient PCA and degenerate (zero) projections
+    yield a failed record with a reason code rather than raising; these
+    have probability zero under continuous models with n > k but occur at
+    extreme settings (e.g. n <= k).
     """
-    if constants is None:
-        constants = cell_constants(model, k)
+    model, k = cell.model, cell.k
     rng = np.random.default_rng(seed)
     if isinstance(model, ScientistParams):
         pair = scientists_sample(model, n, rng)
         gram = centered_gram(np.vstack([pair.x, pair.y]))
     else:
         gram = mvn_gram(model, n, rng)
-    out = evaluate_gram(gram, k, method, n, constants.cross_cov, scale=constants.scale,
-                        isometry=isometry)
+    out = evaluate_gram(gram, k, method, n, cell.cross_cov, scale=cell.scale,
+                        isometry=cell.isometry)
     echo = dict(
         experiment=experiment, method=method, m=model.m, k=k, n=n,
-        sweep_param=sweep_param, replicate=replicate,
+        sweep_param=cell.sweep_param, replicate=replicate,
     )
     if out.status != "ok":
-        return ReplicateRecord(**echo, d_sq=None, eth_sq=None, eps_sq=None,
-                               predicted=None, residual=None, status=out.status)
-    predicted = predicted_fit_error_sq(constants.rho, k, out.eth_sq)
+        return ReplicateRecord(**echo, status=out.status)
+    predicted = predicted_fit_error_sq(cell.rho, k, out.eth_sq)
     return ReplicateRecord(
         **echo, d_sq=out.d_sq, eth_sq=out.eth_sq, eps_sq=out.eps_sq, predicted=predicted,
         residual=residual(out.eps_sq, predicted), d_sq_corrected=out.d_sq_corrected,
     )
-
-
-def _run_task(task) -> ReplicateRecord:
-    model, w, k, n, seed, constants, echo = task
-    return run_replicate(model, k, n, echo["method"], seed, isometry=w,
-                         experiment=echo["experiment"], sweep_param=echo["sweep_param"],
-                         replicate=echo["replicate"], constants=constants)
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -280,25 +257,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
     replicate is a pure function of its derived seed, the output is
     identical at any worker count.
     """
-    tasks = []
-    param_index = 0
-    for cell in cfg.cells:
-        for n in cfg.n_values:
-            for rep in range(cfg.replicates):
-                echo = dict(experiment=cfg.experiment, method=cfg.method,
-                            sweep_param=cell.sweep_param, replicate=rep)
-                seed = replicate_seed(cfg.base_seed, param_index, rep)
-                tasks.append((cell.model, cell.isometry, cell.k, n, seed, cell.constants, echo))
-            param_index += 1
-    workers = _pool_size(workers, len(tasks))
+    cells, ns, seeds, reps = zip(*[
+        (cell, n, replicate_seed(cfg.base_seed, param_index, rep), rep)
+        for param_index, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))
+        for rep in range(cfg.replicates)
+    ])
+    replicate = partial(run_replicate, method=cfg.method, experiment=cfg.experiment)
+    workers = _pool_size(workers, len(seeds))
     if workers == 1:
-        return [_run_task(t) for t in tasks]
+        return list(map(replicate, cells, ns, seeds, reps))
     # Imported here: the pool machinery costs every serial run ~20 ms of start-up.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(_run_task, tasks, chunksize=chunk))
+        chunk = max(1, len(seeds) // (workers * 8))
+        return list(pool.map(replicate, cells, ns, seeds, reps, chunksize=chunk))
 
 
 @dataclass(frozen=True)

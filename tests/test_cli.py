@@ -247,25 +247,32 @@ class TestCompute:
         assert main(["compute", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
                      "--k", "1"]) == 2
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_extreme_scale_matches_unit_scale(self, tmp_path, rng, capsys, scale):
-        # Every output is scale-free, but the Gram matrix squares the scale:
-        # 1e200 overflowed it and 1e-200 underflowed it to a deficient rank.
+    @pytest.mark.parametrize("scaled, weight, scale", [
+        pytest.param("x", None, 1e200, id="1e+200"),
+        pytest.param("x", None, 1e-200, id="1e-200"),
+        pytest.param("c", np.ones((4, 4)), 1e308, id="cross_ones-1e+308"),
+        pytest.param("c", np.fliplr(np.eye(4)), 0.5e-15, id="cross_reversal-5e-16"),
+    ])
+    def test_extreme_scale_matches_unit_scale(self, tmp_path, rng, capsys, scaled, weight,
+                                              scale):
+        # Every output is scale-free, but the Gram matrix squares the scale of X
+        # (1e200 overflowed it, 1e-200 underflowed it to a deficient rank), the
+        # weight's SVD overflowed at 1e308, and a weight of 5e-16 fell below the
+        # absolute zero-weight test, so eth^2 came out as d^2.
         x = rng.standard_normal((4, 50))
-        y = 0.6 * x + rng.standard_normal((4, 50))
-        paths = {name: tmp_path / f"{name}.csv" for name in ("x", "scaled", "y", "c")}
-        for name, mat in (("x", x), ("scaled", scale * x), ("y", y),
-                          ("c", rng.standard_normal((4, 4)))):
-            write_matrix(paths[name], mat)
+        mats = {"x": x, "y": 0.6 * x + rng.standard_normal((4, 50)),
+                "c": rng.standard_normal((4, 4)) if weight is None else weight}
         results = []
-        for x_name in ("x", "scaled"):
-            code = main(["compute", str(paths[x_name]), str(paths["y"]), "--k", "2",
-                         "--cross-cov", str(paths["c"])])
+        for factor in (1.0, scale):
+            for name, mat in mats.items():
+                write_matrix(tmp_path / f"{name}.csv", factor * mat if name == scaled else mat)
+            code = main(["compute", *(str(tmp_path / f"{name}.csv") for name in "xy"),
+                         "--k", "2", "--cross-cov", str(tmp_path / "c.csv")])
             assert code == 0
             results.append(json.loads(capsys.readouterr().out))
-        unit, scaled = results
+        unit, scaled_result = results
         for key in ("eps_sq", "d_sq", "eth_sq", "rho_hat"):
-            assert scaled[key] == pytest.approx(unit[key], abs=1e-9)
+            assert scaled_result[key] == pytest.approx(unit[key], abs=1e-9)
 
 
 def _reject_constant(token):

@@ -9,15 +9,16 @@ from subalign import (
     ReplicateRecord,
     ScientistParams,
     identity_pair,
+    make_cell,
     replicate_seed,
     reversed_pair,
+    rho,
     run_experiment,
     run_replicate,
     spiked_diag_pair,
     summarize,
 )
 from subalign import sim
-from subalign.sim import build_models
 
 
 def reference_splitmix_mix(x):
@@ -53,41 +54,41 @@ class TestReplicateSeed:
 
 class TestRunReplicate:
     def test_trivial_method_zero_distance(self):
-        rec = run_replicate(identity_pair(6, 0.5), 2, 500, "trivial", 1)
+        rec = run_replicate(make_cell(identity_pair(6, 0.5), 2), 500, 1, method="trivial")
         assert rec.d_sq == 0.0
         assert rec.status == "ok"
 
     def test_identity_model_weighted_equals_unweighted(self):
-        rec = run_replicate(identity_pair(6, 0.5), 2, 500, "pca", 2)
+        rec = run_replicate(make_cell(identity_pair(6, 0.5), 2), 500, 2, method="pca")
         assert abs(rec.eth_sq - rec.d_sq) < 1e-12
 
     def test_reversed_model_correction_is_exact(self):
         jc, w = reversed_pair(20, 0.7, 0.6)
-        rec = run_replicate(jc, 2, 500, "pca", 3, isometry=w)
+        rec = run_replicate(make_cell(jc, 2, w), 500, 3, method="pca")
         assert abs(rec.eth_sq - rec.d_sq_corrected) < 1e-9
 
     def test_record_ranges_and_residual_identity(self):
         for seed in range(5):
-            rec = run_replicate(spiked_diag_pair(20, 0.7, 0.6), 2, 300, "pca", seed)
+            rec = run_replicate(make_cell(spiked_diag_pair(20, 0.7, 0.6), 2), 300, seed, method="pca")
             for value in (rec.d_sq, rec.eth_sq, rec.eps_sq):
                 assert 0.0 <= value <= 4.0
             assert rec.residual == rec.eps_sq - rec.predicted
 
     def test_scientist_model(self):
         params = ScientistParams(m=6, gamma=1.0)
-        rec = run_replicate(params, 2, 400, "trivial", 9)
+        rec = run_replicate(make_cell(params, 2), 400, 9, method="trivial")
         assert rec.eps_sq == pytest.approx(0.0, abs=1e-9)
         assert rec.predicted == pytest.approx(0.0, abs=1e-9)
 
     def test_rank_deficiency_marks_failure(self):
-        rec = run_replicate(identity_pair(6, 0.5), 5, 4, "pca", 1)
+        rec = run_replicate(make_cell(identity_pair(6, 0.5), 5), 4, 1, method="pca")
         assert rec.status == "deficient_rank"
         assert rec.d_sq is None and rec.eps_sq is None
 
     def test_degenerate_projection_marks_failure(self):
         diag = np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
         jc = JointCovariance(diag, diag, np.zeros((6, 6)))
-        rec = run_replicate(jc, 2, 50, "trivial", 99)
+        rec = run_replicate(make_cell(jc, 2), 50, 99, method="trivial")
         assert rec.status == "degenerate_projection"
 
 
@@ -107,11 +108,38 @@ class TestExperimentConfig:
     def test_rejects_infeasible_sweep_before_work(self):
         cfg = ExperimentConfig("illus1", 6, (2,), (100,), (1.5,), 3)
         with pytest.raises(ValueError, match="beta"):
-            build_models(cfg)
+            cfg.cells
 
     def test_custom_requires_models(self):
         with pytest.raises(ValueError, match="models"):
             ExperimentConfig("custom", 6, (2,), (100,), (), 3)
+
+    def test_custom_model_dimension_must_match_m(self):
+        # Records would otherwise say m = 8 while the config and summary say 6.
+        cfg = ExperimentConfig("custom", 6, (2,), (100,), (), 3,
+                               models=((0.5, identity_pair(8, 0.5), None),))
+        with pytest.raises(ValueError, match="model dimension 8 differs from m = 6"):
+            cfg.cells
+
+
+class TestMakeCell:
+    def test_per_cell_values(self):
+        jc, w = reversed_pair(8, 0.7, 0.5)
+        cell = make_cell(jc, 2, w, sweep_param=0.5)
+        assert (cell.sweep_param, cell.model, cell.k) == (0.5, jc, 2)
+        assert cell.isometry is w
+        assert cell.rho == rho(jc, 2)
+        assert cell.cross_cov is jc.cov_xy
+        assert cell.scale == pytest.approx(0.5)
+
+    def test_scientists_model_resolves_to_its_covariance(self):
+        cell = make_cell(ScientistParams(m=6, gamma=0.8), 2)
+        assert cell.rho == pytest.approx(0.64)
+        assert cell.isometry is None and np.isnan(cell.sweep_param)
+
+    def test_rejects_non_orthogonal_isometry(self):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            make_cell(identity_pair(3, 0.5), 1, isometry=2 * np.eye(3))
 
 
 class TestRunExperiment:
@@ -147,6 +175,41 @@ class TestRunExperiment:
         assert len(records) == 4
         assert all(r.d_sq_corrected is not None for r in records)
         assert all(abs(r.eth_sq - r.d_sq_corrected) < 1e-9 for r in records)
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda w: 2 * w, "not orthogonal"),
+        (lambda w: np.eye(6), "isometry must be 8 x 8"),
+    ], ids=["non_orthogonal", "wrong_shape"])
+    def test_bad_isometry_fails_before_any_replicate(self, monkeypatch, bad, match):
+        jc, w = reversed_pair(8, 0.7, 0.5)
+
+        def custom_cfg():
+            return ExperimentConfig("custom", 8, (2,), (100,), (), 3,
+                                    models=((0.5, jc, bad(w)),))
+
+        with pytest.raises(ValueError, match=match):
+            custom_cfg().cells
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started before the cells were checked")
+
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=match):
+            run_experiment(custom_cfg(), workers=2)
+
+    def test_cells_survive_the_pool(self, monkeypatch):
+        # A scientists model and an isometry go through pickling to the workers.
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        jc, w = reversed_pair(8, 0.7, 0.5)
+        cfg = ExperimentConfig(
+            experiment="custom", m=8, k_values=(1, 2), n_values=(100,), sweep=(),
+            replicates=3, base_seed=5,
+            models=((0.8, ScientistParams(m=8, gamma=0.8), None), (0.5, jc, w)),
+        )
+        serial = run_experiment(cfg, workers=1)
+        assert run_experiment(cfg, workers=2) == serial
+        assert [r.d_sq_corrected is None for r in serial] == [True] * 6 + [False] * 6
 
     def test_failed_replicates_recorded_not_raised(self):
         cfg = self.small_cfg(k_values=(5,), n_values=(4,), sweep=(0.5,))
