@@ -50,4 +50,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, residual, rho
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

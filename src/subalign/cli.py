@@ -259,14 +259,11 @@ def cmd_compute(args) -> int:
     for name, mat in (("X", x), ("Y", y), ("cross covariance", cross)):
         if mat is not None and not np.all(np.isfinite(mat)):
             return _usage_error(f"{name} has non-finite entries (nan or inf)")
-    # Every output is invariant to the scale of X, of Y and of the weight, but the Gram
-    # matrix squares the data's scale, the weight's SVD overflows near 1e308, and the
-    # zero-weight test is absolute.  Dividing each matrix by the power of two just above
-    # its max |entry| keeps all of them in range, and is exact: results at ordinary scales
-    # and exact zeros (a constant row centers to 0) are unchanged.  An all-zero matrix
-    # has exponent 0 and stays as it is.
-    x, y, cross = (mat if mat is None else np.ldexp(mat, -np.frexp(np.max(np.abs(mat)))[1])
-                   for mat in (x, y, cross))
+    # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
+    # it.  Dividing each by the power of two just above its max |entry| keeps the Gram
+    # matrix in range and is exact: results at ordinary scales and exact zeros are
+    # unchanged.  (The weight's scale is removed by grassmann.weighted_sq.)
+    x, y = (np.ldexp(mat, -np.frexp(np.max(np.abs(mat)))[1]) for mat in (x, y))
     gram = centered_gram(np.vstack([x, y]))
     out = evaluate_gram(gram, args.k, args.method, n, cross)
     if out.status != "ok":

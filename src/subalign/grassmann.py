@@ -11,11 +11,12 @@ Two square distances are provided: the chordal ("Hausdorff") distance
 
 and its cross-covariance-weighted generalization, which replaces the
 cosines by singular values of the projected weight matrix, normalized by
-the mean of the weight's k largest singular values.  When the weight is a
-nonzero scalar multiple of the identity the two coincide; for the zero
-weight the weighted distance is defined to be the unweighted one.  Both
-are computed from k x k matrices (:func:`chordal_sq`, :func:`weighted_sq`),
-which :mod:`subalign.kernel` shares; no m x m projector is formed.
+the mean of the weight's k largest singular values, so that the weight's
+scale cancels.  When the weight is a nonzero multiple of the identity the
+two coincide; for the zero weight the weighted distance is defined to be
+the unweighted one.  Both are computed from k x k matrices (:func:`chordal_sq`,
+:func:`weighted_sq`), which :mod:`subalign.kernel` shares; no m x m
+projector is formed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "hausdorff_sq",
     "weighted_hausdorff_sq",
     "topk_mass",
-    "weight_scale",
     "chordal_sq",
     "weighted_sq",
     "apply_isometry",
@@ -43,9 +43,6 @@ ORTHONORMAL_TOL = 1e-10
 
 # Cosines may drift slightly past [0, 1]; anything worse is a real error.
 _COSINE_SLACK = 1e-10
-
-# Entrywise threshold below which a weight matrix counts as exactly zero.
-_ZERO_WEIGHT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -124,28 +121,31 @@ def topk_mass(mat: np.ndarray, k: int) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[:k].sum())
 
 
-def weight_scale(cross_cov: np.ndarray, k: int) -> float:
-    """Mean of the k largest singular values of the weight; 0 for an (entrywise) zero weight."""
-    c = np.asarray(cross_cov, dtype=float)
-    if np.max(np.abs(c)) < _ZERO_WEIGHT_TOL:
-        return 0.0
-    return topk_mass(c, k) / k
-
-
 def chordal_sq(inner: np.ndarray) -> float:
     """``sum_i 2 (1 - cos theta_i)`` from the k x k matrix ``A^T B`` of basis inner products."""
     return float(2.0 * np.sum(1.0 - _cosines(inner)))
 
 
-def weighted_sq(core: np.ndarray, scale: float) -> float:
-    """``sum_i 2 (1 - sigma_i(core) / scale)`` for the k x k core ``A^T C B``, clamped to [0, 2k].
+def weighted_sq(a: np.ndarray, b: np.ndarray, cross_cov: np.ndarray) -> float:
+    """``sum_i 2 (1 - sigma_i(A^T C B) / w)`` for m x k orthonormal bases, clamped to [0, 2k].
 
-    ``scale`` is :func:`weight_scale` of C and must be positive.  The
-    nonzero singular values of ``P_a C P_b = A (A^T C B) B^T`` are those of
-    the core, so no projector is needed.
+    ``w`` is the mean of the k largest singular values of the m x m weight
+    C.  The nonzero singular values of ``P_a C P_b = A (A^T C B) B^T`` are
+    those of the k x k core, so no projector is needed.  The value does not
+    change when C is multiplied by a nonzero number: C is first divided by
+    the power of two just above its largest |entry|, which is exact and
+    keeps both SVDs in range at any scale.  The exactly zero weight gives
+    the chordal distance.
     """
-    k = core.shape[0]
-    value = float(2.0 * np.sum(1.0 - np.linalg.svd(core, compute_uv=False) / scale))
+    m, k = a.shape
+    c = np.asarray(cross_cov, dtype=float)
+    if c.shape != (m, m):
+        raise ValueError(f"cross_cov must be {m} x {m}, got {c.shape}")
+    if not np.any(c):
+        return chordal_sq(a.T @ b)
+    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
+    sigma = np.linalg.svd(a.T @ c @ b, compute_uv=False)
+    value = float(2.0 * np.sum(1.0 - sigma / (topk_mass(c, k) / k)))
     return min(max(value, 0.0), 2.0 * k)
 
 
@@ -170,19 +170,13 @@ def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> fl
     float
         ``sum_{i<=k} 2 * (1 - sigma_i(P_a @ cross_cov @ P_b) / w)`` where
         ``w`` is the mean of the k largest singular values of ``cross_cov``,
-        computed by :func:`weighted_sq` from the k x k core.  An (entrywise)
-        zero weight falls back to :func:`hausdorff_sq`.  The value lies in
-        [0, 2k]; it is clamped there to absorb float drift at the endpoints.
+        computed by :func:`weighted_sq` from the k x k core.  Invariant to
+        the weight's scale; the exactly zero weight falls back to
+        :func:`hausdorff_sq`.  The value lies in [0, 2k]; it is clamped
+        there to absorb float drift at the endpoints.
     """
     _check_compatible(a, b)
-    c = np.asarray(cross_cov, dtype=float)
-    m = a.ambient_dim
-    if c.shape != (m, m):
-        raise ValueError(f"cross_cov must be {m} x {m}, got {c.shape}")
-    scale = weight_scale(c, a.dim)
-    if scale == 0.0:
-        return hausdorff_sq(a, b)
-    return weighted_sq(a.basis.T @ c @ b.basis, scale)
+    return weighted_sq(a.basis, b.basis, cross_cov)
 
 
 def check_isometry(w: np.ndarray, m: int) -> np.ndarray:

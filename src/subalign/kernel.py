@@ -18,12 +18,14 @@ the 2m x 2m Gram matrix of the stacked centered data ``Zc = [Xc; Yc]``:
 
 No m x m projector and no projected or rescaled m x n copy of the data is
 formed.  The distances use the same k x k formulas as
-:mod:`subalign.grassmann` (``chordal_sq``, ``weighted_sq``).  The
-data-matrix route (``center``, ``pca_subspace``, ``normalize_projected``,
-``fit_error_sq``) computes the subspaces and eps^2 independently and is kept
-as the test oracle, next to the projector forms of the distances, which live
-in the tests.  Only subspace-level quantities leave this module, so the sign
-and order of the eigenvectors inside a basis do not matter.
+:mod:`subalign.grassmann`: ``chordal_sq``, and ``weighted_sq``, the one
+place that checks the weight's shape, tests it for zero and removes its
+scale.  The data-matrix route (``center``, ``pca_subspace``,
+``normalize_projected``, ``fit_error_sq``) computes the subspaces and eps^2
+independently and is kept as the test oracle, next to the projector forms
+of the distances, which live in the tests.  Only subspace-level quantities
+leave this module, so the sign and order of the eigenvectors inside a basis
+do not matter.
 
 Rank.  Centered data with n observations has rank at most n - 1, so
 ``n <= k`` is deficient outright.  Otherwise an eigenvalue of Sxx (Syy)
@@ -47,7 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grassmann import chordal_sq, weight_scale, weighted_sq
+from .grassmann import chordal_sq, weighted_sq
 
 __all__ = ["GramResult", "centered_gram", "gram_blocks", "evaluate_gram"]
 
@@ -108,7 +110,6 @@ def evaluate_gram(
     n: int,
     cross_cov: Optional[np.ndarray] = None,
     *,
-    scale: Optional[float] = None,
     isometry: Optional[np.ndarray] = None,
 ) -> GramResult:
     """d^2, eth^2, eps^2 (and the corrected distance) from the 2m x 2m Gram matrix ``s``.
@@ -121,11 +122,9 @@ def evaluate_gram(
     k, method, n
         Projection dimension, "pca" or "trivial", and the observation count.
     cross_cov : (m, m) ndarray, optional
-        Weight of eth^2, typically Cov(X, Y) of the model.  An entrywise
-        zero weight gives eth^2 = d^2.
-    scale : float, optional
-        :func:`subalign.grassmann.weight_scale` of ``cross_cov``, for callers
-        that evaluate one weight many times; computed when omitted.
+        Weight of eth^2, typically Cov(X, Y) of the model, at any scale
+        (see :func:`subalign.grassmann.weighted_sq`).  The exactly zero
+        weight gives eth^2 = d^2.
     isometry : (m, m) orthogonal ndarray, optional
         W of the corrected distance ``d^2(A, W B)``.  Not checked here: it
         must already have passed :func:`subalign.grassmann.check_isometry`,
@@ -153,14 +152,7 @@ def evaluate_gram(
     eps_sq = min(max(float(eps_sq), 0.0), 2.0 * k)
     d_sq = chordal_sq(a.T @ b)
 
-    eth_sq = None
-    if cross_cov is not None:
-        c = np.asarray(cross_cov, dtype=float)
-        if c.shape != (m, m):
-            raise ValueError(f"cross_cov must be {m} x {m}, got {c.shape}")
-        scale = weight_scale(c, k) if scale is None else scale
-        eth_sq = d_sq if scale == 0.0 else weighted_sq(a.T @ c @ b, scale)
-
+    eth_sq = None if cross_cov is None else weighted_sq(a, b, cross_cov)
     d_sq_corrected = None
     if isometry is not None:
         d_sq_corrected = chordal_sq(a.T @ isometry @ b)

@@ -54,8 +54,10 @@ class JointCovariance:
 
     ``cov_xy`` is Cov(X, Y): rows index X components, columns index Y.
     Validated at construction: all entries finite, ``cov_x`` and ``cov_y``
-    symmetric, positive semidefinite and nonzero, and the assembled 2m x 2m
-    block matrix positive semidefinite (min eigenvalue >= -1e-10).
+    nonzero and symmetric (to 1e-12 times their max |entry|), and the
+    assembled 2m x 2m block matrix positive semidefinite (min eigenvalue >=
+    -1e-10 times the largest), which by interlacing covers ``cov_x`` and
+    ``cov_y``.
 
     ``root`` is the symmetric PSD square root of the block matrix, from the
     eigendecomposition that validates it, with negative eigenvalues clamped
@@ -79,16 +81,14 @@ class JointCovariance:
             if not np.all(np.isfinite(mat)):
                 raise ValueError(f"{name} has non-finite entries")
         for name, mat in (("cov_x", cov_x), ("cov_y", cov_y)):
-            skew = np.max(np.abs(mat - mat.T))
-            if skew > _SYM_TOL:
-                raise ValueError(f"{name} not symmetric (max asymmetry {skew:.3e})")
-            if np.max(np.abs(mat)) == 0.0:
+            size = np.max(np.abs(mat))
+            if size == 0.0:
                 raise ValueError(f"{name} must be a nonzero matrix")
-            low = np.linalg.eigvalsh(mat).min()
-            if low < _PSD_TOL:
-                raise ValueError(f"{name} not positive semidefinite (min eig {low:.3e})")
+            skew = np.max(np.abs(mat - mat.T))
+            if skew > _SYM_TOL * size:
+                raise ValueError(f"{name} not symmetric (max asymmetry {skew:.3e})")
         eigvals, eigvecs = np.linalg.eigh(_assemble_block(cov_x, cov_y, cov_xy))
-        if eigvals[0] < _PSD_TOL:
+        if eigvals[0] < _PSD_TOL * eigvals[-1]:
             raise ValueError(
                 f"block covariance not positive semidefinite (min eig {eigvals[0]:.3e})"
             )

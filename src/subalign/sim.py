@@ -8,9 +8,9 @@ cross-covariance block), the square Procrustes fitting-error, the
 predicted limiting value, and the residual (see :mod:`subalign.kernel`).
 A run is a list of cells, one per (model, k), each built and validated
 once by :func:`make_cell` when a config's cells are first read
-(:attr:`ExperimentConfig.cells`): rho, the weight and its scale are
-computed and the isometry is checked there, and every replicate of the
-cell reads them.  The CLI's reference lines read the same cells.
+(:attr:`ExperimentConfig.cells`): rho is computed, the weight is taken
+from the model and the isometry is checked there, and every replicate of
+the cell reads them.  The CLI's reference lines read the same cells.
 
 Seeding contract
 ----------------
@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .grassmann import check_isometry, weight_scale
+from .grassmann import check_isometry
 from .kernel import centered_gram, evaluate_gram
 from .model import JointCovariance, ScientistParams, mvn_gram, scientists_covariance, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
@@ -115,8 +115,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if not 1 <= self.replicates <= 2**32:
+            raise ValueError(f"replicates must lie in [1, 2**32], got {self.replicates}")
         if not self.k_values or any(not 1 <= k <= self.m for k in self.k_values):
             raise ValueError(f"k values must satisfy 1 <= k <= m = {self.m}: {self.k_values}")
         if not self.n_values or any(n < 2 for n in self.n_values):
@@ -134,8 +134,9 @@ class ExperimentConfig:
         """The (sweep value, k) cells in parameter order (see :func:`make_cell`).
 
         Built on first use, which checks that the models are feasible and of
-        dimension ``m`` and that their isometries are orthogonal, before any
-        work; and kept: the config is immutable, so a run builds each cell once.
+        dimension ``m``, that their isometries are orthogonal and that their
+        sweep values are finite, before any work; and kept: the config is
+        immutable, so a run builds each cell once.
         """
         if self.experiment == "illus1":
             models = [(b, identity_pair(self.m, b), None) for b in self.sweep]
@@ -149,6 +150,8 @@ class ExperimentConfig:
         for sweep_param, model, w in models:
             if model.m != self.m:
                 raise ValueError(f"model dimension {model.m} differs from m = {self.m}")
+            if not isfinite(sweep_param):
+                raise ValueError(f"sweep_param must be finite, got {sweep_param}")
             cells += [make_cell(model, k, w, sweep_param) for k in self.k_values]
         return cells
 
@@ -183,9 +186,8 @@ class Cell(NamedTuple):
     """One (sweep value, k) cell of a sweep, as built by :func:`make_cell`.
 
     Holds what every replicate of the cell shares: the model, its checked
-    isometry (or None), the model's rho, its cross-covariance block (the
-    eth^2 weight) and that weight's scale
-    (:func:`subalign.grassmann.weight_scale`).
+    isometry (or None), the model's rho and its cross-covariance block (the
+    eth^2 weight, at the model's scale).
     """
 
     sweep_param: float
@@ -194,17 +196,15 @@ class Cell(NamedTuple):
     k: int
     rho: float
     cross_cov: np.ndarray
-    scale: float
 
 
 def make_cell(model: Model, k: int, isometry: Optional[np.ndarray] = None,
               sweep_param: float = nan) -> Cell:
-    """Build a cell: compute rho and the weight's scale, and check the isometry, once."""
+    """Build a cell: compute rho and check the isometry, once."""
     jc = scientists_covariance(model) if isinstance(model, ScientistParams) else model
     if isometry is not None:
         isometry = check_isometry(isometry, jc.m)
-    return Cell(sweep_param, model, isometry, k, rho(jc, k), jc.cov_xy,
-                weight_scale(jc.cov_xy, k))
+    return Cell(sweep_param, model, isometry, k, rho(jc, k), jc.cov_xy)
 
 
 def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: str,
@@ -212,8 +212,8 @@ def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: 
     """Sample one paired data set from the cell's model and evaluate all per-replicate quantities.
 
     The draw is reduced to its 2m x 2m centered Gram matrix and evaluated
-    by :func:`subalign.kernel.evaluate_gram` with the cell's weight, scale
-    and isometry.  Rank-deficient PCA and degenerate (zero) projections
+    by :func:`subalign.kernel.evaluate_gram` with the cell's weight and
+    isometry.  Rank-deficient PCA and degenerate (zero) projections
     yield a failed record with a reason code rather than raising; these
     have probability zero under continuous models with n > k but occur at
     extreme settings (e.g. n <= k).
@@ -225,8 +225,7 @@ def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: 
         gram = centered_gram(np.vstack([pair.x, pair.y]))
     else:
         gram = mvn_gram(model, n, rng)
-    out = evaluate_gram(gram, k, method, n, cell.cross_cov, scale=cell.scale,
-                        isometry=cell.isometry)
+    out = evaluate_gram(gram, k, method, n, cell.cross_cov, isometry=cell.isometry)
     echo = dict(
         experiment=experiment, method=method, m=model.m, k=k, n=n,
         sweep_param=cell.sweep_param, replicate=replicate,
@@ -304,7 +303,7 @@ class SummaryStats:
         return out
 
 
-_DEFAULT_GROUP_BY = ("method", "m", "k", "n", "sweep_param")
+_GROUP_BY = ("method", "m", "k", "n", "sweep_param")
 
 
 def _mean_stdev(values: np.ndarray) -> tuple[float, float]:
@@ -313,16 +312,13 @@ def _mean_stdev(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def summarize(
-    records: list[ReplicateRecord],
-    group_by: tuple[str, ...] = _DEFAULT_GROUP_BY,
-) -> list[SummaryStats]:
-    """Group records and report mean/stdev of eps^2, eps^2 / 2k, and residuals."""
+def summarize(records: list[ReplicateRecord]) -> list[SummaryStats]:
+    """Mean/stdev of eps^2, eps^2 / 2k and residuals per (method, m, k, n, sweep_param)."""
     if not records:
         raise ValueError("no records to summarize")
     groups: dict[tuple, list[ReplicateRecord]] = {}
     for rec in records:
-        key = tuple((f, getattr(rec, f)) for f in group_by)
+        key = tuple((f, getattr(rec, f)) for f in _GROUP_BY)
         groups.setdefault(key, []).append(rec)
     out = []
     for key, recs in groups.items():

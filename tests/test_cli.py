@@ -58,23 +58,25 @@ def test_trivial_method_zeroes_distance_column(tmp_path):
 
 
 def test_illus3_emits_corrected_distance(tmp_path):
+    # The weighted distance absorbs the reversal at any beta != 0, however small.
     out = tmp_path / "r.csv"
     summary = tmp_path / "s.json"
-    code = main([
-        "illus3", "--k", "1", "--n", "2000", "--reps", "3", "--seed", "5",
-        "--out", str(out), "--summary", str(summary),
-    ])
-    assert code == 0
-    rows = out.read_text().strip().splitlines()[1:]
-    gap_col = CSV_COLUMNS.index("correction_gap")
-    for row in rows:
-        cells = row.split(",")
-        assert float(cells[gap_col]) < 1e-9
-    records = read_records_csv(str(out))
-    for r in records:
-        assert r.d_sq_corrected is not None
-        # The raw distance ignores the coordinate reversal and is inflated.
-        assert r.d_sq > r.eth_sq + 0.5
+    for beta in ("0.6", "1e-15"):
+        code = main([
+            "illus3", "--k", "1", "2", "--n", "2000", "--reps", "3", "--seed", "5",
+            "--beta", beta, "--out", str(out), "--summary", str(summary),
+        ])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        gap_col = CSV_COLUMNS.index("correction_gap")
+        for row in rows:
+            cells = row.split(",")
+            assert float(cells[gap_col]) < 1e-9, beta
+        records = read_records_csv(str(out))
+        for r in records:
+            assert r.d_sq_corrected is not None
+            # The raw distance ignores the coordinate reversal and is inflated.
+            assert r.d_sq > r.eth_sq + 0.5
 
 
 def test_failed_replicates_exit_code(tmp_path):
@@ -256,9 +258,9 @@ class TestCompute:
     def test_extreme_scale_matches_unit_scale(self, tmp_path, rng, capsys, scaled, weight,
                                               scale):
         # Every output is scale-free, but the Gram matrix squares the scale of X
-        # (1e200 overflowed it, 1e-200 underflowed it to a deficient rank), the
-        # weight's SVD overflowed at 1e308, and a weight of 5e-16 fell below the
-        # absolute zero-weight test, so eth^2 came out as d^2.
+        # (1e200 would overflow it, 1e-200 underflow it to a deficient rank), the
+        # weight's SVD would overflow at 1e308, and a weight of 5e-16 must not
+        # count as zero (eth^2 would come out as d^2).
         x = rng.standard_normal((4, 50))
         mats = {"x": x, "y": 0.6 * x + rng.standard_normal((4, 50)),
                 "c": rng.standard_normal((4, 4)) if weight is None else weight}
@@ -294,6 +296,18 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "positive semidefinite" in err
+        assert not out.exists()
+
+    def test_replicates_beyond_the_seed_range_exit_2(self, tmp_path, monkeypatch, capsys):
+        # Replicate indices are 32-bit; a run this large would exhaust memory
+        # building its task list, so it must be refused before it starts.
+        def no_run(*args, **kwargs):
+            raise AssertionError("run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        code, out, _ = run_illus1(tmp_path, "--reps", str(2**32 + 1))
+        assert code == 2
+        assert "replicates" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

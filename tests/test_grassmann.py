@@ -25,11 +25,11 @@ def principal_angles_from_projectors(a, b):
 def weighted_hausdorff_sq_from_projectors(a, b, c):
     """Oracle: ``sum_{i<=k} 2 (1 - sigma_i(P_a C P_b) / w)`` with w the mean top-k sigma of C.
 
-    An entrywise zero weight gives the chordal distance, here from the
+    The zero weight gives the chordal distance, here from the
     projector-route angles.
     """
     k = a.dim
-    if np.max(np.abs(c)) < 1e-14:
+    if not np.any(c):
         return float(2.0 * np.sum(1.0 - np.cos(principal_angles_from_projectors(a, b))))
     w = np.linalg.svd(c, compute_uv=False)[:k].mean()
     sigma = np.linalg.svd(projector(a) @ c @ projector(b), compute_uv=False)[:k]
@@ -274,7 +274,9 @@ class TestApplyIsometry:
 
 def test_orthogonal_weight_matches_distance_to_moved_subspace(rng):
     # With weight beta * W (W orthogonal, beta != 0) the weighted distance
-    # between a and b equals the plain distance between a and W b.
+    # between a and b equals the plain distance between a and W b, at any
+    # scale of beta: the distance has no zero-weight threshold and no
+    # overflow near 1e300.
     for _ in range(25):
         m = int(rng.integers(2, 12))
         k = int(rng.integers(1, min(m, 5) + 1))
@@ -282,6 +284,7 @@ def test_orthogonal_weight_matches_distance_to_moved_subspace(rng):
         b = random_subspace(rng, m, k)
         w = random_orthogonal(rng, m)
         beta = float(rng.uniform(0.2, 2.0)) * (1 if rng.random() < 0.5 else -1)
-        lhs = weighted_hausdorff_sq(a, b, beta * w)
         rhs = hausdorff_sq(a, apply_isometry(w, b))
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+        for scale in (1e-300, 1e-15, 1.0, 1e300):
+            lhs = weighted_hausdorff_sq(a, b, scale * beta * w)
+            assert lhs == pytest.approx(rhs, abs=1e-9), scale

@@ -49,6 +49,29 @@ class TestJointCovariance:
         with pytest.raises(ValueError, match="m x m"):
             JointCovariance(np.eye(3), np.eye(2), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+    def test_accepts_singular_model_at_any_scale(self, scale):
+        # Rank 3 of 24, perfectly correlated: round-off in the zero
+        # eigenvalues grows with the scale (about -8e-8 at 1e8).
+        g = np.random.default_rng(0).standard_normal((12, 3))
+        cov = scale * (g @ g.T)
+        jc = JointCovariance(cov, cov, cov)
+        assert np.allclose(jc.root @ jc.root, jc.block(), rtol=0, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+    def test_rejects_infeasible_model_at_any_scale(self, scale):
+        asymmetric = np.eye(3)
+        asymmetric[0, 1] = 0.3
+        cov = spiked_diag_pair(6, 0.7, 0.5).cov_x
+        cases = [
+            ((asymmetric, np.eye(3), np.zeros((3, 3))), "symmetric"),
+            ((np.diag([1.0, -0.5]), np.eye(2), np.zeros((2, 2))), "positive semidefinite"),
+            ((cov, cov, 2 * np.eye(6)), "positive semidefinite"),
+        ]
+        for blocks, match in cases:
+            with pytest.raises(ValueError, match=match):
+                JointCovariance(*(scale * b for b in blocks))
+
 
 class TestScientistParams:
     def test_gamma_range(self):

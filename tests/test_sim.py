@@ -105,6 +105,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="replicates"):
             ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 0)
 
+    def test_rejects_replicates_beyond_the_seed_range(self):
+        # Replicate indices are 32-bit in the seeding contract.  Only built, never run.
+        assert ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2**32).replicates == 2**32
+        with pytest.raises(ValueError, match="replicates"):
+            ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2**32 + 1)
+
     def test_rejects_infeasible_sweep_before_work(self):
         cfg = ExperimentConfig("illus1", 6, (2,), (100,), (1.5,), 3)
         with pytest.raises(ValueError, match="beta"):
@@ -121,6 +127,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="model dimension 8 differs from m = 6"):
             cfg.cells
 
+    @pytest.mark.parametrize("sweep_param", [np.nan, np.inf])
+    def test_custom_sweep_param_must_be_finite(self, sweep_param):
+        # NaN keys never compare equal, so a pooled run summarized into one
+        # group per record.
+        cfg = ExperimentConfig("custom", 6, (2,), (100,), (), 3,
+                               models=((sweep_param, identity_pair(6, 0.5), None),))
+        with pytest.raises(ValueError, match="sweep_param must be finite"):
+            cfg.cells
+
 
 class TestMakeCell:
     def test_per_cell_values(self):
@@ -130,7 +145,6 @@ class TestMakeCell:
         assert cell.isometry is w
         assert cell.rho == rho(jc, 2)
         assert cell.cross_cov is jc.cov_xy
-        assert cell.scale == pytest.approx(0.5)
 
     def test_scientists_model_resolves_to_its_covariance(self):
         cell = make_cell(ScientistParams(m=6, gamma=0.8), 2)
