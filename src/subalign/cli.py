@@ -22,9 +22,11 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
+from .grassmann import weight
 from .kernel import centered_gram, evaluate_gram
 from .sim import ExperimentConfig, ReplicateRecord, run_experiment, summarize
 from .theory import plugin_rho
@@ -231,14 +233,20 @@ def cmd_illus3(args) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    # Headerless CSV, rows = features, columns = observations.
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    # Headerless CSV, rows = features, columns = observations.  An empty or
+    # comment-only file is a usage error here, not a numpy warning.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        mat = np.loadtxt(path, delimiter=",", ndmin=2)
+    if mat.size == 0:
+        raise ValueError(f"{path} contains no data")
+    return mat
 
 
 def cmd_compute(args) -> int:
     try:
-        x = _load_matrix(args.x)
-        y = _load_matrix(args.y)
+        x, y = _load_matrix(args.x), _load_matrix(args.y)
+        cross = _load_matrix(args.cross_cov) if args.cross_cov else None
     except (OSError, ValueError) as exc:
         return _usage_error(f"cannot read matrix: {exc}")
     if x.shape != y.shape:
@@ -248,24 +256,19 @@ def cmd_compute(args) -> int:
         return _usage_error(f"k must satisfy 1 <= k <= m = {m}, got {args.k}")
     if n < 2:
         return _usage_error("need at least 2 observations")
-    cross = None
-    if args.cross_cov:
-        try:
-            cross = _load_matrix(args.cross_cov)
-        except (OSError, ValueError) as exc:
-            return _usage_error(f"cannot read cross covariance: {exc}")
-        if cross.shape != (m, m):
-            return _usage_error(f"cross covariance must be {m} x {m}, got {cross.shape}")
+    if cross is not None and cross.shape != (m, m):
+        return _usage_error(f"cross covariance must be {m} x {m}, got {cross.shape}")
     for name, mat in (("X", x), ("Y", y), ("cross covariance", cross)):
         if mat is not None and not np.all(np.isfinite(mat)):
             return _usage_error(f"{name} has non-finite entries (nan or inf)")
     # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
     # it.  Dividing each by the power of two just above its max |entry| keeps the Gram
     # matrix in range and is exact: results at ordinary scales and exact zeros are
-    # unchanged.  (The weight's scale is removed by grassmann.weighted_sq.)
+    # unchanged.  (The weight's scale is removed by grassmann.weight.)
     x, y = (np.ldexp(mat, -np.frexp(np.max(np.abs(mat)))[1]) for mat in (x, y))
     gram = centered_gram(np.vstack([x, y]))
-    out = evaluate_gram(gram, args.k, args.method, n, cross)
+    out = evaluate_gram(gram, args.k, args.method, n,
+                        None if cross is None else weight(cross, args.k))
     if out.status != "ok":
         reason = out.status.replace("_", " ")
         print(f"error: {reason} for requested dimension k = {args.k}", file=sys.stderr)

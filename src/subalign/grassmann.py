@@ -16,12 +16,15 @@ scale cancels.  When the weight is a nonzero multiple of the identity the
 two coincide; for the zero weight the weighted distance is defined to be
 the unweighted one.  Both are computed from k x k matrices (:func:`chordal_sq`,
 :func:`weighted_sq`), which :mod:`subalign.kernel` shares; no m x m
-projector is formed.
+projector is formed.  The weight is prepared once by :func:`weight`, which
+checks its shape and tests it for zero; :func:`weighted_sq` then reads it
+on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,6 +36,8 @@ __all__ = [
     "weighted_hausdorff_sq",
     "topk_mass",
     "chordal_sq",
+    "Weight",
+    "weight",
     "weighted_sq",
     "apply_isometry",
     "check_isometry",
@@ -126,26 +131,64 @@ def chordal_sq(inner: np.ndarray) -> float:
     return float(2.0 * np.sum(1.0 - _cosines(inner)))
 
 
-def weighted_sq(a: np.ndarray, b: np.ndarray, cross_cov: np.ndarray) -> float:
-    """``sum_i 2 (1 - sigma_i(A^T C B) / w)`` for m x k orthonormal bases, clamped to [0, 2k].
+@dataclass(frozen=True, eq=False)
+class Weight:
+    """An eth^2 weight prepared by :func:`weight`; read only by :func:`weighted_sq`.
 
-    ``w`` is the mean of the k largest singular values of the m x m weight
-    C.  The nonzero singular values of ``P_a C P_b = A (A^T C B) B^T`` are
-    those of the k x k core, so no projector is needed.  The value does not
-    change when C is multiplied by a nonzero number: C is first divided by
-    the power of two just above its largest |entry|, which is exact and
-    keeps both SVDs in range at any scale.  The exactly zero weight gives
-    the chordal distance.
+    ``scaled`` is the m x m weight divided by the power of two just above its
+    largest |entry| (None for the exactly zero weight) and ``mass`` the mean
+    of its k largest singular values.
     """
-    m, k = a.shape
+
+    m: int
+    k: int
+    scaled: Optional[np.ndarray]
+    mass: float
+
+
+def weight(cross_cov: np.ndarray, k: int) -> Weight:
+    """Prepare the m x m weight C of :func:`weighted_sq` for k-dimensional subspaces.
+
+    Checks that C is a nonempty square matrix and ``1 <= k <= m``, and does
+    the per-weight work once: dividing C by the power of two just above its
+    largest |entry| is exact, removes its scale and keeps both SVDs of
+    :func:`weighted_sq` in range at any scale; then the top-k singular-value
+    mass of the result.  The exactly zero weight (``not np.any(C)``) is kept
+    as such.
+    """
     c = np.asarray(cross_cov, dtype=float)
-    if c.shape != (m, m):
-        raise ValueError(f"cross_cov must be {m} x {m}, got {c.shape}")
+    m = c.shape[0] if c.ndim == 2 else 0
+    if c.shape != (m, m) or m == 0:
+        raise ValueError(f"cross_cov must be a square m x m matrix, got shape {c.shape}")
+    if not 1 <= k <= m:
+        raise ValueError(f"weight needs 1 <= k <= m, got k={k}, m={m}")
     if not np.any(c):
-        return chordal_sq(a.T @ b)
+        return Weight(m, k, None, 0.0)
     c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
-    sigma = np.linalg.svd(a.T @ c @ b, compute_uv=False)
-    value = float(2.0 * np.sum(1.0 - sigma / (topk_mass(c, k) / k)))
+    c.setflags(write=False)
+    return Weight(m, k, c, topk_mass(c, k) / k)
+
+
+def weighted_sq(a: np.ndarray, b: np.ndarray, w: Weight) -> float:
+    """``sum_i 2 (1 - sigma_i(A^T C B) / mu)`` for m x k orthonormal bases, clamped to [0, 2k].
+
+    ``mu`` is the mean of the k largest singular values of the m x m weight
+    C, and ``w`` is C as prepared once by :func:`weight`.  The nonzero
+    singular values of ``P_a C P_b = A (A^T C B) B^T`` are those of the
+    k x k core, so no projector is needed.  The value does not change when
+    C is multiplied by a nonzero number.  The exactly zero weight gives the
+    chordal distance.
+    """
+    if not isinstance(w, Weight):
+        raise TypeError(f"weighted_sq needs a weight from grassmann.weight(C, k), got {type(w)}")
+    m, k = a.shape
+    if (m, k) != (w.m, w.k):
+        raise ValueError(f"weight is {w.m} x {w.m} at k = {w.k}; these bases need {m} x {m} "
+                         f"at k = {k}")
+    if w.scaled is None:
+        return chordal_sq(a.T @ b)
+    sigma = np.linalg.svd(a.T @ w.scaled @ b, compute_uv=False)
+    value = float(2.0 * np.sum(1.0 - sigma / w.mass))
     return min(max(value, 0.0), 2.0 * k)
 
 
@@ -176,7 +219,7 @@ def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> fl
         there to absorb float drift at the endpoints.
     """
     _check_compatible(a, b)
-    return weighted_sq(a.basis, b.basis, cross_cov)
+    return weighted_sq(a.basis, b.basis, weight(cross_cov, a.dim))
 
 
 def check_isometry(w: np.ndarray, m: int) -> np.ndarray:

@@ -4,7 +4,11 @@ Everything a replicate (or ``subalign compute``) reports is a function of
 
     S = Zc Zc^T = [[Sxx, Sxy], [Syx, Syy]],
 
-the 2m x 2m Gram matrix of the stacked centered data ``Zc = [Xc; Yc]``:
+the 2m x 2m Gram matrix of the stacked centered data ``Zc = [Xc; Yc]``.
+Centering and the Gram product are written once, in
+:func:`center_gram_inplace`, which centers an array its caller owns (such
+as ``mvn_gram``'s reused draw buffer) without a copy; :func:`centered_gram`
+copies first and leaves its input alone.  From S:
 
 * the PCA bases A and B are the top-k eigenvectors of Sxx and Syy (the
   trivial method uses e_1, ..., e_k);
@@ -18,14 +22,15 @@ the 2m x 2m Gram matrix of the stacked centered data ``Zc = [Xc; Yc]``:
 
 No m x m projector and no projected or rescaled m x n copy of the data is
 formed.  The distances use the same k x k formulas as
-:mod:`subalign.grassmann`: ``chordal_sq``, and ``weighted_sq``, the one
-place that checks the weight's shape, tests it for zero and removes its
-scale.  The data-matrix route (``center``, ``pca_subspace``,
-``normalize_projected``, ``fit_error_sq``) computes the subspaces and eps^2
-independently and is kept as the test oracle, next to the projector forms
-of the distances, which live in the tests.  Only subspace-level quantities
-leave this module, so the sign and order of the eigenvectors inside a basis
-do not matter.
+:mod:`subalign.grassmann`: ``chordal_sq``, and ``weighted_sq``, which reads
+a weight prepared once by ``grassmann.weight``, the one place that checks
+the weight's shape, tests it for zero and removes its scale.  The
+data-matrix route (``center``, ``pca_subspace``, ``normalize_projected``,
+``fit_error_sq``) computes the subspaces and eps^2 independently and is
+kept as the test oracle, next to the projector forms of the distances,
+which live in the tests.  Only subspace-level quantities leave this
+module, so the sign and order of the eigenvectors inside a basis do not
+matter.
 
 Rank.  Centered data with n observations has rank at most n - 1, so
 ``n <= k`` is deficient outright.  Otherwise an eigenvalue of Sxx (Syy)
@@ -49,9 +54,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grassmann import chordal_sq, weighted_sq
+from .grassmann import Weight, chordal_sq, weighted_sq
 
-__all__ = ["GramResult", "centered_gram", "gram_blocks", "evaluate_gram"]
+__all__ = ["GramResult", "centered_gram", "center_gram_inplace", "gram_blocks", "evaluate_gram"]
 
 # ||P_a Xc||_F below sqrt of this makes the sqrt(k) rescaling undefined.
 _DEGENERATE_SQ = 1e-300
@@ -73,14 +78,26 @@ class GramResult(NamedTuple):
 
 
 def centered_gram(z: np.ndarray) -> np.ndarray:
-    """``Zc Zc^T`` for ``z`` with rows as variables, after removing each row's mean."""
-    z = np.asarray(z, dtype=float)
+    """``Zc Zc^T`` for ``z`` with rows as variables, after removing each row's mean.
+
+    ``z`` is left unchanged: a copy is centered (see :func:`center_gram_inplace`).
+    """
+    return center_gram_inplace(np.array(z, dtype=float))
+
+
+def center_gram_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`centered_gram` of a float array the caller owns, centering it in place.
+
+    Subtracting each row's mean in place gives the same numbers as ``z - mean``,
+    and ``z @ z.T`` is the same BLAS call, so both routes agree bit for bit.
+    The returned Gram matrix is a fresh array; ``z`` is left centered.
+    """
     if z.ndim != 2:
         raise ValueError(f"data must be 2-d, got shape {z.shape}")
     if z.shape[1] < 2:
         raise ValueError("need at least 2 observations to center")
-    zc = z - z.mean(axis=1, keepdims=True)
-    return zc @ zc.T
+    z -= z.mean(axis=1, keepdims=True)
+    return z @ z.T
 
 
 def gram_blocks(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,7 +125,7 @@ def evaluate_gram(
     k: int,
     method: str,
     n: int,
-    cross_cov: Optional[np.ndarray] = None,
+    weight: Optional[Weight] = None,
     *,
     isometry: Optional[np.ndarray] = None,
 ) -> GramResult:
@@ -121,10 +138,10 @@ def evaluate_gram(
         any positive multiple, such as the sample covariance, gives the same result.
     k, method, n
         Projection dimension, "pca" or "trivial", and the observation count.
-    cross_cov : (m, m) ndarray, optional
-        Weight of eth^2, typically Cov(X, Y) of the model, at any scale
-        (see :func:`subalign.grassmann.weighted_sq`).  The exactly zero
-        weight gives eth^2 = d^2.
+    weight : Weight, optional
+        Weight of eth^2, typically Cov(X, Y) of the model at any scale, as
+        prepared once by :func:`subalign.grassmann.weight` (which checks it
+        and tests it for zero).  The exactly zero weight gives eth^2 = d^2.
     isometry : (m, m) orthogonal ndarray, optional
         W of the corrected distance ``d^2(A, W B)``.  Not checked here: it
         must already have passed :func:`subalign.grassmann.check_isometry`,
@@ -152,7 +169,7 @@ def evaluate_gram(
     eps_sq = min(max(float(eps_sq), 0.0), 2.0 * k)
     d_sq = chordal_sq(a.T @ b)
 
-    eth_sq = None if cross_cov is None else weighted_sq(a, b, cross_cov)
+    eth_sq = None if weight is None else weighted_sq(a, b, weight)
     d_sq_corrected = None
     if isometry is not None:
         d_sq_corrected = chordal_sq(a.T @ isometry @ b)

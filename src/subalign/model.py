@@ -19,11 +19,12 @@ Two families are provided.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import centered_gram
+from .kernel import center_gram_inplace
 
 __all__ = [
     "JointCovariance",
@@ -207,15 +208,30 @@ def mvn_sample(jc: JointCovariance, n: int, rng: np.random.Generator) -> DataPai
     return DataPair(draws[: jc.m], draws[jc.m :])
 
 
+# One reusable (2m, n) draw buffer per thread (forked pool workers own their copy).
+_draws = threading.local()
+
+
 def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarray:
     """Centered 2m x 2m Gram matrix of the pairs :func:`mvn_sample` draws from ``rng``.
 
     Consumes the same ``(2m, n)`` standard-normal block, but never forms the
     data: centering commutes with ``jc.root``, so the Gram matrix of the
     centered draw is ``L (Gc Gc^T) L^T`` with ``Gc`` the centered normal block.
+
+    The block is drawn into a float64 buffer kept per thread and reused while
+    its shape matches (replaced when it changes), then centered in place, so a
+    call allocates no m x n array; ``standard_normal(out=)`` fills the same
+    values in the same order, so the result equals
+    ``L @ centered_gram(rng.standard_normal((2m, n))) @ L.T`` bit for bit.
+    The returned matrix is always a fresh array.
     """
+    buf = getattr(_draws, "buf", None)
+    if buf is None or buf.shape != (2 * jc.m, n):
+        buf = _draws.buf = np.empty((2 * jc.m, n))
+    rng.standard_normal(out=buf)
     root = jc.root
-    return root @ centered_gram(rng.standard_normal((2 * jc.m, n))) @ root.T
+    return root @ center_gram_inplace(buf) @ root.T
 
 
 def identity_pair(m: int, beta: float) -> JointCovariance:

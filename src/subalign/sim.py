@@ -8,9 +8,9 @@ cross-covariance block), the square Procrustes fitting-error, the
 predicted limiting value, and the residual (see :mod:`subalign.kernel`).
 A run is a list of cells, one per (model, k), each built and validated
 once by :func:`make_cell` when a config's cells are first read
-(:attr:`ExperimentConfig.cells`): rho is computed, the weight is taken
-from the model and the isometry is checked there, and every replicate of
-the cell reads them.  The CLI's reference lines read the same cells.
+(:attr:`ExperimentConfig.cells`): rho is computed, the model's weight is
+prepared and the isometry is checked there, and every replicate of the
+cell reads them.  The CLI's reference lines read the same cells.
 
 Seeding contract
 ----------------
@@ -36,8 +36,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .grassmann import check_isometry
-from .kernel import centered_gram, evaluate_gram
+from .grassmann import Weight, check_isometry, weight
+from .kernel import center_gram_inplace, evaluate_gram
 from .model import JointCovariance, ScientistParams, mvn_gram, scientists_covariance, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .theory import predicted_fit_error_sq, residual, rho
@@ -186,8 +186,8 @@ class Cell(NamedTuple):
     """One (sweep value, k) cell of a sweep, as built by :func:`make_cell`.
 
     Holds what every replicate of the cell shares: the model, its checked
-    isometry (or None), the model's rho and its cross-covariance block (the
-    eth^2 weight, at the model's scale).
+    isometry (or None), the model's rho and the eth^2 weight, its
+    cross-covariance block prepared by :func:`subalign.grassmann.weight`.
     """
 
     sweep_param: float
@@ -195,16 +195,16 @@ class Cell(NamedTuple):
     isometry: Optional[np.ndarray]
     k: int
     rho: float
-    cross_cov: np.ndarray
+    weight: Weight
 
 
 def make_cell(model: Model, k: int, isometry: Optional[np.ndarray] = None,
               sweep_param: float = nan) -> Cell:
-    """Build a cell: compute rho and check the isometry, once."""
+    """Build a cell: compute rho, prepare the weight and check the isometry, once."""
     jc = scientists_covariance(model) if isinstance(model, ScientistParams) else model
     if isometry is not None:
         isometry = check_isometry(isometry, jc.m)
-    return Cell(sweep_param, model, isometry, k, rho(jc, k), jc.cov_xy)
+    return Cell(sweep_param, model, isometry, k, rho(jc, k), weight(jc.cov_xy, k))
 
 
 def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: str,
@@ -222,10 +222,10 @@ def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: 
     rng = np.random.default_rng(seed)
     if isinstance(model, ScientistParams):
         pair = scientists_sample(model, n, rng)
-        gram = centered_gram(np.vstack([pair.x, pair.y]))
+        gram = center_gram_inplace(np.vstack([pair.x, pair.y]))
     else:
         gram = mvn_gram(model, n, rng)
-    out = evaluate_gram(gram, k, method, n, cell.cross_cov, isometry=cell.isometry)
+    out = evaluate_gram(gram, k, method, n, cell.weight, isometry=cell.isometry)
     echo = dict(
         experiment=experiment, method=method, m=model.m, k=k, n=n,
         sweep_param=cell.sweep_param, replicate=replicate,

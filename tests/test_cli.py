@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,23 @@ class TestCompute:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["compute", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
                      "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("content", ["", "# a comment, no rows\n"], ids=["empty", "comment"])
+    @pytest.mark.parametrize("empty", ["x", "y", "cross"])
+    def test_empty_input_exits_2_with_one_line(self, tmp_path, rng, capsys, empty, content):
+        paths = {}
+        for name, shape in (("x", (4, 30)), ("y", (4, 30)), ("cross", (4, 4))):
+            paths[name] = tmp_path / f"{name}.csv"
+            write_matrix(paths[name], rng.standard_normal(shape))
+        paths[empty].write_text(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compute", str(paths["x"]), str(paths["y"]), "--k", "2",
+                         "--cross-cov", str(paths["cross"])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read matrix: {paths[empty]} contains no data\n"
 
     @pytest.mark.parametrize("scaled, weight, scale", [
         pytest.param("x", None, 1e200, id="1e+200"),

@@ -11,7 +11,7 @@ from subalign import (
     projector,
     weighted_hausdorff_sq,
 )
-from subalign.grassmann import _clamp_cosines
+from subalign.grassmann import _clamp_cosines, chordal_sq, topk_mass, weight, weighted_sq
 
 from conftest import random_orthogonal, random_subspace
 
@@ -238,6 +238,55 @@ class TestWeightedHausdorffSq:
             for c in weights:
                 want = weighted_hausdorff_sq_from_projectors(a, b, c)
                 assert weighted_hausdorff_sq(a, b, c) == pytest.approx(want, abs=1e-9)
+
+
+def weighted_sq_per_call(a, b, c):
+    """The weighted distance with the weight rescaled and its top-k mass taken on every call."""
+    k = a.shape[1]
+    if not np.any(c):
+        return chordal_sq(a.T @ b)
+    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
+    sigma = np.linalg.svd(a.T @ c @ b, compute_uv=False)
+    return min(max(float(2.0 * np.sum(1.0 - sigma / (topk_mass(c, k) / k))), 0.0), 2.0 * k)
+
+
+class TestPreparedWeight:
+    def test_bitwise_equal_to_per_call_preparation(self, rng):
+        for m in rng.integers(2, 10, size=40):
+            k = int(rng.integers(1, m + 1))
+            a, b = (random_subspace(rng, int(m), k).basis for _ in range(2))
+            for c in (rng.standard_normal((m, m)) * 10.0 ** rng.integers(-300, 300),
+                      np.zeros((m, m)), np.eye(m)):
+                assert weighted_sq(a, b, weight(c, k)) == weighted_sq_per_call(a, b, c)
+
+    @pytest.mark.parametrize("c", [np.ones((3, 4)), np.ones(3), np.ones((0, 0))])
+    def test_rejects_non_square_weight(self, c):
+        with pytest.raises(ValueError, match="square"):
+            weight(c, 1)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rejects_k_outside_1_to_m(self, k):
+        with pytest.raises(ValueError, match="1 <= k <= m"):
+            weight(np.eye(3), k)
+
+    def test_rejects_raw_matrix(self):
+        a = np.eye(3)[:, :1]
+        with pytest.raises(TypeError, match="grassmann.weight"):
+            weighted_sq(a, a, np.eye(3))
+
+    def test_rejects_bases_of_another_shape(self):
+        a = np.eye(4)[:, :2]
+        for w in (weight(np.eye(4), 1), weight(np.eye(5), 2)):
+            with pytest.raises(ValueError, match="4 x 4 at k = 2"):
+                weighted_sq(a, a, w)
+
+    def test_weight_is_read_only(self):
+        c = np.eye(3)
+        w = weight(c, 2)
+        c[0, 0] = 5.0
+        assert weighted_sq(np.eye(3)[:, :2], np.eye(3)[:, :2], w) == 0.0
+        with pytest.raises(ValueError):
+            w.scaled[0, 0] = 1.0
 
 
 class TestApplyIsometry:

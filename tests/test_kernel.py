@@ -1,3 +1,7 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 from subalign import (
     DegenerateProjectionError,
+    ExperimentConfig,
     RankDeficientError,
     apply_isometry,
     center,
@@ -23,11 +28,14 @@ from subalign import (
     residual,
     reversed_pair,
     rho,
+    run_experiment,
     run_replicate,
     spiked_diag_pair,
     trivial_subspace,
     weighted_hausdorff_sq,
 )
+from subalign import sim
+from subalign.grassmann import weight
 
 from conftest import random_joint_covariance
 
@@ -181,8 +189,8 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         w, r = np.linalg.qr(rng.standard_normal((m, m)))
         x, y = random_data(seed, m, 40)
-        out = evaluate_gram(centered_gram(np.vstack([x, y])), k, "pca", 40, beta * w,
-                            isometry=w)
+        out = evaluate_gram(centered_gram(np.vstack([x, y])), k, "pca", 40,
+                            weight(beta * w, k), isometry=w)
         assert out.eth_sq == pytest.approx(out.d_sq_corrected, abs=1e-9)
         for value in (out.d_sq, out.eth_sq, out.eps_sq):
             assert 0.0 <= value <= 2.0 * k
@@ -192,8 +200,8 @@ class TestEvaluateGram:
     def test_scale_of_gram_does_not_matter(self):
         x, y = random_data(5, 6, 50)
         gram = centered_gram(np.vstack([x, y]))
-        a = evaluate_gram(gram, 2, "pca", 50, np.eye(6))
-        b = evaluate_gram(gram / 49.0, 2, "pca", 50, np.eye(6))
+        a = evaluate_gram(gram, 2, "pca", 50, weight(np.eye(6), 2))
+        b = evaluate_gram(gram / 49.0, 2, "pca", 50, weight(np.eye(6), 2))
         for field in ("d_sq", "eth_sq", "eps_sq"):
             assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-12)
 
@@ -217,3 +225,71 @@ class TestEvaluateGram:
             evaluate_gram(gram, 1, "svd", 10)
         with pytest.raises(ValueError, match="2 observations"):
             centered_gram(np.ones((3, 1)))
+
+
+def fresh_draw_gram(jc, n, rng):
+    """``mvn_gram`` as the plain formula: a fresh (2m, n) draw, centered out of place."""
+    return jc.root @ centered_gram(rng.standard_normal((2 * jc.m, n))) @ jc.root.T
+
+
+class TestDrawBuffer:
+    def test_matches_fresh_draw_across_shape_changes(self):
+        for m in (6, 20):
+            jc = spiked_diag_pair(m, 0.7, 0.6)
+            for n in (10, 10000, 10):
+                got = mvn_gram(jc, n, np.random.default_rng(m * n))
+                want = fresh_draw_gram(jc, n, np.random.default_rng(m * n))
+                assert np.array_equal(got, want), (m, n)
+
+    def test_returned_gram_survives_later_calls(self):
+        jc = identity_pair(6, 0.5)
+        rng = np.random.default_rng(2)
+        first = mvn_gram(jc, 50, rng)
+        kept = first.copy()
+        for n in (50, 50, 80):
+            mvn_gram(jc, n, rng)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("ns", [(40, 300, 120, 500), (300,) * 4], ids=["different", "same"])
+    def test_concurrent_threads_match_fresh_draws(self, ns):
+        # Four threads: more than the cores of a 2-core machine.
+        models = [identity_pair(6, 0.5), spiked_diag_pair(6, 0.7, 0.6)] * 2
+        start = Barrier(len(ns))
+
+        def draws(i):
+            rng = np.random.default_rng(i)
+            start.wait(timeout=30)
+            return [mvn_gram(models[i], ns[i], rng) for _ in range(40)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+        try:
+            with ThreadPoolExecutor(max_workers=len(ns)) as pool:
+                results = list(pool.map(draws, range(len(ns)), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        for i, grams in enumerate(results):
+            rng = np.random.default_rng(i)
+            for got in grams:
+                assert np.array_equal(got, fresh_draw_gram(models[i], ns[i], rng))
+
+    def test_single_observation_is_rejected(self):
+        with pytest.raises(ValueError, match="2 observations"):
+            mvn_gram(identity_pair(3, 0.5), 1, np.random.default_rng(0))
+
+    def test_centered_gram_leaves_its_input_alone(self):
+        z = np.random.default_rng(3).standard_normal((4, 30)) + 5.0
+        before = z.copy()
+        centered_gram(z)
+        assert np.array_equal(z, before)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_experiment_records_match_fresh_draws(self, monkeypatch, workers):
+        cfg = ExperimentConfig("illus2", 20, (1, 2), (50, 2000), (0.7, 0.75), 3, base_seed=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "mvn_gram", fresh_draw_gram)
+            want = run_experiment(cfg)
+        got = run_experiment(cfg, workers=workers)
+        assert len(got) == len(want) == 24
+        for g, w in zip(got, want):
+            assert g == w

@@ -19,6 +19,7 @@ from subalign import (
     summarize,
 )
 from subalign import sim
+from subalign.grassmann import weighted_sq
 
 
 def reference_splitmix_mix(x):
@@ -144,7 +145,10 @@ class TestMakeCell:
         assert (cell.sweep_param, cell.model, cell.k) == (0.5, jc, 2)
         assert cell.isometry is w
         assert cell.rho == rho(jc, 2)
-        assert cell.cross_cov is jc.cov_xy
+        # The weight is Cov(X, Y) = 0.5 w, so eth^2(A, B) = d^2(A, w B): 0 at B = w A,
+        # whose span is orthogonal to A's (d^2 = 4).
+        basis = np.eye(8)[:, :2]
+        assert weighted_sq(basis, w @ basis, cell.weight) == pytest.approx(0.0, abs=1e-12)
 
     def test_scientists_model_resolves_to_its_covariance(self):
         cell = make_cell(ScientistParams(m=6, gamma=0.8), 2)
