@@ -11,32 +11,29 @@ closed-form limit quantities, and a Monte Carlo harness with a CLI.
 
 from .grassmann import (
     Subspace,
-    apply_isometry,
     hausdorff_sq,
     principal_angles,
     projector,
     weighted_hausdorff_sq,
 )
+from .datamatrix import (
+    CenteredData,
+    NormalizedProjection,
+    center,
+    fit_error_sq,
+    optimal_rotation,
+    pca_subspace,
+)
 from .kernel import GramResult, centered_gram, evaluate_gram
 from .model import (
-    DataPair,
     JointCovariance,
     ScientistParams,
     identity_pair,
     mvn_gram,
-    mvn_sample,
     reversed_pair,
     scientists_covariance,
     scientists_sample,
     spiked_diag_pair,
-)
-from .pca import CenteredData, RankDeficientError, center, pca_subspace, trivial_subspace
-from .procrustes import (
-    DegenerateProjectionError,
-    NormalizedProjection,
-    fit_error_sq,
-    normalize_projected,
-    optimal_rotation,
 )
 from .sim import (
     ExperimentConfig,
@@ -48,6 +45,6 @@ from .sim import (
     run_replicate,
     summarize,
 )
-from .theory import plugin_rho, predicted_fit_error_sq, residual, rho
+from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -156,6 +157,8 @@ def _run_and_write(args, **config) -> int:
         for path in (out_path, summary_path):
             with open(path, "a"):  # an unwritable path fails here, before any replicate runs
                 pass
+        if os.path.samefile(out_path, summary_path):  # the summary would overwrite the records
+            return _usage_error(f"--out and --summary name the same file: {out_path}")
     except OSError as exc:
         return _usage_error(f"cannot write output: {exc}")
     for line in lines:

@@ -39,7 +39,6 @@ __all__ = [
     "Weight",
     "weight",
     "weighted_sq",
-    "apply_isometry",
     "check_isometry",
 ]
 
@@ -232,10 +231,3 @@ def check_isometry(w: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"matrix is not orthogonal (max deviation {err:.3e})")
     return w
 
-
-def apply_isometry(w: np.ndarray, b: Subspace) -> Subspace:
-    """Image of a subspace under an orthogonal map: span of ``w @ b.basis``.
-
-    The projector of the result is ``w @ projector(b) @ w.T``.
-    """
-    return Subspace(check_isometry(w, b.ambient_dim) @ b.basis)

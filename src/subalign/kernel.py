@@ -24,13 +24,12 @@ No m x m projector and no projected or rescaled m x n copy of the data is
 formed.  The distances use the same k x k formulas as
 :mod:`subalign.grassmann`: ``chordal_sq``, and ``weighted_sq``, which reads
 a weight prepared once by ``grassmann.weight``, the one place that checks
-the weight's shape, tests it for zero and removes its scale.  The
-data-matrix route (``center``, ``pca_subspace``, ``normalize_projected``,
-``fit_error_sq``) computes the subspaces and eps^2 independently and is
-kept as the test oracle, next to the projector forms of the distances,
-which live in the tests.  Only subspace-level quantities leave this
-module, so the sign and order of the eigenvectors inside a basis do not
-matter.
+the weight's shape, tests it for zero and removes its scale.  The paper's
+definition on the data matrix (:mod:`subalign.datamatrix`) computes the
+subspaces and eps^2 independently; the tests use it, with the projector
+forms of the distances, as this module's oracle.  Only subspace-level
+quantities leave this module, so the sign and order of the eigenvectors
+inside a basis do not matter.
 
 Rank.  Centered data with n observations has rank at most n - 1, so
 ``n <= k`` is deficient outright.  Otherwise an eigenvalue of Sxx (Syy)

@@ -7,14 +7,14 @@ Two families are provided.
   independent noise Z' and Z''.  Either the mixture scenario (each entry is
   Z with probability gamma, fresh noise otherwise) or the linear scenario
   ``X = gamma Z + sqrt(1 - gamma^2) Z'``.  Both induce the block covariance
-  Cov(X) = Cov(Y) = alpha I, Cov(X, Y) = gamma^2 alpha I.
+  Cov(X) = Cov(Y) = alpha I, Cov(X, Y) = gamma^2 alpha I.  It returns X
+  and Y as the two halves of one ``(2m, n)`` array.
 
-* :func:`mvn_sample` draws zero-mean jointly Gaussian pairs with an
-  arbitrary :class:`JointCovariance`, and :func:`mvn_gram` returns the
-  centered Gram matrix of the same draw without forming the pairs; preset
-  constructors cover the identity, spiked-diagonal, and
-  coordinate-reversed covariance structures used by the simulation
-  experiments.
+* :func:`mvn_gram` draws zero-mean jointly Gaussian pairs with an
+  arbitrary :class:`JointCovariance` and returns the centered 2m x 2m Gram
+  matrix of the draw, without forming the pairs; preset constructors cover
+  the identity, spiked-diagonal, and coordinate-reversed covariance
+  structures used by the simulation experiments.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from .kernel import center_gram_inplace
 
 __all__ = [
     "JointCovariance",
-    "DataPair",
     "ScientistParams",
     "scientists_sample",
     "scientists_covariance",
-    "mvn_sample",
     "mvn_gram",
     "identity_pair",
     "spiked_diag_pair",
@@ -113,22 +111,6 @@ def _assemble_block(cov_x, cov_y, cov_xy) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DataPair:
-    """Paired m x n sample matrices (features x observations)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 2 or x.shape != y.shape:
-            raise ValueError(f"x and y must be 2-d with equal shapes, got {x.shape}, {y.shape}")
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "y", _readonly(y))
-
-
-@dataclass(frozen=True)
 class ScientistParams:
     """Parameters of the two-measurement-device generators.
 
@@ -164,29 +146,25 @@ def _base_draw(params: ScientistParams, rng: np.random.Generator, shape) -> np.n
     return rng.uniform(-half_width, half_width, shape)
 
 
-def scientists_sample(params: ScientistParams, n: int, rng: np.random.Generator) -> DataPair:
-    """Draw n paired daily measurements under the chosen noise scenario.
+def scientists_sample(params: ScientistParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n paired daily measurements: X stacked on Y, one ``(2m, n)`` array.
 
     Draw order (fixed for reproducibility): signal Z, noises Z' and Z''
-    (each m x n), then for the mixture scenario the two Bernoulli selector
-    fields, independent per (feature, day).
+    (each m x n; they fill the X and Y halves), then for the mixture
+    scenario the two Bernoulli selector fields, independent per (feature, day).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    shape = (params.m, n)
-    z = _base_draw(params, rng, shape)
-    z1 = _base_draw(params, rng, shape)
-    z2 = _base_draw(params, rng, shape)
+    z = _base_draw(params, rng, (params.m, n))
+    out = np.vstack([_base_draw(params, rng, z.shape) for _ in range(2)])  # Z', Z''
+    halves = out.reshape(2, *z.shape)
     if params.scenario == "mixture":
-        keep_x = rng.random(shape) < params.gamma
-        keep_y = rng.random(shape) < params.gamma
-        x = np.where(keep_x, z, z1)
-        y = np.where(keep_y, z, z2)
+        for half in halves:
+            np.copyto(half, z, where=rng.random(z.shape) < params.gamma)
     else:
-        noise_scale = np.sqrt(1.0 - params.gamma**2)
-        x = params.gamma * z + noise_scale * z1
-        y = params.gamma * z + noise_scale * z2
-    return DataPair(x, y)
+        halves *= np.sqrt(1.0 - params.gamma**2)
+        halves += params.gamma * z
+    return out
 
 
 def scientists_covariance(params: ScientistParams) -> JointCovariance:
@@ -197,27 +175,17 @@ def scientists_covariance(params: ScientistParams) -> JointCovariance:
     )
 
 
-def mvn_sample(jc: JointCovariance, n: int, rng: np.random.Generator) -> DataPair:
-    """Draw n iid zero-mean Gaussian pairs with the given block covariance.
-
-    Multiplies one ``(2m, n)`` standard-normal block by ``jc.root``.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    draws = jc.root @ rng.standard_normal((2 * jc.m, n))
-    return DataPair(draws[: jc.m], draws[jc.m :])
-
-
 # One reusable (2m, n) draw buffer per thread (forked pool workers own their copy).
 _draws = threading.local()
 
 
 def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Centered 2m x 2m Gram matrix of the pairs :func:`mvn_sample` draws from ``rng``.
+    """Centered 2m x 2m Gram matrix of n zero-mean Gaussian pairs with block covariance ``jc``.
 
-    Consumes the same ``(2m, n)`` standard-normal block, but never forms the
-    data: centering commutes with ``jc.root``, so the Gram matrix of the
-    centered draw is ``L (Gc Gc^T) L^T`` with ``Gc`` the centered normal block.
+    The pairs are ``L G`` with ``L = jc.root`` and ``G`` one ``(2m, n)``
+    standard-normal block drawn from ``rng``, but the data is never formed:
+    centering commutes with ``L``, so the Gram matrix of the centered pairs
+    is ``L (Gc Gc^T) L^T`` with ``Gc`` the centered normal block.
 
     The block is drawn into a float64 buffer kept per thread and reused while
     its shape matches (replaced when it changes), then centered in place, so a

@@ -40,7 +40,7 @@ from .grassmann import Weight, check_isometry, weight
 from .kernel import center_gram_inplace, evaluate_gram
 from .model import JointCovariance, ScientistParams, mvn_gram, scientists_covariance, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
-from .theory import predicted_fit_error_sq, residual, rho
+from .theory import predicted_fit_error_sq, rho
 
 __all__ = [
     "EXPERIMENTS",
@@ -221,8 +221,7 @@ def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: 
     model, k = cell.model, cell.k
     rng = np.random.default_rng(seed)
     if isinstance(model, ScientistParams):
-        pair = scientists_sample(model, n, rng)
-        gram = center_gram_inplace(np.vstack([pair.x, pair.y]))
+        gram = center_gram_inplace(scientists_sample(model, n, rng))
     else:
         gram = mvn_gram(model, n, rng)
     out = evaluate_gram(gram, k, method, n, cell.weight, isometry=cell.isometry)
@@ -235,7 +234,7 @@ def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: 
     predicted = predicted_fit_error_sq(cell.rho, k, out.eth_sq)
     return ReplicateRecord(
         **echo, d_sq=out.d_sq, eth_sq=out.eth_sq, eps_sq=out.eps_sq, predicted=predicted,
-        residual=residual(out.eps_sq, predicted), d_sq_corrected=out.d_sq_corrected,
+        residual=out.eps_sq - predicted, d_sq_corrected=out.d_sq_corrected,
     )
 
 

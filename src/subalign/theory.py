@@ -20,7 +20,7 @@ from .grassmann import topk_mass
 from .kernel import gram_blocks
 from .model import JointCovariance
 
-__all__ = ["rho", "predicted_fit_error_sq", "residual", "plugin_rho"]
+__all__ = ["rho", "predicted_fit_error_sq", "plugin_rho"]
 
 _RHO_SLACK = 1e-10
 _RANGE_SLACK = 1e-9
@@ -68,11 +68,6 @@ def predicted_fit_error_sq(rho_value: float, k: int, eth_sq: float) -> float:
     rho_value = min(max(rho_value, 0.0), 1.0)
     eth_sq = min(max(eth_sq, 0.0), 2.0 * k)
     return (1.0 - rho_value) * 2.0 * k + rho_value * eth_sq
-
-
-def residual(eps_sq: float, predicted: float) -> float:
-    """Observed square fitting-error minus its predicted limiting value."""
-    return eps_sq - predicted
 
 
 def plugin_rho(gram: np.ndarray, k: int) -> float:

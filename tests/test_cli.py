@@ -335,6 +335,17 @@ class TestUsageErrors:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("summary", ["same.out", "link.out"])
+    def test_out_and_summary_on_one_file_exits_2(self, tmp_path, capsys, summary):
+        # The summary would overwrite the records; a symlink to the records is the same file.
+        (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+        code = main(["illus1", "--n", "200", "--reps", "2", "--beta", "0.5",
+                     "--out", str(tmp_path / "same.out"), "--summary", str(tmp_path / summary)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "same file" in err
+        assert (tmp_path / "same.out").read_text() == ""
+
 
 def test_summary_json_is_strict_when_replicates_fail(tmp_path):
     out = tmp_path / "r.csv"

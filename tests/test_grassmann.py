@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from subalign import (
     Subspace,
-    apply_isometry,
     hausdorff_sq,
     principal_angles,
     projector,
     weighted_hausdorff_sq,
 )
-from subalign.grassmann import _clamp_cosines, chordal_sq, topk_mass, weight, weighted_sq
+from subalign.grassmann import (
+    _clamp_cosines, check_isometry, chordal_sq, topk_mass, weight, weighted_sq,
+)
 
 from conftest import random_orthogonal, random_subspace
 
@@ -290,14 +291,14 @@ class TestPreparedWeight:
 
 
 class TestApplyIsometry:
+    """The image of a subspace under an isometry W: ``Subspace(w @ b.basis)``."""
+
     def test_identity_map(self, rng):
         b = random_subspace(rng, 7, 2)
-        moved = apply_isometry(np.eye(7), b)
-        assert np.allclose(moved.basis, b.basis)
+        assert np.allclose(Subspace(np.eye(7) @ b.basis).basis, b.basis)
 
     def test_reversal_permutation(self):
-        b = basis_of(0, m=40)
-        moved = apply_isometry(np.fliplr(np.eye(40)), b)
+        moved = Subspace(np.fliplr(np.eye(40)) @ basis_of(0, m=40).basis)
         expected = np.zeros((40, 1))
         expected[39, 0] = 1.0
         assert np.allclose(moved.basis, expected)
@@ -305,20 +306,19 @@ class TestApplyIsometry:
     def test_projector_conjugation(self, rng):
         b = random_subspace(rng, 8, 3)
         w = random_orthogonal(rng, 8)
-        assert np.allclose(projector(apply_isometry(w, b)), w @ projector(b) @ w.T)
+        assert np.allclose(projector(Subspace(w @ b.basis)), w @ projector(b) @ w.T)
 
     def test_distance_invariance(self, rng):
         b1 = random_subspace(rng, 9, 3)
         b2 = random_subspace(rng, 9, 3)
         w = random_orthogonal(rng, 9)
         before = hausdorff_sq(b1, b2)
-        after = hausdorff_sq(apply_isometry(w, b1), apply_isometry(w, b2))
+        after = hausdorff_sq(Subspace(w @ b1.basis), Subspace(w @ b2.basis))
         assert after == pytest.approx(before, abs=1e-10)
 
-    def test_rejects_non_orthogonal(self, rng):
-        b = random_subspace(rng, 5, 2)
+    def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError, match="not orthogonal"):
-            apply_isometry(np.eye(5) * 2.0, b)
+            check_isometry(np.eye(5) * 2.0, 5)
 
 
 def test_orthogonal_weight_matches_distance_to_moved_subspace(rng):
@@ -333,7 +333,7 @@ def test_orthogonal_weight_matches_distance_to_moved_subspace(rng):
         b = random_subspace(rng, m, k)
         w = random_orthogonal(rng, m)
         beta = float(rng.uniform(0.2, 2.0)) * (1 if rng.random() < 0.5 else -1)
-        rhs = hausdorff_sq(a, apply_isometry(w, b))
+        rhs = hausdorff_sq(a, Subspace(w @ b.basis))
         for scale in (1e-300, 1e-15, 1.0, 1e300):
             lhs = weighted_hausdorff_sq(a, b, scale * beta * w)
             assert lhs == pytest.approx(rhs, abs=1e-9), scale

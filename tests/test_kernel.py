@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subalign import (
-    DegenerateProjectionError,
     ExperimentConfig,
-    RankDeficientError,
-    apply_isometry,
+    NormalizedProjection,
+    ScientistParams,
+    Subspace,
     center,
     centered_gram,
     evaluate_gram,
@@ -20,22 +20,21 @@ from subalign import (
     identity_pair,
     make_cell,
     mvn_gram,
-    mvn_sample,
-    normalize_projected,
     pca_subspace,
     predicted_fit_error_sq,
     projector,
-    residual,
     reversed_pair,
     rho,
     run_experiment,
     run_replicate,
+    scientists_sample,
     spiked_diag_pair,
-    trivial_subspace,
     weighted_hausdorff_sq,
 )
 from subalign import sim
 from subalign.grassmann import weight
+from subalign.kernel import center_gram_inplace
+from subalign.model import _base_draw
 
 from conftest import random_joint_covariance
 
@@ -44,25 +43,29 @@ FIELDS = ("d_sq", "eth_sq", "eps_sq", "predicted", "residual", "d_sq_corrected")
 
 def data_path_record(jc, k, n, method, seed, isometry=None) -> dict:
     """The replicate computed from the m x n data: center, subspaces, projectors."""
-    pair = mvn_sample(jc, n, np.random.default_rng(seed))
-    try:
-        cx, cy = center(pair.x), center(pair.y)
-        if method == "pca":
+    m = jc.m
+    z = jc.root @ np.random.default_rng(seed).standard_normal((2 * m, n))
+    cx, cy = center(z[:m]), center(z[m:])
+    if method == "pca":
+        try:
             a, b = pca_subspace(cx, k), pca_subspace(cy, k)
-        else:
-            a = b = trivial_subspace(jc.m, k)
-        d_sq = hausdorff_sq(a, b)
-        eth_sq = weighted_hausdorff_sq(a, b, jc.cov_xy)
-        eps_sq = fit_error_sq(normalize_projected(projector(a), cx.matrix, k),
-                              normalize_projected(projector(b), cy.matrix, k))
-    except RankDeficientError:
-        return {"status": "deficient_rank"}
-    except DegenerateProjectionError:
+        except ValueError as exc:
+            assert "deficient rank" in str(exc)
+            return {"status": "deficient_rank"}
+    else:
+        a = b = Subspace(np.eye(m)[:, :k])
+    d_sq = hausdorff_sq(a, b)
+    eth_sq = weighted_hausdorff_sq(a, b, jc.cov_xy)
+    px, py = projector(a) @ cx.matrix, projector(b) @ cy.matrix
+    fx, fy = np.linalg.norm(px), np.linalg.norm(py)
+    if min(fx, fy) ** 2 < 1e-300:  # the kernel's degenerate-projection threshold
         return {"status": "degenerate_projection"}
+    eps_sq = fit_error_sq(NormalizedProjection(np.sqrt(k) / fx * px, k),
+                          NormalizedProjection(np.sqrt(k) / fy * py, k))
     predicted = predicted_fit_error_sq(rho(jc, k), k, eth_sq)
-    corrected = hausdorff_sq(a, apply_isometry(isometry, b)) if isometry is not None else None
+    corrected = None if isometry is None else hausdorff_sq(a, Subspace(isometry @ b.basis))
     return {"status": "ok", "d_sq": d_sq, "eth_sq": eth_sq, "eps_sq": eps_sq,
-            "predicted": predicted, "residual": residual(eps_sq, predicted),
+            "predicted": predicted, "residual": eps_sq - predicted,
             "d_sq_corrected": corrected}
 
 
@@ -103,8 +106,7 @@ class TestDifferential:
 
     def test_gram_matches_data_sampler(self):
         jc, _ = reversed_pair(8, 0.7, 0.6)
-        pair = mvn_sample(jc, 300, np.random.default_rng(11))
-        want = centered_gram(np.vstack([pair.x, pair.y]))
+        want = centered_gram(jc.root @ np.random.default_rng(11).standard_normal((16, 300)))
         got = mvn_gram(jc, 300, np.random.default_rng(11))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -291,5 +293,48 @@ class TestDrawBuffer:
             want = run_experiment(cfg)
         got = run_experiment(cfg, workers=workers)
         assert len(got) == len(want) == 24
+        for g, w in zip(got, want):
+            assert g == w
+
+
+def two_block_sample(params, n, rng):
+    """``scientists_sample`` as the formula it replaced: X and Y as two arrays, then stacked."""
+    shape = (params.m, n)
+    z, z1, z2 = (_base_draw(params, rng, shape) for _ in range(3))
+    if params.scenario == "mixture":
+        keep_x = rng.random(shape) < params.gamma
+        keep_y = rng.random(shape) < params.gamma
+        x, y = np.where(keep_x, z, z1), np.where(keep_y, z, z2)
+    else:
+        noise_scale = np.sqrt(1.0 - params.gamma**2)
+        x = params.gamma * z + noise_scale * z1
+        y = params.gamma * z + noise_scale * z2
+    return np.vstack([x, y])
+
+
+SCIENTIST_MODELS = [ScientistParams(m=5, gamma=g, scenario=s, base=b, alpha=a)
+                    for g, s, b, a in ((0.7, "mixture", "normal", 1.0),
+                                       (0.4, "mixture", "uniform", 2.5),
+                                       (0.8, "linear", "normal", 0.5),
+                                       (1.0, "linear", "uniform", 1.0))]
+
+
+class TestScientistsDraw:
+    @pytest.mark.parametrize("params", SCIENTIST_MODELS, ids=lambda p: f"{p.scenario}-{p.base}")
+    def test_stacked_draw_matches_two_block_formula(self, params):
+        for n in (2, 37, 1000):
+            got = center_gram_inplace(scientists_sample(params, n, np.random.default_rng(n)))
+            want = centered_gram(two_block_sample(params, n, np.random.default_rng(n)))
+            assert np.array_equal(got, want), n
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_experiment_records_match_two_block_formula(self, monkeypatch, workers):
+        models = tuple((float(i), p, None) for i, p in enumerate(SCIENTIST_MODELS))
+        cfg = ExperimentConfig("custom", 5, (1, 3), (40, 500), (), 2, base_seed=8, models=models)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "scientists_sample", two_block_sample)
+            want = run_experiment(cfg)
+        got = run_experiment(cfg, workers=workers)
+        assert len(got) == len(want) == 32
         for g, w in zip(got, want):
             assert g == w

@@ -5,7 +5,7 @@ from subalign import (
     JointCovariance,
     ScientistParams,
     identity_pair,
-    mvn_sample,
+    mvn_gram,
     reversed_pair,
     scientists_covariance,
     scientists_sample,
@@ -13,10 +13,9 @@ from subalign import (
 )
 
 
-def sample_block_cov(pair):
-    stacked = np.vstack([pair.x, pair.y])
-    centered = stacked - stacked.mean(axis=1, keepdims=True)
-    return centered @ centered.T / (stacked.shape[1] - 1)
+def sample_block_cov(z):
+    centered = z - z.mean(axis=1, keepdims=True)
+    return centered @ centered.T / (z.shape[1] - 1)
 
 
 class TestJointCovariance:
@@ -95,35 +94,36 @@ class TestScientistsSample:
     @pytest.mark.parametrize("scenario", ["mixture", "linear"])
     def test_perfect_accuracy_gives_equal_measurements(self, scenario, rng):
         params = ScientistParams(m=5, gamma=1.0, scenario=scenario)
-        pair = scientists_sample(params, 100, rng)
-        assert np.array_equal(pair.x, pair.y)
+        z = scientists_sample(params, 100, rng)
+        assert z.shape == (10, 100)
+        assert np.array_equal(z[:5], z[5:])
 
     @pytest.mark.parametrize("scenario", ["mixture", "linear"])
     def test_zero_accuracy_gives_uncorrelated_measurements(self, scenario):
         params = ScientistParams(m=6, gamma=0.0, scenario=scenario)
-        pair = scientists_sample(params, 100_000, np.random.default_rng(1))
-        cross = sample_block_cov(pair)[:6, 6:]
+        z = scientists_sample(params, 100_000, np.random.default_rng(1))
+        cross = sample_block_cov(z)[:6, 6:]
         assert np.max(np.abs(cross)) < 0.05
 
     def test_linear_cross_covariance(self):
         params = ScientistParams(m=6, gamma=0.8, scenario="linear")
-        pair = scientists_sample(params, 100_000, np.random.default_rng(2))
-        cross_diag = np.diag(sample_block_cov(pair)[:6, 6:])
+        z = scientists_sample(params, 100_000, np.random.default_rng(2))
+        cross_diag = np.diag(sample_block_cov(z)[:6, 6:])
         assert np.allclose(cross_diag, 0.64, atol=0.02)
 
     @pytest.mark.parametrize("scenario", ["mixture", "linear"])
     @pytest.mark.parametrize("base", ["normal", "uniform"])
     def test_sample_block_matches_analytic(self, scenario, base):
         params = ScientistParams(m=4, gamma=0.6, scenario=scenario, base=base, alpha=1.0)
-        pair = scientists_sample(params, 100_000, np.random.default_rng(3))
-        observed = sample_block_cov(pair)
+        z = scientists_sample(params, 100_000, np.random.default_rng(3))
+        observed = sample_block_cov(z)
         expected = scientists_covariance(params).block()
         assert np.max(np.abs(observed - expected)) < 0.05
 
     def test_uniform_base_variance_scales_with_alpha(self):
         params = ScientistParams(m=3, gamma=0.5, base="uniform", alpha=2.5)
-        pair = scientists_sample(params, 100_000, np.random.default_rng(4))
-        assert np.allclose(pair.x.var(axis=1), 2.5, atol=0.1)
+        z = scientists_sample(params, 100_000, np.random.default_rng(4))
+        assert np.allclose(z.var(axis=1), 2.5, atol=0.1)
 
     def test_requires_positive_n(self, rng):
         with pytest.raises(ValueError, match="n must be"):
@@ -136,31 +136,31 @@ class TestScientistsSample:
 
 
 class TestMvnSample:
+    """The Gaussian sampler, through the centered Gram matrix ``mvn_gram`` returns."""
+
     def test_perfectly_correlated_pair_is_equal(self, rng):
-        jc = identity_pair(6, 1.0)
-        pair = mvn_sample(jc, 50, rng)
-        assert np.allclose(pair.x, pair.y, atol=1e-12)
+        s = mvn_gram(identity_pair(6, 1.0), 50, rng)
+        scale = np.abs(s).max()
+        for block in (s[6:, 6:], s[:6, 6:]):
+            np.testing.assert_allclose(block, s[:6, :6], rtol=0, atol=1e-12 * scale)
 
     def test_independent_pair_uncorrelated(self):
-        pair = mvn_sample(identity_pair(6, 0.0), 100_000, np.random.default_rng(5))
-        cross = sample_block_cov(pair)[:6, 6:]
-        assert np.max(np.abs(cross)) < 0.05
+        s = mvn_gram(identity_pair(6, 0.0), 100_000, np.random.default_rng(5))
+        assert np.max(np.abs(s[:6, 6:] / (100_000 - 1))) < 0.05
 
     def test_cross_covariance_converges(self):
-        pair = mvn_sample(identity_pair(6, 0.5), 100_000, np.random.default_rng(6))
-        cross_diag = np.diag(sample_block_cov(pair)[:6, 6:])
-        assert np.allclose(cross_diag, 0.5, atol=0.02)
+        s = mvn_gram(identity_pair(6, 0.5), 100_000, np.random.default_rng(6))
+        np.testing.assert_allclose(s[:6, 6:] / (100_000 - 1), 0.5 * np.eye(6), atol=0.02)
 
     def test_seed_reproducibility(self):
         jc = spiked_diag_pair(8, 0.7, 0.4)
-        a = mvn_sample(jc, 100, np.random.default_rng(42))
-        b = mvn_sample(jc, 100, np.random.default_rng(42))
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.y.tobytes() == b.y.tobytes()
+        a = mvn_gram(jc, 100, np.random.default_rng(42))
+        b = mvn_gram(jc, 100, np.random.default_rng(42))
+        assert a.tobytes() == b.tobytes()
 
     def test_requires_positive_n(self, rng):
-        with pytest.raises(ValueError, match="n must be"):
-            mvn_sample(identity_pair(3, 0.0), 0, rng)
+        with pytest.raises(ValueError, match="2 observations"):
+            mvn_gram(identity_pair(3, 0.0), 1, rng)
 
 
 class TestPresets:

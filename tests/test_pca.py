@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from subalign import (
-    RankDeficientError,
+    CenteredData,
+    Subspace,
     center,
-    hausdorff_sq,
+    centered_gram,
+    evaluate_gram,
     pca_subspace,
     principal_angles,
     projector,
-    trivial_subspace,
 )
 
 from conftest import random_subspace
@@ -32,6 +33,13 @@ class TestCenter:
         c = center(rng.standard_normal((4, 50)) + 3.0)
         assert np.max(np.abs(c.matrix.sum(axis=1))) < 1e-8 * 50
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-12, 1.0, 1e8, 1e12, 1e200, 1e300])
+    def test_centering_check_is_relative_to_the_data(self, rng, scale):
+        c = center(scale * (rng.standard_normal((6, 10_000)) + 3.0))
+        assert np.array_equal(CenteredData(c.matrix).matrix, c.matrix)
+        with pytest.raises(ValueError, match="not centered"):
+            CenteredData(scale * np.ones((2, 5)))
+
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="at least 2"):
             center(np.ones((3, 1)))
@@ -42,9 +50,9 @@ class TestPcaSubspace:
         data = np.zeros((4, 6))
         data[0] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5]
         sub = pca_subspace(center(data), 1)
-        expected = np.zeros((4, 1))
+        expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.allclose(sub.basis, expected)
+        assert np.allclose(projector(sub), expected)
 
     def test_ordered_by_variance(self):
         data = np.array([
@@ -53,9 +61,9 @@ class TestPcaSubspace:
             [0.0, 0.0, 0.0, 0.0],
         ])
         sub = pca_subspace(center(data), 1)
-        expected = np.zeros((3, 1))
+        expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
-        assert np.allclose(sub.basis, expected)
+        assert np.allclose(projector(sub), expected)
 
     def test_recovers_spiked_direction(self):
         gen = np.random.default_rng(5)
@@ -63,13 +71,13 @@ class TestPcaSubspace:
         scale[0] = 1.0
         data = scale[:, None] * gen.standard_normal((20, 100_000))
         sub = pca_subspace(center(data), 1)
-        e1 = trivial_subspace(20, 1)
+        e1 = Subspace(np.eye(20)[:, :1])
         assert principal_angles(sub, e1)[0] < 0.1
 
     def test_rank_deficient(self, rng):
         v = rng.standard_normal(10)
         data = np.vstack([v, 2.0 * v, -v])
-        with pytest.raises(RankDeficientError, match="deficient rank"):
+        with pytest.raises(ValueError, match="deficient rank"):
             pca_subspace(center(data), 2)
 
     def test_k_out_of_range(self, rng):
@@ -84,12 +92,6 @@ class TestPcaSubspace:
         first = pca_subspace(c, 3).basis
         second = pca_subspace(c, 3).basis
         assert first.tobytes() == second.tobytes()
-
-    def test_sign_convention_stable_under_negation(self, rng):
-        data = rng.standard_normal((5, 30))
-        a = pca_subspace(center(data), 2).basis
-        b = pca_subspace(center(-data), 2).basis
-        assert np.allclose(a, b, atol=1e-10)
 
     def test_satisfies_subspace_invariants(self, rng):
         sub = pca_subspace(center(rng.standard_normal((7, 60))), 3)
@@ -117,18 +119,27 @@ def test_projected_trace_approaches_topk_spectral_mass():
 
 
 class TestTrivialSubspace:
-    def test_first_two_coordinates(self):
-        sub = trivial_subspace(6, 2)
-        assert np.allclose(sub.basis, np.eye(6)[:, :2])
+    """The PCA-free baseline span{e_1, ..., e_k}: the kernel's ``method="trivial"``."""
 
-    def test_full_space(self):
-        assert np.allclose(projector(trivial_subspace(4, 4)), np.eye(4))
+    def test_first_two_coordinates(self, rng):
+        # Its eps^2 is the Procrustes error between the first two rows of X and of Y.
+        x, y = rng.standard_normal((2, 6, 50))
+        out = evaluate_gram(centered_gram(np.vstack([x, y])), 2, "trivial", 50)
+        cx, cy = center(x[:2]).matrix, center(y[:2]).matrix
+        nuclear = np.linalg.svd(cy @ cx.T, compute_uv=False).sum()
+        want = 4.0 - 4.0 * nuclear / (np.linalg.norm(cx) * np.linalg.norm(cy))
+        assert out.eps_sq == pytest.approx(want, abs=1e-12)
 
-    def test_self_distance_zero(self):
-        assert hausdorff_sq(trivial_subspace(6, 2), trivial_subspace(6, 2)) == 0.0
+    def test_full_space(self, rng):
+        gram = centered_gram(rng.standard_normal((8, 30)))
+        trivial, pca = (evaluate_gram(gram, 4, method, 30) for method in ("trivial", "pca"))
+        assert trivial.eps_sq == pytest.approx(pca.eps_sq, abs=1e-12)
+
+    def test_self_distance_zero(self, rng):
+        gram = centered_gram(rng.standard_normal((12, 40)))
+        assert evaluate_gram(gram, 2, "trivial", 40).d_sq == 0.0
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            trivial_subspace(3, 4)
-        with pytest.raises(ValueError):
-            trivial_subspace(3, 0)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="1 <= k <= m"):
+                evaluate_gram(np.eye(6), k, "trivial", 10)

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from subalign import (
-    DegenerateProjectionError,
-    NormalizedProjection,
-    fit_error_sq,
-    normalize_projected,
-    optimal_rotation,
-    pca_subspace,
-    center,
-    projector,
-)
+from subalign import NormalizedProjection, fit_error_sq, optimal_rotation
 
 from conftest import random_orthogonal
 
@@ -29,39 +20,6 @@ class TestNormalizedProjection:
         x = random_normalized(rng, 3, 5, 2)
         with pytest.raises(ValueError):
             x.matrix[0, 0] = 0.0
-
-
-class TestNormalizeProjected:
-    def test_first_coordinate_line(self):
-        p = np.zeros((3, 3))
-        p[0, 0] = 1.0
-        data = np.array([[3.0, -3.0], [1.0, 2.0], [5.0, -1.0]])
-        out = normalize_projected(p, data, 1)
-        expected_first_row = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        assert np.allclose(out.matrix[0], expected_first_row)
-        assert np.allclose(out.matrix[1:], 0.0)
-        assert np.linalg.norm(out.matrix) == pytest.approx(1.0)
-
-    def test_norm_is_sqrt_k(self, rng):
-        data = rng.standard_normal((6, 100))
-        c = center(data)
-        p = projector(pca_subspace(c, 2))
-        out = normalize_projected(p, c.matrix, 2)
-        assert np.linalg.norm(out.matrix) == pytest.approx(np.sqrt(2.0), abs=1e-9)
-
-    def test_zero_projection_raises(self):
-        p = np.zeros((3, 3))
-        p[0, 0] = 1.0
-        data = np.zeros((3, 4))
-        data[1:, :] = 1.0
-        with pytest.raises(DegenerateProjectionError, match="degenerate"):
-            normalize_projected(p, data, 1)
-
-    def test_shape_checks(self):
-        with pytest.raises(ValueError, match="square"):
-            normalize_projected(np.ones((2, 3)), np.ones((2, 4)), 1)
-        with pytest.raises(ValueError, match="incompatible"):
-            normalize_projected(np.eye(3), np.ones((2, 4)), 1)
 
 
 class TestFitErrorSq:

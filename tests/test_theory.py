@@ -4,21 +4,19 @@ import pytest
 from subalign import (
     JointCovariance,
     ScientistParams,
+    Subspace,
     center,
     centered_gram,
     hausdorff_sq,
     identity_pair,
-    mvn_sample,
     plugin_rho,
     predicted_fit_error_sq,
-    residual,
     reversed_pair,
     rho,
     scientists_covariance,
     spiked_diag_pair,
     weighted_hausdorff_sq,
 )
-from subalign.grassmann import apply_isometry
 
 from conftest import random_joint_covariance, random_subspace
 
@@ -90,14 +88,6 @@ class TestPredictedFitErrorSq:
             predicted_fit_error_sq(0.5, 2, 4.5)
 
 
-class TestResidual:
-    def test_zero(self):
-        assert residual(2.0, 2.0) == 0.0
-
-    def test_arithmetic(self):
-        assert residual(3.95, 4.0 * 0.9885) == pytest.approx(-0.004, abs=1e-12)
-
-
 class TestGammaToRho:
     """The two-device generators with accuracy gamma induce rho = gamma^2."""
 
@@ -122,16 +112,16 @@ def test_weighted_prediction_matches_corrected_distance_prediction(rng):
             b = random_subspace(rng, 10, k)
             via_weighted = predicted_fit_error_sq(r, k, weighted_hausdorff_sq(a, b, jc.cov_xy))
             via_corrected = predicted_fit_error_sq(
-                ratio, k, hausdorff_sq(a, apply_isometry(w, b))
+                ratio, k, hausdorff_sq(a, Subspace(w @ b.basis))
             )
             assert via_weighted == pytest.approx(via_corrected, abs=1e-9)
 
 
 class TestPluginRho:
     def test_recovers_true_value(self):
-        gen = np.random.default_rng(7)
-        pair = mvn_sample(identity_pair(6, 0.5), 20_000, gen)
-        estimate = plugin_rho(centered_gram(np.vstack([pair.x, pair.y])), 2)
+        jc = identity_pair(6, 0.5)
+        z = jc.root @ np.random.default_rng(7).standard_normal((12, 20_000))
+        estimate = plugin_rho(centered_gram(z), 2)
         assert estimate == pytest.approx(0.5, abs=0.05)
         assert 0.0 <= estimate <= 1.0
 
