@@ -47,4 +47,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -153,14 +153,22 @@ def _run_and_write(args, **config) -> int:
         return _usage_error(exc)
     out_path = args.out or f"{cfg.experiment}_records.csv"
     summary_path = args.summary or f"{cfg.experiment}_summary.json"
+    created, error = [], None  # a rejected run removes the files its probe created
     try:
         for path in (out_path, summary_path):
+            if not os.path.exists(path):
+                created.append(os.path.realpath(path))  # through a dangling link: its target
             with open(path, "a"):  # an unwritable path fails here, before any replicate runs
                 pass
         if os.path.samefile(out_path, summary_path):  # the summary would overwrite the records
-            return _usage_error(f"--out and --summary name the same file: {out_path}")
+            error = f"--out and --summary name the same file: {out_path}"
     except OSError as exc:
-        return _usage_error(f"cannot write output: {exc}")
+        error = f"cannot write output: {exc}"
+    if error:
+        for path in created:
+            if os.path.exists(path):
+                os.remove(path)
+        return _usage_error(error)
     for line in lines:
         print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
     records = run_experiment(cfg, workers=args.threads)

@@ -175,7 +175,8 @@ def scientists_covariance(params: ScientistParams) -> JointCovariance:
     )
 
 
-# One reusable (2m, n) draw buffer per thread (forked pool workers own their copy).
+# One reusable (2m, n) draw buffer per thread, so the pool threads of
+# sim.run_experiment never share one.
 _draws = threading.local()
 
 

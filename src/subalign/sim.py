@@ -23,6 +23,12 @@ where splitmix64_mix is the standard splitmix64 finalizer (see
 :func:`replicate_seed`).  The seed feeds ``numpy.random.default_rng``
 (PCG64).  Replicates are therefore independent of execution order and of
 the number of workers; runs with equal configs are bit-identical.
+
+Execution
+---------
+:func:`run_experiment` runs the replicates serially, or in chunks on a pool
+of threads in this process; the draw and the Gram product release the
+interpreter lock, so the threads overlap there.
 """
 
 from __future__ import annotations
@@ -239,7 +245,7 @@ def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: 
 
 
 def _pool_size(workers: int, tasks: int) -> int:
-    """Processes worth starting: no more than requested, usable CPUs, or tasks."""
+    """Threads worth starting: no more than requested, usable CPUs, or tasks."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -247,29 +253,54 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, cpus, tasks))
 
 
+# Largest chunk of consecutive replicates one pool task runs.  A failure or an
+# interrupt waits for the chunks already running, at most one per thread, so
+# this bounds that wait (256 replicates of an illus2 cell at n = 1e4 take ~3 s).
+_MAX_CHUNK = 256
+
+
+def _run_chunk(replicate, tasks) -> list[ReplicateRecord]:
+    return [replicate(*task) for task in tasks]
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRecord]:
     """Run the full sweep; records are ordered by (parameter tuple, replicate).
 
-    ``workers > 1`` fans replicates out to a process pool of at most
-    ``min(workers, usable CPUs, replicates)`` processes; because every
-    replicate is a pure function of its derived seed, the output is
-    identical at any worker count.
+    ``workers > 1`` runs chunks of consecutive replicates on a pool of at
+    most ``min(workers, usable CPUs, replicates)`` threads in this process:
+    about ``workers * 8`` chunks, each of at most ``_MAX_CHUNK`` replicates.
+    The cells are shared read-only and each thread draws into its own buffer
+    (see :func:`subalign.model.mvn_gram`).  The draw, the in-place centering
+    and the Gram product release the interpreter lock and run in parallel;
+    the Python around them, such as building the records, does not.  When a
+    replicate raises, or the run is interrupted, chunks not yet started are
+    cancelled and the exception propagates once the running ones finish.
+    Because every replicate is a pure function of its derived seed, the
+    output is identical at any worker count.
     """
-    cells, ns, seeds, reps = zip(*[
+    tasks = [
         (cell, n, replicate_seed(cfg.base_seed, param_index, rep), rep)
         for param_index, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))
         for rep in range(cfg.replicates)
-    ])
+    ]
     replicate = partial(run_replicate, method=cfg.method, experiment=cfg.experiment)
-    workers = _pool_size(workers, len(seeds))
+    workers = _pool_size(workers, len(tasks))
     if workers == 1:
-        return list(map(replicate, cells, ns, seeds, reps))
-    # Imported here: the pool machinery costs every serial run ~20 ms of start-up.
-    from concurrent.futures import ProcessPoolExecutor
+        return _run_chunk(replicate, tasks)
+    # Imported here: the pool machinery costs every serial run 10-14 ms of start-up.
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(seeds) // (workers * 8))
-        return list(pool.map(replicate, cells, ns, seeds, reps, chunksize=chunk))
+    size = min(_MAX_CHUNK, -(-len(tasks) // (workers * 8)))
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        chunks = [pool.submit(_run_chunk, replicate, tasks[i:i + size])
+                  for i in range(0, len(tasks), size)]
+        wait(chunks, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # Chunks are cancelled only after every earlier one started, so the first
+    # failure in order is a chunk's own exception, never a cancellation.
+    return [record for chunk in chunks for record in chunk.result()]
 
 
 @dataclass(frozen=True)

@@ -344,7 +344,22 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "same file" in err
-        assert (tmp_path / "same.out").read_text() == ""
+        assert not (tmp_path / "same.out").exists()
+
+    @pytest.mark.parametrize("existing, out, summary", [
+        ({}, "rec.csv", "nodir/s.json"),
+        ({"rec.csv": b"kept,1\n"}, "rec.csv", "nodir/s.json"),
+    ], ids=["unwritable_summary", "existing_records"])
+    def test_rejected_run_leaves_the_files_as_they_were(self, tmp_path, monkeypatch, capsys,
+                                                        existing, out, summary):
+        # The output probe creates the files it opens; a rejection removes only those.
+        monkeypatch.chdir(tmp_path)
+        for name, data in existing.items():
+            (tmp_path / name).write_bytes(data)
+        code = main(["illus1", "--reps", "1", "--n", "50", "--out", out, "--summary", summary])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == existing
 
 
 def test_summary_json_is_strict_when_replicates_fail(tmp_path):

@@ -1,4 +1,7 @@
 import concurrent.futures
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -209,25 +212,82 @@ class TestRunExperiment:
             custom_cfg().cells
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started before the cells were checked")
+            raise AssertionError("thread pool started before the cells were checked")
 
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match=match):
             run_experiment(custom_cfg(), workers=2)
 
     def test_cells_survive_the_pool(self, monkeypatch):
-        # A scientists model and an isometry go through pickling to the workers.
-        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # The pool threads share a scientists model, an isometry and the cells'
+        # weights read-only.  Two n values put chunks that change n on one
+        # thread, which then replaces its draw buffer; four threads on a short
+        # switch interval interleave the draws of different threads.
         jc, w = reversed_pair(8, 0.7, 0.5)
         cfg = ExperimentConfig(
-            experiment="custom", m=8, k_values=(1, 2), n_values=(100,), sweep=(),
+            experiment="custom", m=8, k_values=(1, 2), n_values=(100, 2000), sweep=(),
             replicates=3, base_seed=5,
             models=((0.8, ScientistParams(m=8, gamma=0.8), None), (0.5, jc, w)),
         )
         serial = run_experiment(cfg, workers=1)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
         assert run_experiment(cfg, workers=2) == serial
-        assert [r.d_sq_corrected is None for r in serial] == [True] * 6 + [False] * 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_experiment(cfg, workers=4) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.d_sq_corrected is None for r in serial] == [True] * 12 + [False] * 12
+
+    def test_pool_runs_bounded_chunks(self, monkeypatch):
+        # About workers * 8 pool tasks, never one per replicate.
+        submitted = []
+
+        class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
+        cfg = self.small_cfg(n_values=(20,), sweep=(0.5,), replicates=2001, method="trivial")
+        assert run_experiment(cfg, workers=2) == run_experiment(cfg, workers=1)
+        assert 1 <= len(submitted) <= 2 * 8
+
+    def test_failure_cancels_the_chunks_not_started(self, monkeypatch):
+        # A raising replicate propagates, and after it at most one chunk per
+        # thread starts (2048 replicates make 16 chunks of 128).  The chunk
+        # before the failing one outlasts it, so a pool that read the results
+        # in order would go on starting chunks while it waited.
+        cfg = self.small_cfg(n_values=(2000,), sweep=(0.5,), replicates=2048, method="trivial")
+        bad_seed = replicate_seed(cfg.base_seed, 0, 4 * 128)
+        slow_seed = replicate_seed(cfg.base_seed, 0, 4 * 128 - 1)
+        failed = threading.Event()
+        after = []
+        sim_run_replicate = sim.run_replicate
+
+        def run_replicate(cell, n, seed, replicate, **kwargs):
+            if failed.is_set():
+                after.append(replicate)
+            if seed == bad_seed:
+                failed.set()
+                raise RuntimeError("replicate failed")
+            if seed == slow_seed:
+                failed.wait(timeout=10)
+                time.sleep(0.2)
+            return sim_run_replicate(cell, n, seed, replicate, **kwargs)
+
+        monkeypatch.setattr(sim, "run_replicate", run_replicate)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="replicate failed"):
+            run_experiment(cfg, workers=2)
+        assert failed.is_set()
+        assert len([r for r in after if r % 128 == 0]) <= 2
+        assert threading.active_count() == threads
 
     def test_failed_replicates_recorded_not_raised(self):
         cfg = self.small_cfg(k_values=(5,), n_values=(4,), sweep=(0.5,))
@@ -333,8 +393,8 @@ class TestPoolSize:
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started")
+            raise AssertionError("thread pool started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         cfg = ExperimentConfig("illus1", 6, (2,), (200,), (0.5,), 3, base_seed=7)
         assert run_experiment(cfg, workers=8) == run_experiment(cfg, workers=1)
