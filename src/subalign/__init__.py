@@ -31,7 +31,6 @@ from .model import (
     identity_pair,
     mvn_gram,
     reversed_pair,
-    scientists_covariance,
     scientists_sample,
     spiked_diag_pair,
 )
@@ -47,4 +46,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -27,8 +27,8 @@ import warnings
 
 import numpy as np
 
-from .grassmann import weight
-from .kernel import centered_gram, evaluate_gram
+from .grassmann import unit_scale_inplace, weight
+from .kernel import center_gram_inplace, evaluate_gram
 from .sim import ExperimentConfig, ReplicateRecord, run_experiment, summarize
 from .theory import plugin_rho
 
@@ -273,11 +273,11 @@ def cmd_compute(args) -> int:
         if mat is not None and not np.all(np.isfinite(mat)):
             return _usage_error(f"{name} has non-finite entries (nan or inf)")
     # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
-    # it.  Dividing each by the power of two just above its max |entry| keeps the Gram
-    # matrix in range and is exact: results at ordinary scales and exact zeros are
-    # unchanged.  (The weight's scale is removed by grassmann.weight.)
-    x, y = (np.ldexp(mat, -np.frexp(np.max(np.abs(mat)))[1]) for mat in (x, y))
-    gram = centered_gram(np.vstack([x, y]))
+    # it: removing each one's scale exactly keeps it in range (weight() removes C's).
+    stack = np.vstack([x, y])
+    for half in (stack[:m], stack[m:]):
+        unit_scale_inplace(half)
+    gram = center_gram_inplace(stack)
     out = evaluate_gram(gram, args.k, args.method, n,
                         None if cross is None else weight(cross, args.k))
     if out.status != "ok":

@@ -40,6 +40,7 @@ __all__ = [
     "weight",
     "weighted_sq",
     "check_isometry",
+    "unit_scale_inplace",
 ]
 
 # Columnwise orthonormality tolerance for bases and isometries.
@@ -134,9 +135,8 @@ def chordal_sq(inner: np.ndarray) -> float:
 class Weight:
     """An eth^2 weight prepared by :func:`weight`; read only by :func:`weighted_sq`.
 
-    ``scaled`` is the m x m weight divided by the power of two just above its
-    largest |entry| (None for the exactly zero weight) and ``mass`` the mean
-    of its k largest singular values.
+    ``scaled`` is the m x m weight after :func:`unit_scale_inplace` (None for
+    the exactly zero weight) and ``mass`` the mean of its k largest singular values.
     """
 
     m: int
@@ -149,11 +149,9 @@ def weight(cross_cov: np.ndarray, k: int) -> Weight:
     """Prepare the m x m weight C of :func:`weighted_sq` for k-dimensional subspaces.
 
     Checks that C is a nonempty square matrix and ``1 <= k <= m``, and does
-    the per-weight work once: dividing C by the power of two just above its
-    largest |entry| is exact, removes its scale and keeps both SVDs of
-    :func:`weighted_sq` in range at any scale; then the top-k singular-value
-    mass of the result.  The exactly zero weight (``not np.any(C)``) is kept
-    as such.
+    the per-weight work once: :func:`unit_scale_inplace` on a copy of C keeps
+    both SVDs of :func:`weighted_sq` in range at any scale; then the top-k
+    singular-value mass.  The exactly zero weight (``not np.any(C)``) is kept.
     """
     c = np.asarray(cross_cov, dtype=float)
     m = c.shape[0] if c.ndim == 2 else 0
@@ -163,9 +161,19 @@ def weight(cross_cov: np.ndarray, k: int) -> Weight:
         raise ValueError(f"weight needs 1 <= k <= m, got k={k}, m={m}")
     if not np.any(c):
         return Weight(m, k, None, 0.0)
-    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
+    c = unit_scale_inplace(c.copy())
     c.setflags(write=False)
     return Weight(m, k, c, topk_mass(c, k) / k)
+
+
+def unit_scale_inplace(a: np.ndarray) -> np.ndarray:
+    """Divide the float array ``a`` in place by the power of two just above its largest |entry|.
+
+    Returns ``a``, its largest |entry| now in [1/2, 1) (zeros stay zero).  A
+    power of two is exact short of subnormal results, so only the scale changes.
+    """
+    np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1], out=a)
+    return a
 
 
 def weighted_sq(a: np.ndarray, b: np.ndarray, w: Weight) -> float:

@@ -31,6 +31,10 @@ forms of the distances, as this module's oracle.  Only subspace-level
 quantities leave this module, so the sign and order of the eigenvectors
 inside a basis do not matter.
 
+Scale.  The outputs are invariant to the scale of S, but products of its
+entries overflow near max |S| = 1e160 and underflow near 1e-160, so
+:func:`evaluate_gram` first removes that scale exactly (``grassmann.unit_scale_inplace``).
+
 Rank.  Centered data with n observations has rank at most n - 1, so
 ``n <= k`` is deficient outright.  Otherwise an eigenvalue of Sxx (Syy)
 counts toward the rank when it exceeds ``lambda_1 * max(m, n) * eps``.  The
@@ -53,11 +57,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grassmann import Weight, chordal_sq, weighted_sq
+from .grassmann import Weight, chordal_sq, unit_scale_inplace, weighted_sq
 
 __all__ = ["GramResult", "centered_gram", "center_gram_inplace", "gram_blocks", "evaluate_gram"]
 
-# ||P_a Xc||_F below sqrt of this makes the sqrt(k) rescaling undefined.
+# ||P_a Xc||_F^2 below this times max |S| makes the sqrt(k) rescaling undefined.
 _DEGENERATE_SQ = 1e-300
 
 
@@ -146,7 +150,9 @@ def evaluate_gram(
         must already have passed :func:`subalign.grassmann.check_isometry`,
         as :func:`subalign.sim.make_cell` does once per cell.
     """
+    s = np.array(s, dtype=float)
     sxx, syy, sxy = gram_blocks(s)
+    unit_scale_inplace(s)  # the blocks are views of s
     m = sxx.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")

@@ -6,9 +6,8 @@ Two families are provided.
   devices see the same signal Z with accuracy ``gamma``, contaminated by
   independent noise Z' and Z''.  Either the mixture scenario (each entry is
   Z with probability gamma, fresh noise otherwise) or the linear scenario
-  ``X = gamma Z + sqrt(1 - gamma^2) Z'``.  Both induce the block covariance
-  Cov(X) = Cov(Y) = alpha I, Cov(X, Y) = gamma^2 alpha I.  It returns X
-  and Y as the two halves of one ``(2m, n)`` array.
+  ``X = gamma Z + sqrt(1 - gamma^2) Z'``.  It returns X stacked on Y, one
+  ``(2m, n)`` array; either scenario gives it covariance ``identity_pair(m, gamma^2)``.
 
 * :func:`mvn_gram` draws zero-mean jointly Gaussian pairs with an
   arbitrary :class:`JointCovariance` and returns the centered 2m x 2m Gram
@@ -30,7 +29,6 @@ __all__ = [
     "JointCovariance",
     "ScientistParams",
     "scientists_sample",
-    "scientists_covariance",
     "mvn_gram",
     "identity_pair",
     "spiked_diag_pair",
@@ -117,14 +115,13 @@ class ScientistParams:
     gamma in [0, 1] is the measurement accuracy (1: both devices record the
     signal exactly; 0: their outputs are independent).  ``base`` selects the
     common distribution of the signal/noise variables: "normal" or
-    "uniform", each centered with variance ``alpha``.
+    "uniform", each centered with unit variance (every output is scale-free).
     """
 
     m: int
     gamma: float
     scenario: str = "linear"
     base: str = "normal"
-    alpha: float = 1.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -135,44 +132,31 @@ class ScientistParams:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.base not in ("normal", "uniform"):
             raise ValueError(f"unknown base distribution {self.base!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-
-def _base_draw(params: ScientistParams, rng: np.random.Generator, shape) -> np.ndarray:
-    if params.base == "normal":
-        return np.sqrt(params.alpha) * rng.standard_normal(shape)
-    half_width = np.sqrt(3.0 * params.alpha)  # variance alpha
-    return rng.uniform(-half_width, half_width, shape)
 
 
 def scientists_sample(params: ScientistParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n paired daily measurements: X stacked on Y, one ``(2m, n)`` array.
 
     Draw order (fixed for reproducibility): signal Z, noises Z' and Z''
-    (each m x n; they fill the X and Y halves), then for the mixture
+    (each m x n, drawn as one ``(3, m, n)`` block), then for the mixture
     scenario the two Bernoulli selector fields, independent per (feature, day).
+    Z' and Z'' become X and Y in place, and the result is a view of them.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    z = _base_draw(params, rng, (params.m, n))
-    out = np.vstack([_base_draw(params, rng, z.shape) for _ in range(2)])  # Z', Z''
-    halves = out.reshape(2, *z.shape)
+    shape = (3, params.m, n)
+    if params.base == "normal":
+        draw = rng.standard_normal(shape)
+    else:
+        draw = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape)  # unit variance
+    z, halves = draw[0], draw[1:]
     if params.scenario == "mixture":
-        for half in halves:
-            np.copyto(half, z, where=rng.random(z.shape) < params.gamma)
+        np.copyto(halves, z, where=rng.random(halves.shape) < params.gamma)
     else:
         halves *= np.sqrt(1.0 - params.gamma**2)
-        halves += params.gamma * z
-    return out
-
-
-def scientists_covariance(params: ScientistParams) -> JointCovariance:
-    """The block covariance both scenarios induce: alpha I blocks, gamma^2 alpha I cross."""
-    eye = np.eye(params.m)
-    return JointCovariance(
-        params.alpha * eye, params.alpha * eye, params.gamma**2 * params.alpha * eye
-    )
+        z *= params.gamma
+        halves += z
+    return halves.reshape(2 * params.m, n)
 
 
 # One reusable (2m, n) draw buffer per thread, so the pool threads of

@@ -44,7 +44,7 @@ import numpy as np
 
 from .grassmann import Weight, check_isometry, weight
 from .kernel import center_gram_inplace, evaluate_gram
-from .model import JointCovariance, ScientistParams, mvn_gram, scientists_covariance, scientists_sample
+from .model import JointCovariance, ScientistParams, mvn_gram, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .theory import predicted_fit_error_sq, rho
 
@@ -207,7 +207,7 @@ class Cell(NamedTuple):
 def make_cell(model: Model, k: int, isometry: Optional[np.ndarray] = None,
               sweep_param: float = nan) -> Cell:
     """Build a cell: compute rho, prepare the weight and check the isometry, once."""
-    jc = scientists_covariance(model) if isinstance(model, ScientistParams) else model
+    jc = identity_pair(model.m, model.gamma**2) if isinstance(model, ScientistParams) else model
     if isometry is not None:
         isometry = check_isometry(isometry, jc.m)
     return Cell(sweep_param, model, isometry, k, rho(jc, k), weight(jc.cov_xy, k))
@@ -276,8 +276,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
     replicate raises, or the run is interrupted, chunks not yet started are
     cancelled and the exception propagates once the running ones finish.
     Because every replicate is a pure function of its derived seed, the
-    output is identical at any worker count.
+    output is identical at any worker count.  ``workers < 1`` raises ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [
         (cell, n, replicate_seed(cfg.base_seed, param_index, rep), rep)
         for param_index, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))

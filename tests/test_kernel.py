@@ -34,7 +34,6 @@ from subalign import (
 from subalign import sim
 from subalign.grassmann import weight
 from subalign.kernel import center_gram_inplace
-from subalign.model import _base_draw
 
 from conftest import random_joint_covariance
 
@@ -206,6 +205,9 @@ class TestEvaluateGram:
         b = evaluate_gram(gram / 49.0, 2, "pca", 50, weight(np.eye(6), 2))
         for field in ("d_sq", "eth_sq", "eps_sq"):
             assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-12)
+        # A power of two is removed exactly, down to 1e-271 and up to 1e271.
+        for e in (-900, -600, 600, 900):
+            assert evaluate_gram(np.ldexp(gram, e), 2, "pca", 50, weight(np.eye(6), 2)) == a, e
 
     def test_degenerate_projection(self):
         x = np.vstack([np.zeros((2, 30)), np.random.default_rng(1).standard_normal((3, 30))])
@@ -298,9 +300,12 @@ class TestDrawBuffer:
 
 
 def two_block_sample(params, n, rng):
-    """``scientists_sample`` as the formula it replaced: X and Y as two arrays, then stacked."""
+    """``scientists_sample`` as the formula it replaced: three draws, X and Y apart, then stacked."""
     shape = (params.m, n)
-    z, z1, z2 = (_base_draw(params, rng, shape) for _ in range(3))
+    if params.base == "normal":
+        z, z1, z2 = (rng.standard_normal(shape) for _ in range(3))
+    else:
+        z, z1, z2 = (rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape) for _ in range(3))
     if params.scenario == "mixture":
         keep_x = rng.random(shape) < params.gamma
         keep_y = rng.random(shape) < params.gamma
@@ -312,11 +317,11 @@ def two_block_sample(params, n, rng):
     return np.vstack([x, y])
 
 
-SCIENTIST_MODELS = [ScientistParams(m=5, gamma=g, scenario=s, base=b, alpha=a)
-                    for g, s, b, a in ((0.7, "mixture", "normal", 1.0),
-                                       (0.4, "mixture", "uniform", 2.5),
-                                       (0.8, "linear", "normal", 0.5),
-                                       (1.0, "linear", "uniform", 1.0))]
+SCIENTIST_MODELS = [ScientistParams(m=5, gamma=g, scenario=s, base=b)
+                    for g, s, b in ((0.7, "mixture", "normal"),
+                                    (0.4, "mixture", "uniform"),
+                                    (0.8, "linear", "normal"),
+                                    (1.0, "linear", "uniform"))]
 
 
 class TestScientistsDraw:

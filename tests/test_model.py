@@ -7,7 +7,6 @@ from subalign import (
     identity_pair,
     mvn_gram,
     reversed_pair,
-    scientists_covariance,
     scientists_sample,
     spiked_diag_pair,
 )
@@ -77,10 +76,6 @@ class TestScientistParams:
         with pytest.raises(ValueError, match="gamma"):
             ScientistParams(m=4, gamma=1.2)
 
-    def test_alpha_positive(self):
-        with pytest.raises(ValueError, match="alpha"):
-            ScientistParams(m=4, gamma=0.5, alpha=0.0)
-
     def test_scenario_names(self):
         with pytest.raises(ValueError, match="scenario"):
             ScientistParams(m=4, gamma=0.5, scenario="other")
@@ -114,25 +109,15 @@ class TestScientistsSample:
     @pytest.mark.parametrize("scenario", ["mixture", "linear"])
     @pytest.mark.parametrize("base", ["normal", "uniform"])
     def test_sample_block_matches_analytic(self, scenario, base):
-        params = ScientistParams(m=4, gamma=0.6, scenario=scenario, base=base, alpha=1.0)
+        params = ScientistParams(m=4, gamma=0.6, scenario=scenario, base=base)
         z = scientists_sample(params, 100_000, np.random.default_rng(3))
         observed = sample_block_cov(z)
-        expected = scientists_covariance(params).block()
+        expected = identity_pair(4, 0.36).block()
         assert np.max(np.abs(observed - expected)) < 0.05
-
-    def test_uniform_base_variance_scales_with_alpha(self):
-        params = ScientistParams(m=3, gamma=0.5, base="uniform", alpha=2.5)
-        z = scientists_sample(params, 100_000, np.random.default_rng(4))
-        assert np.allclose(z.var(axis=1), 2.5, atol=0.1)
 
     def test_requires_positive_n(self, rng):
         with pytest.raises(ValueError, match="n must be"):
             scientists_sample(ScientistParams(m=3, gamma=0.5), 0, rng)
-
-    def test_induced_covariance(self):
-        jc = scientists_covariance(ScientistParams(m=4, gamma=0.8, alpha=2.0))
-        assert np.allclose(jc.cov_x, 2.0 * np.eye(4))
-        assert np.allclose(jc.cov_xy, 0.64 * 2.0 * np.eye(4))
 
 
 class TestMvnSample:

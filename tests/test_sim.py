@@ -154,9 +154,14 @@ class TestMakeCell:
         assert weighted_sq(basis, w @ basis, cell.weight) == pytest.approx(0.0, abs=1e-12)
 
     def test_scientists_model_resolves_to_its_covariance(self):
-        cell = make_cell(ScientistParams(m=6, gamma=0.8), 2)
-        assert cell.rho == pytest.approx(0.64)
-        assert cell.isometry is None and np.isnan(cell.sweep_param)
+        # The two-device model is the identity pair at beta = gamma^2.
+        for gamma in (0.4, 0.8, 1.0):
+            cell = make_cell(ScientistParams(m=6, gamma=gamma), 2)
+            twin = make_cell(identity_pair(6, gamma**2), 2)
+            assert cell.rho == pytest.approx(gamma**2, abs=1e-15)
+            assert cell.weight.mass == twin.weight.mass
+            assert np.array_equal(cell.weight.scaled, twin.weight.scaled)
+            assert cell.isometry is None and np.isnan(cell.sweep_param)
 
     def test_rejects_non_orthogonal_isometry(self):
         with pytest.raises(ValueError, match="not orthogonal"):
@@ -185,6 +190,35 @@ class TestRunExperiment:
     def test_worker_count_does_not_change_results(self):
         cfg = self.small_cfg(replicates=4)
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, monkeypatch, workers):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran before workers was checked")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started before workers was checked")
+
+        monkeypatch.setattr(sim, "run_replicate", no_replicate)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(self.small_cfg(), workers=workers)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e160, 1e300])
+    def test_model_scale_does_not_matter(self, scale):
+        # The Gram matrix scales with the model; the kernel removes that scale.
+        base = identity_pair(6, 0.5)
+        scaled = JointCovariance(scale * base.cov_x, scale * base.cov_y, scale * base.cov_xy)
+
+        def records(jc):
+            return run_experiment(ExperimentConfig(
+                "custom", 6, (1, 2), (1000,), (), 3, base_seed=1, models=((0.5, jc, None),)))
+
+        want, got = records(base), records(scaled)
+        assert [r.status for r in got] == ["ok"] * 6
+        for g, w in zip(got, want):
+            for field in ("d_sq", "eth_sq", "eps_sq", "predicted", "residual"):
+                assert getattr(g, field) == pytest.approx(getattr(w, field), abs=1e-9)
 
     def test_custom_models(self):
         jc, w = reversed_pair(8, 0.7, 0.5)

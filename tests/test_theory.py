@@ -9,11 +9,11 @@ from subalign import (
     centered_gram,
     hausdorff_sq,
     identity_pair,
+    make_cell,
     plugin_rho,
     predicted_fit_error_sq,
     reversed_pair,
     rho,
-    scientists_covariance,
     spiked_diag_pair,
     weighted_hausdorff_sq,
 )
@@ -36,10 +36,8 @@ class TestRho:
         assert rho(identity_pair(6, 0.0), 2) == 0.0
 
     def test_scientists_reduction(self):
-        params = ScientistParams(m=5, gamma=0.8)
-        jc = scientists_covariance(params)
         for k in (1, 3, 5):
-            assert rho(jc, k) == pytest.approx(0.64, abs=1e-12)
+            assert make_cell(ScientistParams(m=5, gamma=0.8), k).rho == pytest.approx(0.64, abs=1e-12)
 
     def test_bounds_fuzz(self, rng):
         for _ in range(300):
@@ -93,9 +91,9 @@ class TestGammaToRho:
 
     @pytest.mark.parametrize("gamma,expected", [(0.0, 0.0), (1.0, 1.0), (0.8, 0.64)])
     def test_values(self, gamma, expected):
-        jc = scientists_covariance(ScientistParams(m=4, gamma=gamma, alpha=2.5))
         for k in (1, 4):
-            assert rho(jc, k) == pytest.approx(expected, abs=1e-15)
+            cell = make_cell(ScientistParams(m=4, gamma=gamma), k)
+            assert cell.rho == pytest.approx(expected, abs=1e-15)
 
 
 def test_weighted_prediction_matches_corrected_distance_prediction(rng):
