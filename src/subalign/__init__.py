@@ -24,7 +24,7 @@ from .datamatrix import (
     optimal_rotation,
     pca_subspace,
 )
-from .kernel import GramResult, centered_gram, evaluate_gram
+from .kernel import GramResult, evaluate_gram
 from .model import (
     JointCovariance,
     ScientistParams,
@@ -46,4 +46,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -29,10 +30,10 @@ import numpy as np
 
 from .grassmann import unit_scale_inplace, weight
 from .kernel import center_gram_inplace, evaluate_gram
-from .sim import ExperimentConfig, ReplicateRecord, run_experiment, summarize
+from .sim import METHODS, ExperimentConfig, ReplicateRecord, run_experiment, summarize
 from .theory import plugin_rho
 
-__all__ = ["main", "entry", "CSV_COLUMNS", "write_records_csv", "read_records_csv"]
+__all__ = ["main", "entry", "CSV_COLUMNS", "write_records_csv"]
 
 CSV_COLUMNS = [
     "experiment", "method", "m", "k", "n", "sweep_param", "replicate",
@@ -71,28 +72,6 @@ def write_records_csv(records: list[ReplicateRecord], path: str) -> None:
             ])
 
 
-def read_records_csv(path: str) -> list[ReplicateRecord]:
-    """Parse a records CSV back into ReplicateRecord values (gap column dropped)."""
-    def opt(cell: str):
-        return None if cell == "" else float(cell)
-
-    records = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected records CSV header: {header}")
-        for row in reader:
-            records.append(ReplicateRecord(
-                experiment=row[0], method=row[1], m=int(row[2]), k=int(row[3]),
-                n=int(row[4]), sweep_param=float(row[5]), replicate=int(row[6]),
-                d_sq=opt(row[7]), eth_sq=opt(row[8]), eps_sq=opt(row[9]),
-                predicted=opt(row[10]), residual=opt(row[11]),
-                d_sq_corrected=opt(row[12]), status=row[13],
-            ))
-    return records
-
-
 def _reference_lines(cells) -> list[dict]:
     """Limit lines eps^2 = intercept + slope * distance, per (sweep value, k) cell."""
     lines = []
@@ -111,11 +90,9 @@ def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int,
     failed = sum(s.failed for s in stats)
     groups = []
     for s in stats:
-        entry = s.as_dict()
-        for key, value in entry.items():
-            if isinstance(value, float):
-                entry[key] = _round12(value)
-        groups.append(entry)
+        entry = dict(s.group) | {f.name: getattr(s, f.name) for f in dataclasses.fields(s)[1:]}
+        groups.append({key: _round12(value) if isinstance(value, float) else value
+                       for key, value in entry.items()})
     return {
         "experiment": cfg.experiment,
         "method": cfg.method,
@@ -194,7 +171,7 @@ def _add_run_flags(sp, *, m, reps):
     sp.add_argument("--n", type=int, nargs="+", default=None, help="observation counts")
     sp.add_argument("--reps", type=int, default=reps, help=f"replicates per cell (default {reps})")
     sp.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
-    sp.add_argument("--method", choices=["pca", "trivial"], default="pca")
+    sp.add_argument("--method", choices=METHODS, default="pca")
     sp.add_argument("--out", help="records CSV path (default <experiment>_records.csv)")
     sp.add_argument("--summary", help="summary JSON path (default <experiment>_summary.json)")
     sp.add_argument("--threads", type=int, default=1, help="parallel workers (default 1)")
@@ -329,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("y", help="CSV for Y, same shape")
     pc.add_argument("--k", type=int, required=True, help="projection dimension")
     pc.add_argument("--cross-cov", help="optional m x m cross-covariance CSV (enables eth_sq)")
-    pc.add_argument("--method", choices=["pca", "trivial"], default="pca")
+    pc.add_argument("--method", choices=METHODS, default="pca")
     pc.set_defaults(func=cmd_compute)
 
     return parser

@@ -7,8 +7,7 @@ Everything a replicate (or ``subalign compute``) reports is a function of
 the 2m x 2m Gram matrix of the stacked centered data ``Zc = [Xc; Yc]``.
 Centering and the Gram product are written once, in
 :func:`center_gram_inplace`, which centers an array its caller owns (such
-as ``mvn_gram``'s reused draw buffer) without a copy; :func:`centered_gram`
-copies first and leaves its input alone.  From S:
+as ``mvn_gram``'s reused draw buffer) without a copy.  From S:
 
 * the PCA bases A and B are the top-k eigenvectors of Sxx and Syy (the
   trivial method uses e_1, ..., e_k);
@@ -59,7 +58,7 @@ import numpy as np
 
 from .grassmann import Weight, chordal_sq, unit_scale_inplace, weighted_sq
 
-__all__ = ["GramResult", "centered_gram", "center_gram_inplace", "gram_blocks", "evaluate_gram"]
+__all__ = ["GramResult", "center_gram_inplace", "gram_blocks", "evaluate_gram"]
 
 # ||P_a Xc||_F^2 below this times max |S| makes the sqrt(k) rescaling undefined.
 _DEGENERATE_SQ = 1e-300
@@ -70,7 +69,8 @@ class GramResult(NamedTuple):
 
     ``status`` is "ok", "deficient_rank" or "degenerate_projection"; the
     numeric fields are None unless ok.  ``eth_sq`` is None without a weight,
-    ``d_sq_corrected`` without an isometry.
+    ``d_sq_corrected`` without an isometry.  The field names are those of
+    :class:`subalign.sim.ReplicateRecord`, which takes them by name.
     """
 
     status: str
@@ -80,20 +80,11 @@ class GramResult(NamedTuple):
     d_sq_corrected: Optional[float] = None
 
 
-def centered_gram(z: np.ndarray) -> np.ndarray:
-    """``Zc Zc^T`` for ``z`` with rows as variables, after removing each row's mean.
-
-    ``z`` is left unchanged: a copy is centered (see :func:`center_gram_inplace`).
-    """
-    return center_gram_inplace(np.array(z, dtype=float))
-
-
 def center_gram_inplace(z: np.ndarray) -> np.ndarray:
-    """:func:`centered_gram` of a float array the caller owns, centering it in place.
+    """``Zc Zc^T`` for a float array ``z`` the caller owns, rows as variables.
 
-    Subtracting each row's mean in place gives the same numbers as ``z - mean``,
-    and ``z @ z.T`` is the same BLAS call, so both routes agree bit for bit.
-    The returned Gram matrix is a fresh array; ``z`` is left centered.
+    Each row's mean is subtracted in place, so ``z`` is left centered; the
+    returned Gram matrix is a fresh array.
     """
     if z.ndim != 2:
         raise ValueError(f"data must be 2-d, got shape {z.shape}")
@@ -137,7 +128,7 @@ def evaluate_gram(
     Parameters
     ----------
     s : (2m, 2m) ndarray
-        Gram matrix of the stacked centered data (see :func:`centered_gram`);
+        Gram matrix of the stacked centered data (see :func:`center_gram_inplace`);
         any positive multiple, such as the sample covariance, gives the same result.
     k, method, n
         Projection dimension, "pca" or "trivial", and the observation count.
@@ -170,7 +161,9 @@ def evaluate_gram(
         return GramResult("degenerate_projection")
 
     nuclear = np.linalg.svd(a.T @ sxy @ b, compute_uv=False).sum()
-    eps_sq = 2.0 * k - 2.0 * k * nuclear / np.sqrt(var_x * var_y)
+    # Two roots: for the trivial method, var_x * var_y underflows once the first k
+    # coordinates carry less than about 1e-154 of max |S|.
+    eps_sq = 2.0 * k - 2.0 * k * nuclear / (np.sqrt(var_x) * np.sqrt(var_y))
     eps_sq = min(max(float(eps_sq), 0.0), 2.0 * k)
     d_sq = chordal_sq(a.T @ b)
 

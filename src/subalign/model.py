@@ -84,7 +84,7 @@ class JointCovariance:
             skew = np.max(np.abs(mat - mat.T))
             if skew > _SYM_TOL * size:
                 raise ValueError(f"{name} not symmetric (max asymmetry {skew:.3e})")
-        eigvals, eigvecs = np.linalg.eigh(_assemble_block(cov_x, cov_y, cov_xy))
+        eigvals, eigvecs = np.linalg.eigh(np.block([[cov_x, cov_xy], [cov_xy.T, cov_y]]))
         if eigvals[0] < _PSD_TOL * eigvals[-1]:
             raise ValueError(
                 f"block covariance not positive semidefinite (min eig {eigvals[0]:.3e})"
@@ -98,14 +98,6 @@ class JointCovariance:
     @property
     def m(self) -> int:
         return self.cov_x.shape[0]
-
-    def block(self) -> np.ndarray:
-        """The assembled 2m x 2m covariance of the stacked vector (X, Y)."""
-        return _assemble_block(self.cov_x, self.cov_y, self.cov_xy)
-
-
-def _assemble_block(cov_x, cov_y, cov_xy) -> np.ndarray:
-    return np.block([[cov_x, cov_xy], [cov_xy.T, cov_y]])
 
 
 @dataclass(frozen=True)
@@ -176,7 +168,7 @@ def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarra
     its shape matches (replaced when it changes), then centered in place, so a
     call allocates no m x n array; ``standard_normal(out=)`` fills the same
     values in the same order, so the result equals
-    ``L @ centered_gram(rng.standard_normal((2m, n))) @ L.T`` bit for bit.
+    ``L @ center_gram_inplace(rng.standard_normal((2m, n))) @ L.T`` bit for bit.
     The returned matrix is always a fresh array.
     """
     buf = getattr(_draws, "buf", None)

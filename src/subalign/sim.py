@@ -129,6 +129,10 @@ class ExperimentConfig:
             raise ValueError(f"n values must be >= 2: {self.n_values}")
         if not all(map(isfinite, (*self.sweep, self.beta, self.lambda2))):
             raise ValueError("sweep, beta and lambda2 must be finite")
+        for name in ("sweep", "k_values", "n_values"):  # a repeat would merge summary groups
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.experiment == "custom":
             if not self.models:
                 raise ValueError("custom experiment requires models")
@@ -141,8 +145,8 @@ class ExperimentConfig:
 
         Built on first use, which checks that the models are feasible and of
         dimension ``m``, that their isometries are orthogonal and that their
-        sweep values are finite, before any work; and kept: the config is
-        immutable, so a run builds each cell once.
+        sweep values are finite and distinct, before any work; and kept: the
+        config is immutable, so a run builds each cell once.
         """
         if self.experiment == "illus1":
             models = [(b, identity_pair(self.m, b), None) for b in self.sweep]
@@ -152,6 +156,8 @@ class ExperimentConfig:
             models = [(b, *reversed_pair(self.m, self.lambda2, b)) for b in self.sweep]
         else:
             models = self.models
+            if len({sweep_param for sweep_param, _, _ in models}) != len(models):
+                raise ValueError("custom models repeat a sweep_param")
         cells = []
         for sweep_param, model, w in models:
             if model.m != self.m:
@@ -169,7 +175,9 @@ class ReplicateRecord:
     ``status`` is "ok", or a reason code ("deficient_rank",
     "degenerate_projection") for replicates whose numeric fields are None.
     ``d_sq_corrected`` is the square distance after undoing the model's
-    isometry (illus3 only), None elsewhere.
+    isometry (illus3 only), None elsewhere.  Every field but the config axes,
+    ``predicted`` and ``residual`` is copied by name from the kernel's
+    :class:`subalign.kernel.GramResult`.
     """
 
     experiment: str
@@ -231,17 +239,12 @@ def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: 
     else:
         gram = mvn_gram(model, n, rng)
     out = evaluate_gram(gram, k, method, n, cell.weight, isometry=cell.isometry)
-    echo = dict(
-        experiment=experiment, method=method, m=model.m, k=k, n=n,
-        sweep_param=cell.sweep_param, replicate=replicate,
-    )
-    if out.status != "ok":
-        return ReplicateRecord(**echo, status=out.status)
-    predicted = predicted_fit_error_sq(cell.rho, k, out.eth_sq)
-    return ReplicateRecord(
-        **echo, d_sq=out.d_sq, eth_sq=out.eth_sq, eps_sq=out.eps_sq, predicted=predicted,
-        residual=out.eps_sq - predicted, d_sq_corrected=out.d_sq_corrected,
-    )
+    fit = {}
+    if out.status == "ok":
+        predicted = predicted_fit_error_sq(cell.rho, k, out.eth_sq)
+        fit = dict(predicted=predicted, residual=out.eps_sq - predicted)
+    return ReplicateRecord(experiment, method, model.m, k, n, cell.sweep_param, replicate,
+                           **out._asdict(), **fit)
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -325,14 +328,6 @@ class SummaryStats:
     mean_residual: float
     stdev_residual: float
     single_sample: bool = False
-
-    def as_dict(self) -> dict:
-        out = dict(self.group)
-        for field in ("count", "failed", "mean_eps_sq", "stdev_eps_sq",
-                      "mean_eps_sq_over_2k", "stdev_eps_sq_over_2k",
-                      "mean_residual", "stdev_residual", "single_sample"):
-            out[field] = getattr(self, field)
-        return out
 
 
 _GROUP_BY = ("method", "m", "k", "n", "sweep_param")

@@ -14,6 +14,11 @@ def random_orthogonal(rng, m) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def joint_block(jc: JointCovariance) -> np.ndarray:
+    """The 2m x 2m covariance of the stacked vector (X, Y)."""
+    return np.block([[jc.cov_x, jc.cov_xy], [jc.cov_xy.T, jc.cov_y]])
+
+
 def random_joint_covariance(rng, m) -> JointCovariance:
     # Gram construction guarantees a PSD block matrix; the 1/(2m) scale
     # keeps eigvalsh round-off well inside the constructor's tolerance.

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from subalign import cli, sim, theory
-from subalign.cli import CSV_COLUMNS, ILLUS1_BETAS, build_parser, main, read_records_csv
+from subalign.cli import CSV_COLUMNS, ILLUS1_BETAS, build_parser, main
 from subalign.sim import summarize
 
 
@@ -19,6 +20,12 @@ def run_illus1(tmp_path, *extra):
     ]
     code = main(argv)
     return code, out, summary
+
+
+def read_rows(path):
+    """The records CSV as one dict per row, keyed by column name."""
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 def test_illus1_writes_records_and_summary(tmp_path):
@@ -40,7 +47,12 @@ def test_illus1_writes_records_and_summary(tmp_path):
 def test_records_roundtrip_reproduces_summary(tmp_path):
     code, out, summary = run_illus1(tmp_path)
     assert code == 0
-    records = read_records_csv(str(out))
+    records = [
+        sim.ReplicateRecord(r["experiment"], r["method"], int(r["m"]), int(r["k"]), int(r["n"]),
+                            float(r["sweep_param"]), int(r["replicate"]), eps_sq=float(r["eps2"]),
+                            residual=float(r["residual"]), status=r["status"])
+        for r in read_rows(out)
+    ]
     regrouped = {tuple(s.group): s for s in summarize(records)}
     payload = json.loads(summary.read_text())
     for entry in payload["summary"]:
@@ -54,8 +66,7 @@ def test_records_roundtrip_reproduces_summary(tmp_path):
 def test_trivial_method_zeroes_distance_column(tmp_path):
     code, out, _ = run_illus1(tmp_path, "--method", "trivial")
     assert code == 0
-    records = read_records_csv(str(out))
-    assert all(r.d_sq == 0.0 for r in records)
+    assert all(float(r["d2"]) == 0.0 for r in read_rows(out))
 
 
 def test_illus3_emits_corrected_distance(tmp_path):
@@ -68,16 +79,11 @@ def test_illus3_emits_corrected_distance(tmp_path):
             "--beta", beta, "--out", str(out), "--summary", str(summary),
         ])
         assert code == 0
-        rows = out.read_text().strip().splitlines()[1:]
-        gap_col = CSV_COLUMNS.index("correction_gap")
-        for row in rows:
-            cells = row.split(",")
-            assert float(cells[gap_col]) < 1e-9, beta
-        records = read_records_csv(str(out))
-        for r in records:
-            assert r.d_sq_corrected is not None
+        for r in read_rows(out):
+            assert float(r["correction_gap"]) < 1e-9, beta
+            assert r["d2_corrected"] != ""
             # The raw distance ignores the coordinate reversal and is inflated.
-            assert r.d_sq > r.eth_sq + 0.5
+            assert float(r["d2"]) > float(r["eth2"]) + 0.5
 
 
 def test_failed_replicates_exit_code(tmp_path):
@@ -333,6 +339,15 @@ class TestUsageErrors:
         code, out, _ = run_illus1(tmp_path, "--threads", threads)
         assert code == 2
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--beta", "0.5"), ("--k", "1"), ("--n", "100")])
+    def test_repeated_value_exits_2(self, tmp_path, capsys, flag, value):
+        # A repeated sweep, k or n value would merge its cells into one summary group.
+        code, out, _ = run_illus1(tmp_path, flag, value, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "repeats" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("summary", ["same.out", "link.out"])

@@ -13,7 +13,6 @@ from subalign import (
     ScientistParams,
     Subspace,
     center,
-    centered_gram,
     evaluate_gram,
     fit_error_sq,
     hausdorff_sq,
@@ -105,7 +104,7 @@ class TestDifferential:
 
     def test_gram_matches_data_sampler(self):
         jc, _ = reversed_pair(8, 0.7, 0.6)
-        want = centered_gram(jc.root @ np.random.default_rng(11).standard_normal((16, 300)))
+        want = center_gram_inplace(jc.root @ np.random.default_rng(11).standard_normal((16, 300)))
         got = mvn_gram(jc, 300, np.random.default_rng(11))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -133,7 +132,7 @@ class TestRankTolerance:
         # round-off, far below the lambda_1 * max(m, n) * eps threshold.
         v = np.random.default_rng(3).standard_normal(5000)
         data = np.vstack([v, 2 * v, -v, 0.5 * v])
-        gram = centered_gram(np.vstack([data, data]))
+        gram = center_gram_inplace(np.vstack([data, data]))
         assert evaluate_gram(gram, 1, "pca", 5000).status == "ok"
         assert evaluate_gram(gram, 2, "pca", 5000).status == "deficient_rank"
 
@@ -144,7 +143,7 @@ class TestRankTolerance:
         q, _ = np.linalg.qr(rng.standard_normal((400, 2)))
         for ratio, status in ((1e-5, "ok"), (1e-9, "deficient_rank")):
             x = np.diag([1.0, ratio]) @ q.T
-            gram = centered_gram(np.vstack([x, x]))
+            gram = center_gram_inplace(np.vstack([x, x]))
             assert evaluate_gram(gram, 2, "pca", 400).status == status
 
     def test_trivial_method_has_no_rank_check(self):
@@ -165,8 +164,8 @@ class TestProperties:
     def test_eps_symmetric_in_x_and_y(self, m, data, seed, method):
         k = data.draw(st.integers(1, m))
         x, y = random_data(seed, m, 40)
-        xy = evaluate_gram(centered_gram(np.vstack([x, y])), k, method, 40)
-        yx = evaluate_gram(centered_gram(np.vstack([y, x])), k, method, 40)
+        xy = evaluate_gram(center_gram_inplace(np.vstack([x, y])), k, method, 40)
+        yx = evaluate_gram(center_gram_inplace(np.vstack([y, x])), k, method, 40)
         assert xy.eps_sq == pytest.approx(yx.eps_sq, abs=1e-10)
         assert xy.d_sq == pytest.approx(yx.d_sq, abs=1e-10)
 
@@ -176,8 +175,8 @@ class TestProperties:
     def test_eps_invariant_to_scaling_x(self, m, data, seed, c, method):
         k = data.draw(st.integers(1, m))
         x, y = random_data(seed, m, 40)
-        base = evaluate_gram(centered_gram(np.vstack([x, y])), k, method, 40)
-        scaled = evaluate_gram(centered_gram(np.vstack([c * x, y])), k, method, 40)
+        base = evaluate_gram(center_gram_inplace(np.vstack([x, y])), k, method, 40)
+        scaled = evaluate_gram(center_gram_inplace(np.vstack([c * x, y])), k, method, 40)
         assert scaled.status == base.status == "ok"
         assert scaled.eps_sq == pytest.approx(base.eps_sq, abs=1e-9)
 
@@ -190,7 +189,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         w, r = np.linalg.qr(rng.standard_normal((m, m)))
         x, y = random_data(seed, m, 40)
-        out = evaluate_gram(centered_gram(np.vstack([x, y])), k, "pca", 40,
+        out = evaluate_gram(center_gram_inplace(np.vstack([x, y])), k, "pca", 40,
                             weight(beta * w, k), isometry=w)
         assert out.eth_sq == pytest.approx(out.d_sq_corrected, abs=1e-9)
         for value in (out.d_sq, out.eth_sq, out.eps_sq):
@@ -200,7 +199,7 @@ class TestProperties:
 class TestEvaluateGram:
     def test_scale_of_gram_does_not_matter(self):
         x, y = random_data(5, 6, 50)
-        gram = centered_gram(np.vstack([x, y]))
+        gram = center_gram_inplace(np.vstack([x, y]))
         a = evaluate_gram(gram, 2, "pca", 50, weight(np.eye(6), 2))
         b = evaluate_gram(gram / 49.0, 2, "pca", 50, weight(np.eye(6), 2))
         for field in ("d_sq", "eth_sq", "eps_sq"):
@@ -211,12 +210,12 @@ class TestEvaluateGram:
 
     def test_degenerate_projection(self):
         x = np.vstack([np.zeros((2, 30)), np.random.default_rng(1).standard_normal((3, 30))])
-        gram = centered_gram(np.vstack([x, x]))
+        gram = center_gram_inplace(np.vstack([x, x]))
         assert evaluate_gram(gram, 2, "trivial", 30).status == "degenerate_projection"
 
     def test_without_weight_has_no_eth(self):
         x, y = random_data(6, 4, 30)
-        out = evaluate_gram(centered_gram(np.vstack([x, y])), 2, "pca", 30)
+        out = evaluate_gram(center_gram_inplace(np.vstack([x, y])), 2, "pca", 30)
         assert out.status == "ok" and out.eth_sq is None and out.d_sq_corrected is None
 
     def test_input_validation(self):
@@ -228,12 +227,12 @@ class TestEvaluateGram:
         with pytest.raises(ValueError, match="method"):
             evaluate_gram(gram, 1, "svd", 10)
         with pytest.raises(ValueError, match="2 observations"):
-            centered_gram(np.ones((3, 1)))
+            center_gram_inplace(np.ones((3, 1)))
 
 
 def fresh_draw_gram(jc, n, rng):
-    """``mvn_gram`` as the plain formula: a fresh (2m, n) draw, centered out of place."""
-    return jc.root @ centered_gram(rng.standard_normal((2 * jc.m, n))) @ jc.root.T
+    """``mvn_gram`` as the plain formula: a fresh (2m, n) draw, centered, no reused buffer."""
+    return jc.root @ center_gram_inplace(rng.standard_normal((2 * jc.m, n))) @ jc.root.T
 
 
 class TestDrawBuffer:
@@ -281,12 +280,6 @@ class TestDrawBuffer:
         with pytest.raises(ValueError, match="2 observations"):
             mvn_gram(identity_pair(3, 0.5), 1, np.random.default_rng(0))
 
-    def test_centered_gram_leaves_its_input_alone(self):
-        z = np.random.default_rng(3).standard_normal((4, 30)) + 5.0
-        before = z.copy()
-        centered_gram(z)
-        assert np.array_equal(z, before)
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_experiment_records_match_fresh_draws(self, monkeypatch, workers):
         cfg = ExperimentConfig("illus2", 20, (1, 2), (50, 2000), (0.7, 0.75), 3, base_seed=5)
@@ -329,7 +322,7 @@ class TestScientistsDraw:
     def test_stacked_draw_matches_two_block_formula(self, params):
         for n in (2, 37, 1000):
             got = center_gram_inplace(scientists_sample(params, n, np.random.default_rng(n)))
-            want = centered_gram(two_block_sample(params, n, np.random.default_rng(n)))
+            want = center_gram_inplace(two_block_sample(params, n, np.random.default_rng(n)))
             assert np.array_equal(got, want), n
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -11,6 +11,8 @@ from subalign import (
     spiked_diag_pair,
 )
 
+from conftest import joint_block
+
 
 def sample_block_cov(z):
     centered = z - z.mean(axis=1, keepdims=True)
@@ -19,11 +21,11 @@ def sample_block_cov(z):
 
 class TestJointCovariance:
     def test_block_assembly(self):
-        jc = identity_pair(3, 0.5)
-        block = jc.block()
-        assert block.shape == (6, 6)
-        assert np.allclose(block[:3, 3:], 0.5 * np.eye(3))
-        assert np.allclose(block, block.T)
+        # The root squares to [[cov_x, cov_xy], [cov_xy^T, cov_y]]: Cov(X, Y) above the diagonal.
+        cross = np.array([[0.3, 0.2, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.5]])
+        jc = JointCovariance(np.eye(3), 2 * np.eye(3), cross)
+        want = np.block([[np.eye(3), cross], [cross.T, 2 * np.eye(3)]])
+        np.testing.assert_allclose(jc.root @ jc.root, want, rtol=0, atol=1e-12)
 
     def test_rejects_asymmetric(self):
         bad = np.eye(3)
@@ -54,7 +56,7 @@ class TestJointCovariance:
         g = np.random.default_rng(0).standard_normal((12, 3))
         cov = scale * (g @ g.T)
         jc = JointCovariance(cov, cov, cov)
-        assert np.allclose(jc.root @ jc.root, jc.block(), rtol=0, atol=1e-8 * scale)
+        assert np.allclose(jc.root @ jc.root, joint_block(jc), rtol=0, atol=1e-8 * scale)
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
     def test_rejects_infeasible_model_at_any_scale(self, scale):
@@ -112,7 +114,7 @@ class TestScientistsSample:
         params = ScientistParams(m=4, gamma=0.6, scenario=scenario, base=base)
         z = scientists_sample(params, 100_000, np.random.default_rng(3))
         observed = sample_block_cov(z)
-        expected = identity_pair(4, 0.36).block()
+        expected = joint_block(identity_pair(4, 0.36))
         assert np.max(np.abs(observed - expected)) < 0.05
 
     def test_requires_positive_n(self, rng):
@@ -151,12 +153,12 @@ class TestMvnSample:
 class TestPresets:
     def test_identity_pair_near_singular(self):
         jc = identity_pair(6, 0.99)
-        low = np.linalg.eigvalsh(jc.block()).min()
+        low = np.linalg.eigvalsh(joint_block(jc)).min()
         assert low == pytest.approx(0.01, abs=1e-10)
 
     def test_identity_pair_singular_boundary(self):
         jc = identity_pair(6, 1.0)
-        assert np.linalg.eigvalsh(jc.block()).min() == pytest.approx(0.0, abs=1e-10)
+        assert np.linalg.eigvalsh(joint_block(jc)).min() == pytest.approx(0.0, abs=1e-10)
 
     def test_identity_pair_infeasible(self):
         with pytest.raises(ValueError, match="beta"):

@@ -95,6 +95,19 @@ class TestRunReplicate:
         rec = run_replicate(make_cell(jc, 2), 50, 99, method="trivial")
         assert rec.status == "degenerate_projection"
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-250])
+    def test_trivial_method_with_tiny_leading_coordinates(self, scale):
+        # The trivial subspace's variances are about `scale` each: their product
+        # underflows, but eps^2 does not depend on the scale of the first k coordinates.
+        def eps_sq(s):
+            d = np.diag([s, s, 1.0, 1.0])
+            rec = run_replicate(make_cell(JointCovariance(d, d, 0.5 * d), 2), 200, 1,
+                                method="trivial")
+            assert rec.status == "ok"
+            return rec.eps_sq
+
+        assert eps_sq(scale) == pytest.approx(eps_sq(1.0), abs=1e-9)
+
 
 class TestExperimentConfig:
     def test_rejects_bad_method(self):
@@ -138,6 +151,14 @@ class TestExperimentConfig:
         cfg = ExperimentConfig("custom", 6, (2,), (100,), (), 3,
                                models=((sweep_param, identity_pair(6, 0.5), None),))
         with pytest.raises(ValueError, match="sweep_param must be finite"):
+            cfg.cells
+
+
+    def test_custom_sweep_param_must_be_distinct(self):
+        # Both models would be summarized as one group, its mean between theirs.
+        models = ((0.5, identity_pair(6, 0.0), None), (0.5, identity_pair(6, 0.99), None))
+        cfg = ExperimentConfig("custom", 6, (2,), (1000,), (), 20, models=models)
+        with pytest.raises(ValueError, match="repeat a sweep_param"):
             cfg.cells
 
 
