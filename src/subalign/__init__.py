@@ -46,4 +46,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -10,9 +10,9 @@ compute  eps^2 / d^2 / plug-in rho for user-supplied CSV matrices
 Outputs: a records CSV (fixed column order, floats at 12 significant
 digits) and a summary JSON (strict RFC 8259: non-finite values are
 written as null).  Exit codes: 0 all replicates completed, 1 some
-replicates failed, 2 usage or I/O error (including infeasible models and
-non-finite input), 3 deficient rank or degenerate projection in
-``compute``.
+replicates failed, 2 usage or I/O error (including infeasible models,
+non-finite input and runs too large for memory), 3 deficient rank or
+degenerate projection in ``compute``.
 """
 
 from __future__ import annotations
@@ -128,6 +128,8 @@ def _run_and_write(args, **config) -> int:
         lines = _reference_lines(cfg.cells)
     except ValueError as exc:
         return _usage_error(exc)
+    except MemoryError as exc:
+        return _usage_error(f"not enough memory for this run: {exc}")
     out_path = args.out or f"{cfg.experiment}_records.csv"
     summary_path = args.summary or f"{cfg.experiment}_summary.json"
     created, error = [], None  # a rejected run removes the files its probe created
@@ -141,14 +143,18 @@ def _run_and_write(args, **config) -> int:
             error = f"--out and --summary name the same file: {out_path}"
     except OSError as exc:
         error = f"cannot write output: {exc}"
+    if not error:
+        for line in lines:
+            print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
+        try:
+            records = run_experiment(cfg, workers=args.threads)
+        except MemoryError as exc:
+            error = f"not enough memory for this run: {exc}"
     if error:
         for path in created:
             if os.path.exists(path):
                 os.remove(path)
         return _usage_error(error)
-    for line in lines:
-        print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
-    records = run_experiment(cfg, workers=args.threads)
     payload = _summary_payload(cfg, records, lines, args.threads, args.full_scale)
     try:
         write_records_csv(records, out_path)

@@ -18,7 +18,6 @@ Two families are provided.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,11 +150,6 @@ def scientists_sample(params: ScientistParams, n: int, rng: np.random.Generator)
     return halves.reshape(2 * params.m, n)
 
 
-# One reusable (2m, n) draw buffer per thread, so the pool threads of
-# sim.run_experiment never share one.
-_draws = threading.local()
-
-
 def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarray:
     """Centered 2m x 2m Gram matrix of n zero-mean Gaussian pairs with block covariance ``jc``.
 
@@ -163,20 +157,9 @@ def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarra
     standard-normal block drawn from ``rng``, but the data is never formed:
     centering commutes with ``L``, so the Gram matrix of the centered pairs
     is ``L (Gc Gc^T) L^T`` with ``Gc`` the centered normal block.
-
-    The block is drawn into a float64 buffer kept per thread and reused while
-    its shape matches (replaced when it changes), then centered in place, so a
-    call allocates no m x n array; ``standard_normal(out=)`` fills the same
-    values in the same order, so the result equals
-    ``L @ center_gram_inplace(rng.standard_normal((2m, n))) @ L.T`` bit for bit.
-    The returned matrix is always a fresh array.
     """
-    buf = getattr(_draws, "buf", None)
-    if buf is None or buf.shape != (2 * jc.m, n):
-        buf = _draws.buf = np.empty((2 * jc.m, n))
-    rng.standard_normal(out=buf)
     root = jc.root
-    return root @ center_gram_inplace(buf) @ root.T
+    return root @ center_gram_inplace(rng.standard_normal((2 * jc.m, n))) @ root.T
 
 
 def identity_pair(m: int, beta: float) -> JointCovariance:

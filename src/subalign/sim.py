@@ -1,16 +1,16 @@
 """Monte Carlo harness: replicate runs, deterministic seeding, summaries.
 
-A replicate samples one paired data set, reduces it to the 2m x 2m Gram
-matrix of the stacked centered data, derives the two projection subspaces
-from it (PCA or the trivial first-k-coordinates baseline), and records the
-square subspace distance, its weighted form (using the model's true
-cross-covariance block), the square Procrustes fitting-error, the
-predicted limiting value, and the residual (see :mod:`subalign.kernel`).
+A replicate draws the 2m x 2m Gram matrix of one stacked centered data
+pair from its cell, derives the two projection subspaces from it (PCA or
+the trivial first-k-coordinates baseline), and records the square subspace
+distance, its weighted form (using the model's true cross-covariance
+block), the square Procrustes fitting-error, the predicted limiting value,
+and the residual (see :mod:`subalign.kernel`).
 A run is a list of cells, one per (model, k), each built and validated
 once by :func:`make_cell` when a config's cells are first read
-(:attr:`ExperimentConfig.cells`): rho is computed, the model's weight is
-prepared and the isometry is checked there, and every replicate of the
-cell reads them.  The CLI's reference lines read the same cells.
+(:attr:`ExperimentConfig.cells`): the draw is picked, rho computed, the
+weight prepared and the isometry checked there, and every replicate of
+the cell reads them.  The CLI's reference lines read the same cells.
 
 Seeding contract
 ----------------
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
 from math import isfinite, nan
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -199,13 +199,14 @@ class ReplicateRecord:
 class Cell(NamedTuple):
     """One (sweep value, k) cell of a sweep, as built by :func:`make_cell`.
 
-    Holds what every replicate of the cell shares: the model, its checked
-    isometry (or None), the model's rho and the eth^2 weight, its
-    cross-covariance block prepared by :func:`subalign.grassmann.weight`.
+    Holds what every replicate of the cell shares: ``draw(n, rng)``, the
+    centered 2m x 2m Gram matrix of n fresh pairs from the model (it keeps
+    no state), the checked isometry (or None), the model's rho and the eth^2
+    weight, its cross-covariance block prepared by :func:`subalign.grassmann.weight`.
     """
 
     sweep_param: float
-    model: Model
+    draw: Callable[[int, np.random.Generator], np.ndarray]
     isometry: Optional[np.ndarray]
     k: int
     rho: float
@@ -214,36 +215,42 @@ class Cell(NamedTuple):
 
 def make_cell(model: Model, k: int, isometry: Optional[np.ndarray] = None,
               sweep_param: float = nan) -> Cell:
-    """Build a cell: compute rho, prepare the weight and check the isometry, once."""
-    jc = identity_pair(model.m, model.gamma**2) if isinstance(model, ScientistParams) else model
+    """Build a cell: pick the draw, compute rho, prepare the weight and check the isometry, once.
+
+    The one place that maps a model to its covariance and its draw (the
+    two-device model is the identity pair at ``beta = gamma^2``, drawn as data).
+    """
+    if isinstance(model, ScientistParams):
+        jc = identity_pair(model.m, model.gamma**2)
+
+        def draw(n, rng):
+            return center_gram_inplace(scientists_sample(model, n, rng))
+    else:
+        jc, draw = model, partial(mvn_gram, model)
     if isometry is not None:
         isometry = check_isometry(isometry, jc.m)
-    return Cell(sweep_param, model, isometry, k, rho(jc, k), weight(jc.cov_xy, k))
+    return Cell(sweep_param, draw, isometry, k, rho(jc, k), weight(jc.cov_xy, k))
 
 
 def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: str,
                   experiment: str = "custom") -> ReplicateRecord:
-    """Sample one paired data set from the cell's model and evaluate all per-replicate quantities.
+    """Draw one centered 2m x 2m Gram matrix from the cell and evaluate every replicate quantity.
 
-    The draw is reduced to its 2m x 2m centered Gram matrix and evaluated
-    by :func:`subalign.kernel.evaluate_gram` with the cell's weight and
+    The cell's draw, seeded by ``seed``, is evaluated by
+    :func:`subalign.kernel.evaluate_gram` with the cell's weight and
     isometry.  Rank-deficient PCA and degenerate (zero) projections
     yield a failed record with a reason code rather than raising; these
     have probability zero under continuous models with n > k but occur at
     extreme settings (e.g. n <= k).
     """
-    model, k = cell.model, cell.k
-    rng = np.random.default_rng(seed)
-    if isinstance(model, ScientistParams):
-        gram = center_gram_inplace(scientists_sample(model, n, rng))
-    else:
-        gram = mvn_gram(model, n, rng)
-    out = evaluate_gram(gram, k, method, n, cell.weight, isometry=cell.isometry)
+    k = cell.k
+    out = evaluate_gram(cell.draw(n, np.random.default_rng(seed)), k, method, n, cell.weight,
+                        isometry=cell.isometry)
     fit = {}
     if out.status == "ok":
         predicted = predicted_fit_error_sq(cell.rho, k, out.eth_sq)
         fit = dict(predicted=predicted, residual=out.eps_sq - predicted)
-    return ReplicateRecord(experiment, method, model.m, k, n, cell.sweep_param, replicate,
+    return ReplicateRecord(experiment, method, cell.weight.m, k, n, cell.sweep_param, replicate,
                            **out._asdict(), **fit)
 
 
@@ -272,8 +279,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
     ``workers > 1`` runs chunks of consecutive replicates on a pool of at
     most ``min(workers, usable CPUs, replicates)`` threads in this process:
     about ``workers * 8`` chunks, each of at most ``_MAX_CHUNK`` replicates.
-    The cells are shared read-only and each thread draws into its own buffer
-    (see :func:`subalign.model.mvn_gram`).  The draw, the in-place centering
+    The cells are shared read-only and their draws keep no state, so a run
+    holds no draw memory once it returns.  The draw, the in-place centering
     and the Gram product release the interpreter lock and run in parallel;
     the Python around them, such as building the records, does not.  When a
     replicate raises, or the run is interrupted, chunks not yet started are

@@ -361,6 +361,17 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and "same file" in err
         assert not (tmp_path / "same.out").exists()
 
+    @pytest.mark.parametrize("size", [("--m", "100000000", "--n", "10"),
+                                      ("--n", "10000000000000")], ids=["m", "n"])
+    def test_run_too_large_for_memory_exits_2(self, tmp_path, capsys, size):
+        # np.eye(m) would take 71 PiB and the (2m, n) draw 873 TiB: both exceed the
+        # address space, so numpy refuses them outright under any overcommit policy.
+        code, out, summary = run_illus1(tmp_path, "--reps", "1", *size)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "memory" in err
+        assert not out.exists() and not summary.exists()
+
     @pytest.mark.parametrize("existing, out, summary", [
         ({}, "rec.csv", "nodir/s.json"),
         ({"rec.csv": b"kept,1\n"}, "rec.csv", "nodir/s.json"),

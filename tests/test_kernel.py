@@ -231,11 +231,21 @@ class TestEvaluateGram:
 
 
 def fresh_draw_gram(jc, n, rng):
-    """``mvn_gram`` as the plain formula: a fresh (2m, n) draw, centered, no reused buffer."""
+    """``mvn_gram`` as the plain formula: a fresh (2m, n) normal draw, centered."""
     return jc.root @ center_gram_inplace(rng.standard_normal((2 * jc.m, n))) @ jc.root.T
 
 
+def counted(fn, calls):
+    """``fn``, appending its arguments to ``calls`` on every call."""
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
 class TestDrawBuffer:
+    """``mvn_gram`` against the fresh-draw formula, across shapes, calls and threads."""
+
     def test_matches_fresh_draw_across_shape_changes(self):
         for m in (6, 20):
             jc = spiked_diag_pair(m, 0.7, 0.6)
@@ -282,12 +292,17 @@ class TestDrawBuffer:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_experiment_records_match_fresh_draws(self, monkeypatch, workers):
-        cfg = ExperimentConfig("illus2", 20, (1, 2), (50, 2000), (0.7, 0.75), 3, base_seed=5)
+        # A cell binds its draw when it is built, and a config keeps its cells,
+        # so each side builds its own config.
+        def config():
+            return ExperimentConfig("illus2", 20, (1, 2), (50, 2000), (0.7, 0.75), 3, base_seed=5)
+
+        calls = []
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "mvn_gram", fresh_draw_gram)
-            want = run_experiment(cfg)
-        got = run_experiment(cfg, workers=workers)
-        assert len(got) == len(want) == 24
+            patch.setattr(sim, "mvn_gram", counted(fresh_draw_gram, calls))
+            want = run_experiment(config())
+        got = run_experiment(config(), workers=workers)
+        assert len(calls) == len(got) == len(want) == 24
         for g, w in zip(got, want):
             assert g == w
 
@@ -328,11 +343,16 @@ class TestScientistsDraw:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_experiment_records_match_two_block_formula(self, monkeypatch, workers):
         models = tuple((float(i), p, None) for i, p in enumerate(SCIENTIST_MODELS))
-        cfg = ExperimentConfig("custom", 5, (1, 3), (40, 500), (), 2, base_seed=8, models=models)
+
+        def config():  # one per side, as in TestDrawBuffer
+            return ExperimentConfig("custom", 5, (1, 3), (40, 500), (), 2, base_seed=8,
+                                    models=models)
+
+        calls = []
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "scientists_sample", two_block_sample)
-            want = run_experiment(cfg)
-        got = run_experiment(cfg, workers=workers)
-        assert len(got) == len(want) == 32
+            patch.setattr(sim, "scientists_sample", counted(two_block_sample, calls))
+            want = run_experiment(config())
+        got = run_experiment(config(), workers=workers)
+        assert len(calls) == len(got) == len(want) == 32
         for g, w in zip(got, want):
             assert g == w

@@ -1,7 +1,9 @@
 import concurrent.futures
+import gc
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,16 +15,19 @@ from subalign import (
     ScientistParams,
     identity_pair,
     make_cell,
+    mvn_gram,
     replicate_seed,
     reversed_pair,
     rho,
     run_experiment,
     run_replicate,
+    scientists_sample,
     spiked_diag_pair,
     summarize,
 )
 from subalign import sim
 from subalign.grassmann import weighted_sq
+from subalign.kernel import center_gram_inplace
 
 
 def reference_splitmix_mix(x):
@@ -166,7 +171,9 @@ class TestMakeCell:
     def test_per_cell_values(self):
         jc, w = reversed_pair(8, 0.7, 0.5)
         cell = make_cell(jc, 2, w, sweep_param=0.5)
-        assert (cell.sweep_param, cell.model, cell.k) == (0.5, jc, 2)
+        assert (cell.sweep_param, cell.k) == (0.5, 2)
+        assert np.array_equal(cell.draw(50, np.random.default_rng(3)),
+                              mvn_gram(jc, 50, np.random.default_rng(3)))
         assert cell.isometry is w
         assert cell.rho == rho(jc, 2)
         # The weight is Cov(X, Y) = 0.5 w, so eth^2(A, B) = d^2(A, w B): 0 at B = w A,
@@ -175,10 +182,13 @@ class TestMakeCell:
         assert weighted_sq(basis, w @ basis, cell.weight) == pytest.approx(0.0, abs=1e-12)
 
     def test_scientists_model_resolves_to_its_covariance(self):
-        # The two-device model is the identity pair at beta = gamma^2.
+        # The two-device model is the identity pair at beta = gamma^2, drawn as data.
         for gamma in (0.4, 0.8, 1.0):
-            cell = make_cell(ScientistParams(m=6, gamma=gamma), 2)
+            params = ScientistParams(m=6, gamma=gamma, scenario="mixture")
+            cell = make_cell(params, 2)
             twin = make_cell(identity_pair(6, gamma**2), 2)
+            want = center_gram_inplace(scientists_sample(params, 50, np.random.default_rng(4)))
+            assert np.array_equal(cell.draw(50, np.random.default_rng(4)), want)
             assert cell.rho == pytest.approx(gamma**2, abs=1e-15)
             assert cell.weight.mass == twin.weight.mass
             assert np.array_equal(cell.weight.scaled, twin.weight.scaled)
@@ -275,10 +285,10 @@ class TestRunExperiment:
             run_experiment(custom_cfg(), workers=2)
 
     def test_cells_survive_the_pool(self, monkeypatch):
-        # The pool threads share a scientists model, an isometry and the cells'
-        # weights read-only.  Two n values put chunks that change n on one
-        # thread, which then replaces its draw buffer; four threads on a short
-        # switch interval interleave the draws of different threads.
+        # The pool threads share the cells read-only: a scientists model's draw,
+        # a Gaussian model's draw, an isometry and the weights.  Two n values put
+        # chunks of different n on one thread; four threads on a short switch
+        # interval interleave the draws of different threads.
         jc, w = reversed_pair(8, 0.7, 0.5)
         cfg = ExperimentConfig(
             experiment="custom", m=8, k_values=(1, 2), n_values=(100, 2000), sweep=(),
@@ -349,6 +359,18 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         assert len(records) == 3
         assert all(r.status == "deficient_rank" for r in records)
+
+    def test_run_keeps_no_draw_memory(self):
+        # The draw of this cell is a 61 MiB (2m, n) array; none of it may outlive the run.
+        cfg = ExperimentConfig("illus2", 20, (2,), (200_000,), (0.7,), 1)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 8 * 2**20
 
 
 class TestSummarize:
