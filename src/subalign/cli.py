@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def _reference_lines(cells) -> list[dict]:
 def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int,
                      full_scale: bool) -> dict:
     stats = summarize(records)
-    failed = sum(s.failed for s in stats)
+    failed = Counter(r.status for r in records if r.status != "ok")
     groups = []
     for s in stats:
         entry = dict(s.group) | {f.name: getattr(s, f.name) for f in dataclasses.fields(s)[1:]}
@@ -108,7 +109,8 @@ def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int,
             "threads": threads,
             "full_scale": full_scale,
         },
-        "failed_replicates": failed,
+        "failed_replicates": sum(failed.values()),  # kept through 0.11.x
+        "failed_by_reason": dict(sorted(failed.items())),
         "reference_lines": lines,
         "summary": groups,
     }

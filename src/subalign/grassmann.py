@@ -15,10 +15,10 @@ the mean of the weight's k largest singular values, so that the weight's
 scale cancels.  When the weight is a nonzero multiple of the identity the
 two coincide; for the zero weight the weighted distance is defined to be
 the unweighted one.  Both are computed from k x k matrices (:func:`chordal_sq`,
-:func:`weighted_sq`), which :mod:`subalign.kernel` shares; no m x m
-projector is formed.  The weight is prepared once by :func:`weight`, which
-checks its shape and tests it for zero; :func:`weighted_sq` then reads it
-on every call.
+:func:`weighted_sq`), which :mod:`subalign.kernel` shares on stacks of them
+(any leading axes); no m x m projector is formed.  The weight is prepared
+once by :func:`weight`, which checks its shape and tests it for zero;
+:func:`weighted_sq` then reads it on every call.
 """
 
 from __future__ import annotations
@@ -126,9 +126,12 @@ def topk_mass(mat: np.ndarray, k: int) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[:k].sum())
 
 
-def chordal_sq(inner: np.ndarray) -> float:
-    """``sum_i 2 (1 - cos theta_i)`` from the k x k matrix ``A^T B`` of basis inner products."""
-    return float(2.0 * np.sum(1.0 - _cosines(inner)))
+def chordal_sq(inner: np.ndarray) -> float | np.ndarray:
+    """``sum_i 2 (1 - cos theta_i)`` from the k x k matrix ``A^T B`` of basis inner products.
+
+    ``inner`` may be a stack ``(..., k, k)``; the result then has shape ``(...)``.
+    """
+    return 2.0 * np.sum(1.0 - _cosines(inner), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,16 +170,19 @@ def weight(cross_cov: np.ndarray, k: int) -> Weight:
 
 
 def unit_scale_inplace(a: np.ndarray) -> np.ndarray:
-    """Divide the float array ``a`` in place by the power of two just above its largest |entry|.
+    """Divide each matrix of ``a`` in place by the power of two just above its largest |entry|.
 
-    Returns ``a``, its largest |entry| now in [1/2, 1) (zeros stay zero).  A
-    power of two is exact short of subnormal results, so only the scale changes.
+    ``a`` is one matrix or a stack ``(..., r, c)`` of them, each with its own
+    power of two.  Returns ``a``, the largest |entry| of each matrix now in
+    [1/2, 1) (zeros stay zero).  A power of two is exact short of subnormal
+    results, so only the scale changes.
     """
-    np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1], out=a)
+    top = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
+    np.ldexp(a, -np.frexp(top)[1][..., None, None], out=a)
     return a
 
 
-def weighted_sq(a: np.ndarray, b: np.ndarray, w: Weight) -> float:
+def weighted_sq(a: np.ndarray, b: np.ndarray, w: Weight) -> float | np.ndarray:
     """``sum_i 2 (1 - sigma_i(A^T C B) / mu)`` for m x k orthonormal bases, clamped to [0, 2k].
 
     ``mu`` is the mean of the k largest singular values of the m x m weight
@@ -184,25 +190,26 @@ def weighted_sq(a: np.ndarray, b: np.ndarray, w: Weight) -> float:
     singular values of ``P_a C P_b = A (A^T C B) B^T`` are those of the
     k x k core, so no projector is needed.  The value does not change when
     C is multiplied by a nonzero number.  The exactly zero weight gives the
-    chordal distance.
+    chordal distance.  ``a`` and ``b`` may be stacks ``(..., m, k)``; the
+    result then has their broadcast leading shape.
     """
     if not isinstance(w, Weight):
         raise TypeError(f"weighted_sq needs a weight from grassmann.weight(C, k), got {type(w)}")
-    m, k = a.shape
+    m, k = a.shape[-2:]
     if (m, k) != (w.m, w.k):
         raise ValueError(f"weight is {w.m} x {w.m} at k = {w.k}; these bases need {m} x {m} "
                          f"at k = {k}")
+    a_t = np.swapaxes(a, -1, -2)
     if w.scaled is None:
-        return chordal_sq(a.T @ b)
-    sigma = np.linalg.svd(a.T @ w.scaled @ b, compute_uv=False)
-    value = float(2.0 * np.sum(1.0 - sigma / w.mass))
-    return min(max(value, 0.0), 2.0 * k)
+        return chordal_sq(a_t @ b)
+    sigma = np.linalg.svd(a_t @ w.scaled @ b, compute_uv=False)
+    return np.clip(2.0 * np.sum(1.0 - sigma / w.mass, axis=-1), 0.0, 2.0 * k)
 
 
 def hausdorff_sq(a: Subspace, b: Subspace) -> float:
     """Square chordal distance ``sum_i 2 (1 - cos theta_i)``; lies in [0, 2k]."""
     _check_compatible(a, b)
-    return chordal_sq(a.basis.T @ b.basis)
+    return float(chordal_sq(a.basis.T @ b.basis))
 
 
 def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> float:
@@ -226,7 +233,7 @@ def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> fl
         there to absorb float drift at the endpoints.
     """
     _check_compatible(a, b)
-    return weighted_sq(a.basis, b.basis, weight(cross_cov, a.dim))
+    return float(weighted_sq(a.basis, b.basis, weight(cross_cov, a.dim)))
 
 
 def check_isometry(w: np.ndarray, m: int) -> np.ndarray:

@@ -31,9 +31,16 @@ forms of the distances, as this module's oracle.  Only subspace-level
 quantities leave this module, so the sign and order of the eigenvectors
 inside a basis do not matter.
 
+Stacks.  :func:`evaluate_grams` evaluates a stack of R Gram matrices of
+one (k, method, n, weight, isometry) at once: one stacked ``eigh`` per
+diagonal block, stacked k x k products and SVDs, and elementwise
+arithmetic on the columns.  Every matrix is evaluated exactly as it would
+be alone (its own scale, rank test, degenerate test and clamps), and
+:func:`evaluate_gram` is the stack of one, so the two agree bit for bit.
+
 Scale.  The outputs are invariant to the scale of S, but products of its
-entries overflow near max |S| = 1e160 and underflow near 1e-160, so
-:func:`evaluate_gram` first removes that scale exactly (``grassmann.unit_scale_inplace``).
+entries overflow near max |S| = 1e160 and underflow near 1e-160, so each
+matrix's scale is first removed exactly (``grassmann.unit_scale_inplace``).
 
 Rank.  Centered data with n observations has rank at most n - 1, so
 ``n <= k`` is deficient outright.  Otherwise an eigenvalue of Sxx (Syy)
@@ -53,13 +60,19 @@ the sampling noise alike in both routes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .grassmann import Weight, chordal_sq, unit_scale_inplace, weighted_sq
 
-__all__ = ["GramResult", "center_gram_inplace", "gram_blocks", "evaluate_gram"]
+__all__ = ["STATUSES", "GramResult", "GramColumns", "center_gram_inplace", "gram_blocks",
+           "evaluate_grams", "evaluate_gram"]
+
+# Status codes of GramColumns.status: an index into this tuple.
+STATUSES = ("ok", "deficient_rank", "degenerate_projection")
+_DEFICIENT_RANK, _DEGENERATE_PROJECTION = 1, 2
 
 # ||P_a Xc||_F^2 below this times max |S| makes the sqrt(k) rescaling undefined.
 _DEGENERATE_SQ = 1e-300
@@ -71,7 +84,7 @@ class GramResult(NamedTuple):
     ``status`` is "ok", "deficient_rank" or "degenerate_projection"; the
     numeric fields are None unless ok.  ``eth_sq`` is None without a weight,
     ``d_sq_corrected`` without an isometry.  The field names are those of
-    :class:`subalign.sim.ReplicateRecord`, which takes them by name.
+    :class:`subalign.sim.ReplicateRecord`.
     """
 
     status: str
@@ -79,6 +92,22 @@ class GramResult(NamedTuple):
     eth_sq: Optional[float] = None
     eps_sq: Optional[float] = None
     d_sq_corrected: Optional[float] = None
+
+
+class GramColumns(NamedTuple):
+    """The kernel's output for a stack of R Gram matrices, one column per field.
+
+    ``status`` holds R int8 codes, indices into :data:`STATUSES` (0 is ok).
+    The float columns hold R values each, NaN where the status is not ok;
+    ``eth_sq`` is None without a weight, ``d_sq_corrected`` without an
+    isometry.  Row r is the :class:`GramResult` of matrix r.
+    """
+
+    status: np.ndarray
+    d_sq: np.ndarray
+    eth_sq: Optional[np.ndarray]
+    eps_sq: np.ndarray
+    d_sq_corrected: Optional[np.ndarray]
 
 
 def center_gram_inplace(z: np.ndarray) -> np.ndarray:
@@ -96,23 +125,100 @@ def center_gram_inplace(z: np.ndarray) -> np.ndarray:
 
 
 def gram_blocks(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks ``(Sxx, Syy, Sxy)`` of a 2m x 2m Gram matrix."""
+    """The blocks ``(Sxx, Syy, Sxy)`` of a 2m x 2m Gram matrix, or views of a stack of them."""
     s = np.asarray(s, dtype=float)
-    m = s.shape[0] // 2
-    if s.shape != (2 * m, 2 * m) or m == 0:
+    m = s.shape[-1] // 2 if s.ndim >= 2 else 0
+    if s.shape[-2:] != (2 * m, 2 * m) or m == 0:
         raise ValueError(f"gram shape mismatch: need 2m x 2m, got {s.shape}")
-    return s[:m, :m], s[m:, m:], s[:m, m:]
+    return s[..., :m, :m], s[..., m:, m:], s[..., :m, m:]
 
 
-def _top_eigvecs(block: np.ndarray, k: int, n: int):
-    """(basis, sum of the top-k eigenvalues), or None when the rank is below k."""
-    if n - 1 < k:
-        return None
-    w, v = np.linalg.eigh(block)
-    tol = w[-1] * max(block.shape[0], n) * np.finfo(float).eps
-    if not w[-k] > tol:
-        return None
-    return v[:, -k:], float(w[-k:].sum())
+def evaluate_grams(
+    stack: np.ndarray,
+    k: int,
+    method: str,
+    n: int,
+    weight: Optional[Weight] = None,
+    isometry: Optional[np.ndarray] = None,
+) -> GramColumns:
+    """d^2, eth^2, eps^2 (and the corrected distance) for each matrix of a Gram stack.
+
+    Parameters
+    ----------
+    stack : (R, 2m, 2m) float64 ndarray
+        Gram matrices of the stacked centered data (see
+        :func:`center_gram_inplace`), each of n observations; any positive
+        multiple of a matrix gives the same result.  The stack is the
+        caller's scratch: each matrix is divided in place by its own power
+        of two.
+    k, method, n
+        Projection dimension, "pca" or "trivial", and the observation count.
+    weight : Weight, optional
+        Weight of eth^2, typically Cov(X, Y) of the model at any scale, as
+        prepared once by :func:`subalign.grassmann.weight` (which checks it
+        and tests it for zero).  The exactly zero weight gives eth^2 = d^2.
+    isometry : (m, m) orthogonal ndarray, optional
+        W of the corrected distance ``d^2(A, W B)``.  Not checked here: it
+        must already have passed :func:`subalign.grassmann.check_isometry`,
+        as :func:`subalign.sim.make_cell` does once per cell.
+
+    Each matrix is evaluated as it would be alone: the stacked LAPACK and
+    matmul calls run matrix by matrix, and the rest is elementwise.
+    """
+    if not isinstance(stack, np.ndarray) or stack.ndim != 3 or stack.dtype != np.float64:
+        raise ValueError("need an (R, 2m, 2m) float64 stack of Gram matrices")
+    sxx, syy, sxy = gram_blocks(stack)
+    unit_scale_inplace(stack)  # the blocks are views of the stack
+    r, m = len(stack), sxx.shape[-1]
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    status = np.zeros(r, dtype=np.int8)
+    nan = partial(np.full, r, np.nan)
+    out = GramColumns(status, nan(), None if weight is None else nan(), nan(),
+                      None if isometry is None else nan())
+    if method == "pca":
+        if n - 1 < k:  # centered data of n observations has rank at most n - 1
+            status[:] = _DEFICIENT_RANK
+            return out
+        bases, variances = [], []
+        for block in (sxx, syy):
+            w, v = np.linalg.eigh(block)
+            tol = w[:, -1] * max(m, n) * np.finfo(float).eps
+            status[~(w[:, -k] > tol)] = _DEFICIENT_RANK
+            bases.append(v)
+            variances.append(w[:, -k:].sum(axis=1))
+        (var_x, var_y), top = variances, slice(-k, None)
+    elif method == "trivial":
+        bases = [np.broadcast_to(np.eye(m), (r, m, m))] * 2
+        var_x, var_y = (np.trace(block[:, :k, :k], axis1=1, axis2=2) for block in (sxx, syy))
+        top = slice(None, k)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    status[(status == 0) & ((var_x < _DEGENERATE_SQ) | (var_y < _DEGENERATE_SQ))] = (
+        _DEGENERATE_PROJECTION)
+    ok = status == 0
+    if not ok.any():
+        return out
+    # Only the ok matrices go on.  A basis is taken from its full m x m matrix
+    # after that selection, so it keeps the layout it has alone, and the k x k
+    # products take the same BLAS route as for the matrix alone (at k = 1 a
+    # compacted m x 1 copy takes another, which moves the last bits).
+    members = slice(None) if ok.all() else ok
+    a, b = (basis[members][:, :, top] for basis in bases)
+    sxy, var_x, var_y = sxy[members], var_x[members], var_y[members]
+
+    a_t = np.swapaxes(a, -1, -2)
+    nuclear = np.linalg.svd(a_t @ sxy @ b, compute_uv=False).sum(axis=-1)
+    # Two roots: for the trivial method, var_x * var_y underflows once the first k
+    # coordinates carry less than about 1e-154 of max |S|.
+    eps_sq = 2.0 * k - 2.0 * k * nuclear / (np.sqrt(var_x) * np.sqrt(var_y))
+    out.eps_sq[ok] = np.clip(eps_sq, 0.0, 2.0 * k)
+    out.d_sq[ok] = chordal_sq(a_t @ b)
+    if weight is not None:
+        out.eth_sq[ok] = weighted_sq(a, b, weight)
+    if isometry is not None:
+        out.d_sq_corrected[ok] = chordal_sq(a_t @ isometry @ b)
+    return out
 
 
 def evaluate_gram(
@@ -126,50 +232,11 @@ def evaluate_gram(
 ) -> GramResult:
     """d^2, eth^2, eps^2 (and the corrected distance) from the 2m x 2m Gram matrix ``s``.
 
-    Parameters
-    ----------
-    s : (2m, 2m) ndarray
-        Gram matrix of the stacked centered data (see :func:`center_gram_inplace`);
-        any positive multiple, such as the sample covariance, gives the same result.
-    k, method, n
-        Projection dimension, "pca" or "trivial", and the observation count.
-    weight : Weight, optional
-        Weight of eth^2, typically Cov(X, Y) of the model at any scale, as
-        prepared once by :func:`subalign.grassmann.weight` (which checks it
-        and tests it for zero).  The exactly zero weight gives eth^2 = d^2.
-    isometry : (m, m) orthogonal ndarray, optional
-        W of the corrected distance ``d^2(A, W B)``.  Not checked here: it
-        must already have passed :func:`subalign.grassmann.check_isometry`,
-        as :func:`subalign.sim.make_cell` does once per cell.
+    The stack of one: :func:`evaluate_grams` on a copy of ``s``, with the
+    same parameters.
     """
-    s = np.array(s, dtype=float)
-    sxx, syy, sxy = gram_blocks(s)
-    unit_scale_inplace(s)  # the blocks are views of s
-    m = sxx.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if method == "pca":
-        top_x, top_y = _top_eigvecs(sxx, k, n), _top_eigvecs(syy, k, n)
-        if top_x is None or top_y is None:
-            return GramResult("deficient_rank")
-        (a, var_x), (b, var_y) = top_x, top_y
-    elif method == "trivial":
-        a = b = np.eye(m)[:, :k]
-        var_x, var_y = float(np.trace(sxx[:k, :k])), float(np.trace(syy[:k, :k]))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if var_x < _DEGENERATE_SQ or var_y < _DEGENERATE_SQ:
-        return GramResult("degenerate_projection")
-
-    nuclear = np.linalg.svd(a.T @ sxy @ b, compute_uv=False).sum()
-    # Two roots: for the trivial method, var_x * var_y underflows once the first k
-    # coordinates carry less than about 1e-154 of max |S|.
-    eps_sq = 2.0 * k - 2.0 * k * nuclear / (np.sqrt(var_x) * np.sqrt(var_y))
-    eps_sq = min(max(float(eps_sq), 0.0), 2.0 * k)
-    d_sq = chordal_sq(a.T @ b)
-
-    eth_sq = None if weight is None else weighted_sq(a, b, weight)
-    d_sq_corrected = None
-    if isometry is not None:
-        d_sq_corrected = chordal_sq(a.T @ isometry @ b)
-    return GramResult("ok", d_sq, eth_sq, eps_sq, d_sq_corrected)
+    out = evaluate_grams(np.array(s, dtype=float)[None], k, method, n, weight, isometry)
+    status = STATUSES[out.status[0]]
+    if status != "ok":
+        return GramResult(status)
+    return GramResult(status, *(None if col is None else col[0].item() for col in out[1:]))

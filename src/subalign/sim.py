@@ -5,7 +5,12 @@ pair from its cell, derives the two projection subspaces from it (PCA or
 the trivial first-k-coordinates baseline), and records the square subspace
 distance, its weighted form (using the model's true cross-covariance
 block), the square Procrustes fitting-error, the predicted limiting value,
-and the residual (see :mod:`subalign.kernel`).
+and the residual (see :mod:`subalign.kernel`).  Replicates run in chunks:
+a chunk is up to ``_MAX_CHUNK`` consecutive replicates of one (cell, n),
+fewer where the kernel's stacks would pass ``_MAX_CHUNK_BYTES``.  It draws
+its Gram matrices into one stack, evaluates the stack with one
+:func:`subalign.kernel.evaluate_grams` call and builds its records from
+the returned columns.  :func:`run_replicate` is the chunk of one.
 A run is a list of cells, one per (model, k), each built and validated
 once by :func:`make_cell` when a config's cells are first read
 (:attr:`ExperimentConfig.cells`): the draw is picked, rho computed, the
@@ -26,9 +31,9 @@ the number of workers; runs with equal configs are bit-identical.
 
 Execution
 ---------
-:func:`run_experiment` runs the replicates serially, or in chunks on a pool
-of threads in this process; the draw and the Gram product release the
-interpreter lock, so the threads overlap there.
+:func:`run_experiment` runs the chunks serially, or on a pool of threads in
+this process; the normal draw, its centering and the kernel's stacked
+LAPACK calls release the interpreter lock, so the threads overlap there.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .grassmann import Weight, check_isometry, weight
-from .kernel import center_gram_inplace, evaluate_gram
+from .kernel import STATUSES, center_gram_inplace, evaluate_grams
 from .model import JointCovariance, ScientistParams, mvn_gram, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .theory import predicted_fit_error_sq, rho
@@ -176,8 +181,8 @@ class ReplicateRecord:
     "degenerate_projection") for replicates whose numeric fields are None.
     ``d_sq_corrected`` is the square distance after undoing the model's
     isometry (illus3 only), None elsewhere.  Every field but the config axes,
-    ``predicted`` and ``residual`` is copied by name from the kernel's
-    :class:`subalign.kernel.GramResult`.
+    ``predicted`` and ``residual`` is read from the row of the kernel's
+    :class:`subalign.kernel.GramColumns`.
     """
 
     experiment: str
@@ -236,22 +241,14 @@ def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: 
                   experiment: str = "custom") -> ReplicateRecord:
     """Draw one centered 2m x 2m Gram matrix from the cell and evaluate every replicate quantity.
 
-    The cell's draw, seeded by ``seed``, is evaluated by
-    :func:`subalign.kernel.evaluate_gram` with the cell's weight and
+    The chunk of one: the cell's draw, seeded by ``seed``, is evaluated by
+    :func:`subalign.kernel.evaluate_grams` with the cell's weight and
     isometry.  Rank-deficient PCA and degenerate (zero) projections
     yield a failed record with a reason code rather than raising; these
     have probability zero under continuous models with n > k but occur at
     extreme settings (e.g. n <= k).
     """
-    k = cell.k
-    out = evaluate_gram(cell.draw(n, np.random.default_rng(seed)), k, method, n, cell.weight,
-                        isometry=cell.isometry)
-    fit = {}
-    if out.status == "ok":
-        predicted = predicted_fit_error_sq(cell.rho, k, out.eth_sq)
-        fit = dict(predicted=predicted, residual=out.eps_sq - predicted)
-    return ReplicateRecord(experiment, method, cell.weight.m, k, n, cell.sweep_param, replicate,
-                           **out._asdict(), **fit)
+    return _run_chunk(cell, n, [seed], replicate, method=method, experiment=experiment)[0]
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -263,56 +260,95 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, cpus, tasks))
 
 
-# Largest chunk of consecutive replicates one pool task runs.  A failure or an
-# interrupt waits for the chunks already running, at most one per thread, so
-# this bounds that wait (256 replicates of an illus2 cell at n = 1e4 take ~3 s).
+# Most consecutive replicates of one (cell, n) in a chunk, one kernel call.  A
+# failure or an interrupt waits for the chunks already running, at most one per
+# thread, so this bounds that wait (256 replicates of an illus2 cell at n = 1e4
+# take ~3 s).
 _MAX_CHUNK = 256
+# Most bytes of a chunk's Gram stack and the two eigenvector stacks the kernel
+# makes from it, 48 m^2 bytes per replicate: chunks at m > 52 are shorter.  A
+# chunk with failed replicates takes up to half as much again, for the copies
+# of its ok members.
+_MAX_CHUNK_BYTES = 32 * 2**20
 
 
-def _run_chunk(replicate, tasks) -> list[ReplicateRecord]:
-    return [replicate(*task) for task in tasks]
+def _chunk_size(m: int) -> int:
+    """Replicates per chunk at dimension m: ``_MAX_CHUNK`` or fewer, within ``_MAX_CHUNK_BYTES``."""
+    return max(1, min(_MAX_CHUNK, _MAX_CHUNK_BYTES // (48 * m * m)))
+
+
+def _run_chunk(cell: Cell, n: int, seeds: list[int], first: int, *, method: str,
+               experiment: str) -> list[ReplicateRecord]:
+    """Replicates ``first, first + 1, ...`` of (cell, n), one per seed, with one kernel call."""
+    m, k = cell.weight.m, cell.k
+    stack = np.empty((len(seeds), 2 * m, 2 * m))
+    for gram, seed in zip(stack, seeds):
+        gram[...] = cell.draw(n, np.random.default_rng(seed))
+    out = evaluate_grams(stack, k, method, n, cell.weight, cell.isometry)
+    records = []
+    rows = zip(out.status.tolist(), out.d_sq.tolist(), out.eth_sq.tolist(), out.eps_sq.tolist(),
+               [None] * len(seeds) if out.d_sq_corrected is None else out.d_sq_corrected.tolist())
+    for replicate, (code, d_sq, eth_sq, eps_sq, corrected) in enumerate(rows, first):
+        if code:
+            records.append(ReplicateRecord(experiment, method, m, k, n, cell.sweep_param,
+                                           replicate, status=STATUSES[code]))
+            continue
+        predicted = predicted_fit_error_sq(cell.rho, k, eth_sq)
+        records.append(ReplicateRecord(experiment, method, m, k, n, cell.sweep_param, replicate,
+                                       d_sq, eth_sq, eps_sq, predicted, eps_sq - predicted,
+                                       corrected))
+    return records
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRecord]:
     """Run the full sweep; records are ordered by (parameter tuple, replicate).
 
-    ``workers > 1`` runs chunks of consecutive replicates on a pool of at
-    most ``min(workers, usable CPUs, replicates)`` threads in this process:
-    about ``workers * 8`` chunks, each of at most ``_MAX_CHUNK`` replicates.
-    The cells are shared read-only and their draws keep no state, so a run
-    holds no draw memory once it returns.  The draw, the in-place centering
-    and the Gram product release the interpreter lock and run in parallel;
-    the Python around them, such as building the records, does not.  When a
-    replicate raises, or the run is interrupted, chunks not yet started are
-    cancelled and the exception propagates once the running ones finish.
-    Because every replicate is a pure function of its derived seed, the
-    output is identical at any worker count.  ``workers < 1`` raises ValueError.
+    The replicates run in chunks, each of consecutive replicates of one
+    (cell, n) and evaluated by one stacked kernel call (see the module
+    docstring).  Serially, a chunk is as long as the caps allow.
+    ``workers > 1`` runs the chunks on a pool of at most
+    ``min(workers, usable CPUs, replicates)`` threads in this process, with
+    chunks short enough for about ``workers * 8`` of them, plus at most one
+    more per (cell, n).  The cells are shared read-only and their draws keep
+    no state, so a run holds no draw memory once it returns.  The normal
+    draw, the in-place centering and the stacked LAPACK calls release the
+    interpreter lock and run in parallel; the Python around them, such as
+    building the records, does not.  When a chunk raises, or the run is
+    interrupted, chunks not yet started are cancelled and the exception
+    propagates once the running ones finish.  Because every replicate is a
+    pure function of its derived seed, and the kernel evaluates each matrix
+    of a stack as it would alone, the output is identical at any worker
+    count and chunk length.  ``workers < 1`` raises ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    groups = list(product(cfg.cells, cfg.n_values))
+    total = len(groups) * cfg.replicates
+    workers = _pool_size(workers, total)
+    size = _chunk_size(cfg.m)
+    if workers > 1:
+        size = min(size, -(-total // (workers * 8)))
     tasks = [
-        (cell, n, replicate_seed(cfg.base_seed, param_index, rep), rep)
-        for param_index, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))
-        for rep in range(cfg.replicates)
+        (cell, n, [replicate_seed(cfg.base_seed, param_index, rep)
+                   for rep in range(first, min(first + size, cfg.replicates))], first)
+        for param_index, (cell, n) in enumerate(groups)
+        for first in range(0, cfg.replicates, size)
     ]
-    replicate = partial(run_replicate, method=cfg.method, experiment=cfg.experiment)
-    workers = _pool_size(workers, len(tasks))
+    chunk = partial(_run_chunk, method=cfg.method, experiment=cfg.experiment)
     if workers == 1:
-        return _run_chunk(replicate, tasks)
+        return [record for task in tasks for record in chunk(*task)]
     # Imported here: the pool machinery costs every serial run 10-14 ms of start-up.
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-    size = min(_MAX_CHUNK, -(-len(tasks) // (workers * 8)))
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        chunks = [pool.submit(_run_chunk, replicate, tasks[i:i + size])
-                  for i in range(0, len(tasks), size)]
-        wait(chunks, return_when=FIRST_EXCEPTION)
+        futures = [pool.submit(chunk, *task) for task in tasks]
+        wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)
     # Chunks are cancelled only after every earlier one started, so the first
     # failure in order is a chunk's own exception, never a cancellation.
-    return [record for chunk in chunks for record in chunk.result()]
+    return [record for future in futures for record in future.result()]
 
 
 @dataclass(frozen=True)

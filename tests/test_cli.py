@@ -37,6 +37,7 @@ def test_illus1_writes_records_and_summary(tmp_path):
     payload = json.loads(summary.read_text())
     assert payload["seed"] == 7
     assert payload["failed_replicates"] == 0
+    assert payload["failed_by_reason"] == {}
     assert len(payload["summary"]) == 1
     line = payload["reference_lines"][0]
     assert line["rho"] == pytest.approx(0.5)
@@ -396,4 +397,20 @@ def test_summary_json_is_strict_when_replicates_fail(tmp_path):
     assert code == 1
     payload = json.loads(summary.read_text(), parse_constant=_reject_constant)
     assert payload["failed_replicates"] == 3 * len(ILLUS1_BETAS)
+    assert payload["failed_by_reason"] == {"deficient_rank": 3 * len(ILLUS1_BETAS)}
     assert all(group["mean_eps_sq"] is None for group in payload["summary"])
+
+
+def test_summary_counts_failures_by_reason():
+    # A trivial cell whose first two coordinates are constant fails every
+    # replicate as degenerate; at k = 1 a second cell fails none.
+    diag = np.diag([0.0, 0.0, 1.0, 1.0])
+    models = ((0.0, sim.JointCovariance(diag, diag, 0.5 * diag), None),
+              (1.0, sim.identity_pair(4, 0.5), None))
+    cfg = sim.ExperimentConfig("custom", 4, (1, 2), (30,), (), 5, method="trivial",
+                               models=models)
+    records = sim.run_experiment(cfg)
+    payload = cli._summary_payload(cfg, records, cli._reference_lines(cfg.cells), 1, False)
+    assert payload["failed_by_reason"] == {"degenerate_projection": 10}
+    assert payload["failed_replicates"] == 10
+    json.dumps(payload, allow_nan=False)

@@ -32,7 +32,7 @@ from subalign import (
 )
 from subalign import sim
 from subalign.grassmann import weight
-from subalign.kernel import center_gram_inplace
+from subalign.kernel import STATUSES, GramResult, center_gram_inplace, evaluate_grams
 
 from conftest import random_joint_covariance
 
@@ -228,6 +228,111 @@ class TestEvaluateGram:
             evaluate_gram(gram, 1, "svd", 10)
         with pytest.raises(ValueError, match="2 observations"):
             center_gram_inplace(np.ones((3, 1)))
+
+
+def gram_alone(s, k, method, n, weight=None, isometry=None) -> GramResult:
+    """The kernel as it was before stacks (0.10.0): one Gram matrix, in 2-d numpy calls."""
+    s = np.array(s, dtype=float)
+    m = s.shape[0] // 2
+    np.ldexp(s, -np.frexp(np.max(np.abs(s)))[1], out=s)
+    sxx, syy, sxy = s[:m, :m], s[m:, m:], s[:m, m:]
+    if method == "pca":
+        tops = []
+        for block in (sxx, syy):
+            if n - 1 < k:
+                return GramResult("deficient_rank")
+            w, v = np.linalg.eigh(block)
+            if not w[-k] > w[-1] * max(m, n) * np.finfo(float).eps:
+                return GramResult("deficient_rank")
+            tops.append((v[:, -k:], float(w[-k:].sum())))
+        (a, var_x), (b, var_y) = tops
+    else:
+        a = b = np.eye(m)[:, :k]
+        var_x, var_y = float(np.trace(sxx[:k, :k])), float(np.trace(syy[:k, :k]))
+    if var_x < 1e-300 or var_y < 1e-300:
+        return GramResult("degenerate_projection")
+
+    def chordal(inner):
+        cosines = np.clip(np.linalg.svd(inner, compute_uv=False), 0.0, 1.0)
+        return float(2.0 * np.sum(1.0 - cosines))
+
+    nuclear = np.linalg.svd(a.T @ sxy @ b, compute_uv=False).sum()
+    eps_sq = 2.0 * k - 2.0 * k * nuclear / (np.sqrt(var_x) * np.sqrt(var_y))
+    eth_sq = None
+    if weight is not None and weight.scaled is None:
+        eth_sq = chordal(a.T @ b)
+    elif weight is not None:
+        sigma = np.linalg.svd(a.T @ weight.scaled @ b, compute_uv=False)
+        eth_sq = min(max(float(2.0 * np.sum(1.0 - sigma / weight.mass)), 0.0), 2.0 * k)
+    corrected = None if isometry is None else chordal(a.T @ isometry @ b)
+    return GramResult("ok", chordal(a.T @ b), eth_sq, min(max(float(eps_sq), 0.0), 2.0 * k),
+                      corrected)
+
+
+def stack_rows(out) -> list[GramResult]:
+    """The rows of ``evaluate_grams``'s columns, as the GramResult of each matrix."""
+    return [GramResult(STATUSES[code], *(None if col is None or np.isnan(col[r]) else col[r].item()
+                                         for col in out[1:]))
+            for r, code in enumerate(out.status)]
+
+
+class TestStack:
+    """``evaluate_grams`` against each matrix evaluated alone, bit for bit."""
+
+    @staticmethod
+    def mixed_stack(k):
+        # PCA: ok, deficient_rank (X of rank k - 1), degenerate_projection (X at
+        # 1e-160 of Y: its variance underflows once S is at unit scale), ok.
+        x, y = random_data(8, 4, 50)
+        v = np.random.default_rng(9).standard_normal(50)
+        deficient = np.zeros((4, 50)) if k == 1 else np.vstack([v, 2 * v, -v, 0.5 * v])
+        pairs = ((x, y), (deficient, y), (1e-160 * x, y), (y, x))
+        return np.stack([center_gram_inplace(np.vstack(pair)) for pair in pairs])
+
+    @pytest.mark.parametrize("method, statuses", [
+        ("pca", ["ok", "deficient_rank", "degenerate_projection", "ok"]),
+        ("trivial", ["ok", "degenerate_projection", "degenerate_projection", "ok"]),
+    ])
+    @pytest.mark.parametrize("cross", [None, "zero", "reversal"])
+    @pytest.mark.parametrize("with_isometry", [False, True])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_members_match_their_own_evaluation(self, method, statuses, cross, with_isometry, k):
+        grams = self.mixed_stack(k)
+        if method == "trivial" and k == 2:  # the rank-1 X still spans the first two axes
+            statuses = ["ok", "ok", "degenerate_projection", "ok"]
+        reversal = np.fliplr(np.eye(4))
+        w = {None: None, "zero": weight(np.zeros((4, 4)), k),
+             "reversal": weight(0.6 * reversal, k)}[cross]
+        isometry = reversal if with_isometry else None
+        # The whole stack, and its ok members alone, which take the path without failures.
+        for members in (grams, grams[[0, 3]]):
+            rows = stack_rows(evaluate_grams(members.copy(), k, method, 50, w, isometry))
+            for gram, row in zip(members, rows):
+                want = gram_alone(gram, k, method, 50, w, isometry)
+                assert row == want
+                assert evaluate_gram(gram, k, method, 50, w, isometry=isometry) == want
+        assert [row.status for row in stack_rows(evaluate_grams(
+            grams.copy(), k, method, 50, w, isometry))] == statuses
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(cells())
+    def test_stack_of_draws_matches_each_draw_alone(self, cell):
+        jc, w, k, n, method, seed = cell
+        cell = make_cell(jc, k, w)
+        grams = np.stack([cell.draw(n, np.random.default_rng(seed + i)) for i in range(3)])
+        rows = stack_rows(evaluate_grams(grams.copy(), k, method, n, cell.weight, cell.isometry))
+        assert rows == [gram_alone(g, k, method, n, cell.weight, cell.isometry) for g in grams]
+
+    def test_every_member_fails_together(self):
+        grams = self.mixed_stack(2)
+        out = evaluate_grams(grams.copy(), 3, "pca", 3)  # n - 1 < k: no eigensolver runs
+        assert out.status.tolist() == [1] * 4 and np.isnan(out.d_sq).all()
+        assert out.eth_sq is None and out.d_sq_corrected is None
+
+    def test_rejects_a_stack_it_cannot_scale_in_place(self):
+        for bad in (np.eye(4), np.ones((2, 4, 4), dtype=np.float32), [np.eye(4)]):
+            with pytest.raises(ValueError, match="float64 stack"):
+                evaluate_grams(bad, 1, "pca", 10)
 
 
 def fresh_draw_gram(jc, n, rng):

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -224,13 +225,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, monkeypatch, workers):
-        def no_replicate(*args, **kwargs):
-            raise AssertionError("a replicate ran before workers was checked")
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran before workers was checked")
 
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started before workers was checked")
 
-        monkeypatch.setattr(sim, "run_replicate", no_replicate)
+        monkeypatch.setattr(sim, "_run_chunk", no_chunk)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_experiment(self.small_cfg(), workers=workers)
@@ -308,7 +309,9 @@ class TestRunExperiment:
         assert [r.d_sq_corrected is None for r in serial] == [True] * 12 + [False] * 12
 
     def test_pool_runs_bounded_chunks(self, monkeypatch):
-        # About workers * 8 pool tasks, never one per replicate.
+        # About workers * 8 pool tasks, never one per replicate: a chunk holds
+        # consecutive replicates of one (cell, n), so each of the 2 x 2 (cell, n)
+        # groups adds at most one chunk to the 2 * 8.
         submitted = []
 
         class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
@@ -318,40 +321,47 @@ class TestRunExperiment:
 
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
-        cfg = self.small_cfg(n_values=(20,), sweep=(0.5,), replicates=2001, method="trivial")
+        cfg = self.small_cfg(n_values=(20, 30), sweep=(0.2, 0.5), replicates=501,
+                             method="trivial")
         assert run_experiment(cfg, workers=2) == run_experiment(cfg, workers=1)
-        assert 1 <= len(submitted) <= 2 * 8
+        assert 4 <= len(submitted) <= 2 * 8 + 4
+        groups = {}
+        for _, cell, n, seeds, first in submitted:
+            assert 1 <= len(seeds) <= sim._MAX_CHUNK
+            groups.setdefault((cell.sweep_param, n), []).append((first, len(seeds)))
+        for chunks in groups.values():  # each group's chunks tile its replicates in order
+            ends = [first + size for first, size in chunks]
+            assert [first for first, _ in chunks] == [0] + ends[:-1] and ends[-1] == 501
 
     def test_failure_cancels_the_chunks_not_started(self, monkeypatch):
-        # A raising replicate propagates, and after it at most one chunk per
+        # A raising chunk propagates, and after it at most one chunk per
         # thread starts (2048 replicates make 16 chunks of 128).  The chunk
         # before the failing one outlasts it, so a pool that read the results
         # in order would go on starting chunks while it waited.
         cfg = self.small_cfg(n_values=(2000,), sweep=(0.5,), replicates=2048, method="trivial")
-        bad_seed = replicate_seed(cfg.base_seed, 0, 4 * 128)
-        slow_seed = replicate_seed(cfg.base_seed, 0, 4 * 128 - 1)
         failed = threading.Event()
         after = []
-        sim_run_replicate = sim.run_replicate
+        sim_run_chunk = sim._run_chunk
 
-        def run_replicate(cell, n, seed, replicate, **kwargs):
+        def run_chunk(cell, n, seeds, first, **kwargs):
+            assert len(seeds) == 128
             if failed.is_set():
-                after.append(replicate)
-            if seed == bad_seed:
+                after.append(first)
+            if first == 4 * 128:
                 failed.set()
-                raise RuntimeError("replicate failed")
-            if seed == slow_seed:
+                raise RuntimeError("chunk failed")
+            if first == 3 * 128:
                 failed.wait(timeout=10)
                 time.sleep(0.2)
-            return sim_run_replicate(cell, n, seed, replicate, **kwargs)
+            return sim_run_chunk(cell, n, seeds, first, **kwargs)
 
-        monkeypatch.setattr(sim, "run_replicate", run_replicate)
+        monkeypatch.setattr(sim, "_run_chunk", run_chunk)
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="replicate failed"):
+        with pytest.raises(RuntimeError, match="chunk failed"):
             run_experiment(cfg, workers=2)
         assert failed.is_set()
-        assert len([r for r in after if r % 128 == 0]) <= 2
+        assert len(after) <= 2
         assert threading.active_count() == threads
 
     def test_failed_replicates_recorded_not_raised(self):
@@ -359,6 +369,44 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         assert len(records) == 3
         assert all(r.status == "deficient_rank" for r in records)
+
+    @pytest.mark.parametrize("cfg, statuses", [
+        (ExperimentConfig("illus2", 8, (1, 2), (2, 60, 400), (0.7,), 7, base_seed=3),
+         {"ok", "deficient_rank"}),
+        (ExperimentConfig("illus3", 8, (1, 3), (200,), (0.6,), 7, base_seed=4), {"ok"}),
+        (ExperimentConfig("illus1", 4, (1, 2), (2, 500), (0.0, 0.9), 7, base_seed=5,
+                          method="trivial"), {"ok"}),
+    ], ids=["illus2", "illus3", "illus1_trivial"])
+    def test_records_do_not_depend_on_workers_or_chunk_length(self, monkeypatch, cfg, statuses):
+        # The kernel evaluates each matrix of a stack as it would alone, so a
+        # replicate's record is the same in a chunk of 1, 3 or 7 (the whole cell).
+        want = [run_replicate(cell, n, replicate_seed(cfg.base_seed, p, r), r,
+                              method=cfg.method, experiment=cfg.experiment)
+                for p, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))
+                for r in range(cfg.replicates)]
+        assert {r.status for r in want} == statuses
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        for cap in (1, 3, 256):
+            monkeypatch.setattr(sim, "_MAX_CHUNK", cap)
+            for workers in (1, 2, 4):
+                assert run_experiment(cfg, workers=workers) == want, (cap, workers)
+
+    def test_chunk_stack_stays_within_its_memory_cap(self):
+        # At m = 100 a replicate's Gram stack and eigenvectors take 480 kB, so
+        # the 32 MiB cap splits 300 replicates into chunks of 69; 256 at once
+        # would take 123 MB.
+        cfg = ExperimentConfig("illus1", 100, (2,), (50,), (0.5,), 300)
+        assert sim._chunk_size(cfg.m) == 69
+        draw = 2 * cfg.m * 50 * 8
+        tracemalloc.start()
+        try:
+            records = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in records] == ["ok"] * 300
+        assert peak < sim._MAX_CHUNK_BYTES + draw + 4 * 2**20
 
     def test_run_keeps_no_draw_memory(self):
         # The draw of this cell is a 61 MiB (2m, n) array; none of it may outlive the run.
