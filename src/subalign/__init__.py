@@ -24,7 +24,7 @@ from .datamatrix import (
     optimal_rotation,
     pca_subspace,
 )
-from .kernel import GramResult, evaluate_gram
+from .kernel import evaluate_grams
 from .model import (
     JointCovariance,
     ScientistParams,
@@ -41,9 +41,9 @@ from .sim import (
     make_cell,
     replicate_seed,
     run_experiment,
-    run_replicate,
+    run_replicates,
     summarize,
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -30,7 +30,7 @@ from collections import Counter
 import numpy as np
 
 from .grassmann import unit_scale_inplace, weight
-from .kernel import center_gram_inplace, evaluate_gram
+from .kernel import STATUSES, center_gram_inplace, evaluate_grams
 from .sim import METHODS, ExperimentConfig, ReplicateRecord, run_experiment, summarize
 from .theory import plugin_rho
 
@@ -109,7 +109,7 @@ def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int,
             "threads": threads,
             "full_scale": full_scale,
         },
-        "failed_replicates": sum(failed.values()),  # kept through 0.11.x
+        "failed_replicates": sum(failed.values()),  # kept while bench/gate.py reads it
         "failed_by_reason": dict(sorted(failed.items())),
         "reference_lines": lines,
         "summary": groups,
@@ -134,7 +134,7 @@ def _run_and_write(args, **config) -> int:
         return _usage_error(f"not enough memory for this run: {exc}")
     out_path = args.out or f"{cfg.experiment}_records.csv"
     summary_path = args.summary or f"{cfg.experiment}_summary.json"
-    created, error = [], None  # a rejected run removes the files its probe created
+    created, error = [], None  # a rejected or failed run removes the files its probe created
     try:
         for path in (out_path, summary_path):
             if not os.path.exists(path):
@@ -150,21 +150,20 @@ def _run_and_write(args, **config) -> int:
             print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
         try:
             records = run_experiment(cfg, workers=args.threads)
+            payload = _summary_payload(cfg, records, lines, args.threads, args.full_scale)
+            write_records_csv(records, out_path)
+            with open(summary_path, "w") as handle:
+                json.dump(payload, handle, indent=2, allow_nan=False)
+                handle.write("\n")
         except MemoryError as exc:
             error = f"not enough memory for this run: {exc}"
+        except OSError as exc:
+            error = f"cannot write output: {exc}"
     if error:
         for path in created:
             if os.path.exists(path):
                 os.remove(path)
         return _usage_error(error)
-    payload = _summary_payload(cfg, records, lines, args.threads, args.full_scale)
-    try:
-        write_records_csv(records, out_path)
-        with open(summary_path, "w") as handle:
-            json.dump(payload, handle, indent=2, allow_nan=False)
-            handle.write("\n")
-    except OSError as exc:
-        return _usage_error(f"cannot write output: {exc}")
     failed = payload["failed_replicates"]
     print(f"wrote {len(records)} records to {out_path}; summary to {summary_path}")
     if failed:
@@ -263,20 +262,22 @@ def cmd_compute(args) -> int:
     for half in (stack[:m], stack[m:]):
         unit_scale_inplace(half)
     gram = center_gram_inplace(stack)
-    out = evaluate_gram(gram, args.k, args.method, n,
-                        None if cross is None else weight(cross, args.k))
-    if out.status != "ok":
-        reason = out.status.replace("_", " ")
+    # A stack of one, on a copy: the kernel rescales its stack in place, and plugin_rho
+    # reads the unscaled matrix (an odd power of two does not pass exactly through sqrt).
+    out = evaluate_grams(gram[None].copy(), args.k, args.method, n,
+                         None if cross is None else weight(cross, args.k))
+    if out.status[0]:
+        reason = STATUSES[out.status[0]].replace("_", " ")
         print(f"error: {reason} for requested dimension k = {args.k}", file=sys.stderr)
         return 3
     result = {
         "m": m, "n": n, "k": args.k, "method": args.method,
-        "eps_sq": _round12(out.eps_sq),
-        "d_sq": _round12(out.d_sq),
+        "eps_sq": _round12(out.eps_sq[0]),
+        "d_sq": _round12(out.d_sq[0]),
         "rho_hat": _round12(plugin_rho(gram, args.k)),
     }
     if cross is not None:
-        result["eth_sq"] = _round12(out.eth_sq)
+        result["eth_sq"] = _round12(out.eth_sq[0])
     print(json.dumps(result, indent=2))
     return 0
 

@@ -31,12 +31,13 @@ forms of the distances, as this module's oracle.  Only subspace-level
 quantities leave this module, so the sign and order of the eigenvectors
 inside a basis do not matter.
 
-Stacks.  :func:`evaluate_grams` evaluates a stack of R Gram matrices of
-one (k, method, n, weight, isometry) at once: one stacked ``eigh`` per
-diagonal block, stacked k x k products and SVDs, and elementwise
-arithmetic on the columns.  Every matrix is evaluated exactly as it would
-be alone (its own scale, rank test, degenerate test and clamps), and
-:func:`evaluate_gram` is the stack of one, so the two agree bit for bit.
+Stacks.  :func:`evaluate_grams`, the one evaluating function, takes a
+stack of R Gram matrices of one (k, method, n, weight, isometry) at once:
+one stacked ``eigh`` per diagonal block, stacked k x k products and SVDs,
+and elementwise arithmetic on the columns.  Every matrix is evaluated exactly as it would
+be alone (its own scale, rank test, degenerate test and clamps), so a
+matrix gets the same row bit for bit in a stack of any length; ``compute``
+evaluates a stack of one.
 
 Scale.  The outputs are invariant to the scale of S, but products of its
 entries overflow near max |S| = 1e160 and underflow near 1e-160, so each
@@ -67,8 +68,7 @@ import numpy as np
 
 from .grassmann import Weight, chordal_sq, unit_scale_inplace, weighted_sq
 
-__all__ = ["STATUSES", "GramResult", "GramColumns", "center_gram_inplace", "gram_blocks",
-           "evaluate_grams", "evaluate_gram"]
+__all__ = ["STATUSES", "GramColumns", "center_gram_inplace", "gram_blocks", "evaluate_grams"]
 
 # Status codes of GramColumns.status: an index into this tuple.
 STATUSES = ("ok", "deficient_rank", "degenerate_projection")
@@ -78,29 +78,14 @@ _DEFICIENT_RANK, _DEGENERATE_PROJECTION = 1, 2
 _DEGENERATE_SQ = 1e-300
 
 
-class GramResult(NamedTuple):
-    """The kernel's output for one Gram matrix.
-
-    ``status`` is "ok", "deficient_rank" or "degenerate_projection"; the
-    numeric fields are None unless ok.  ``eth_sq`` is None without a weight,
-    ``d_sq_corrected`` without an isometry.  The field names are those of
-    :class:`subalign.sim.ReplicateRecord`.
-    """
-
-    status: str
-    d_sq: Optional[float] = None
-    eth_sq: Optional[float] = None
-    eps_sq: Optional[float] = None
-    d_sq_corrected: Optional[float] = None
-
-
 class GramColumns(NamedTuple):
     """The kernel's output for a stack of R Gram matrices, one column per field.
 
     ``status`` holds R int8 codes, indices into :data:`STATUSES` (0 is ok).
     The float columns hold R values each, NaN where the status is not ok;
     ``eth_sq`` is None without a weight, ``d_sq_corrected`` without an
-    isometry.  Row r is the :class:`GramResult` of matrix r.
+    isometry.  Row r belongs to matrix r; the float field names are those
+    of :class:`subalign.sim.ReplicateRecord`.
     """
 
     status: np.ndarray
@@ -219,24 +204,3 @@ def evaluate_grams(
     if isometry is not None:
         out.d_sq_corrected[ok] = chordal_sq(a_t @ isometry @ b)
     return out
-
-
-def evaluate_gram(
-    s: np.ndarray,
-    k: int,
-    method: str,
-    n: int,
-    weight: Optional[Weight] = None,
-    *,
-    isometry: Optional[np.ndarray] = None,
-) -> GramResult:
-    """d^2, eth^2, eps^2 (and the corrected distance) from the 2m x 2m Gram matrix ``s``.
-
-    The stack of one: :func:`evaluate_grams` on a copy of ``s``, with the
-    same parameters.
-    """
-    out = evaluate_grams(np.array(s, dtype=float)[None], k, method, n, weight, isometry)
-    status = STATUSES[out.status[0]]
-    if status != "ok":
-        return GramResult(status)
-    return GramResult(status, *(None if col is None else col[0].item() for col in out[1:]))

@@ -7,10 +7,10 @@ distance, its weighted form (using the model's true cross-covariance
 block), the square Procrustes fitting-error, the predicted limiting value,
 and the residual (see :mod:`subalign.kernel`).  Replicates run in chunks:
 a chunk is up to ``_MAX_CHUNK`` consecutive replicates of one (cell, n),
-fewer where the kernel's stacks would pass ``_MAX_CHUNK_BYTES``.  It draws
-its Gram matrices into one stack, evaluates the stack with one
-:func:`subalign.kernel.evaluate_grams` call and builds its records from
-the returned columns.  :func:`run_replicate` is the chunk of one.
+fewer where the kernel's stacks would pass ``_MAX_CHUNK_BYTES``.  A chunk
+is one :func:`run_replicates` call: it draws its Gram matrices into one
+stack, evaluates them with one :func:`subalign.kernel.evaluate_grams` call
+and builds its records from the returned columns.
 A run is a list of cells, one per (model, k), each built and validated
 once by :func:`make_cell` when a config's cells are first read
 (:attr:`ExperimentConfig.cells`): the draw is picked, rho computed, the
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
 from math import isfinite, nan
+from operator import index
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -62,7 +63,7 @@ __all__ = [
     "SummaryStats",
     "replicate_seed",
     "make_cell",
-    "run_replicate",
+    "run_replicates",
     "run_experiment",
     "summarize",
 ]
@@ -117,8 +118,13 @@ class ExperimentConfig:
     models: Optional[tuple[tuple[float, Model, Optional[np.ndarray]], ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        for name in ("m", "k_values", "n_values", "replicates", "base_seed"):
+            value = getattr(self, name)
+            try:  # integers only: int() would truncate 2.9 to 2 without a word
+                value = tuple(map(index, value)) if name.endswith("_values") else index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be integers, got {value!r}") from None
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "sweep", tuple(float(v) for v in self.sweep))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
@@ -237,20 +243,6 @@ def make_cell(model: Model, k: int, isometry: Optional[np.ndarray] = None,
     return Cell(sweep_param, draw, isometry, k, rho(jc, k), weight(jc.cov_xy, k))
 
 
-def run_replicate(cell: Cell, n: int, seed: int, replicate: int = 0, *, method: str,
-                  experiment: str = "custom") -> ReplicateRecord:
-    """Draw one centered 2m x 2m Gram matrix from the cell and evaluate every replicate quantity.
-
-    The chunk of one: the cell's draw, seeded by ``seed``, is evaluated by
-    :func:`subalign.kernel.evaluate_grams` with the cell's weight and
-    isometry.  Rank-deficient PCA and degenerate (zero) projections
-    yield a failed record with a reason code rather than raising; these
-    have probability zero under continuous models with n > k but occur at
-    extreme settings (e.g. n <= k).
-    """
-    return _run_chunk(cell, n, [seed], replicate, method=method, experiment=experiment)[0]
-
-
 def _pool_size(workers: int, tasks: int) -> int:
     """Threads worth starting: no more than requested, usable CPUs, or tasks."""
     try:
@@ -277,9 +269,13 @@ def _chunk_size(m: int) -> int:
     return max(1, min(_MAX_CHUNK, _MAX_CHUNK_BYTES // (48 * m * m)))
 
 
-def _run_chunk(cell: Cell, n: int, seeds: list[int], first: int, *, method: str,
-               experiment: str) -> list[ReplicateRecord]:
-    """Replicates ``first, first + 1, ...`` of (cell, n), one per seed, with one kernel call."""
+def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *, method: str,
+                   experiment: str = "custom") -> list[ReplicateRecord]:
+    """Replicates ``first, first + 1, ...`` of (cell, n), one per seed, with one kernel call.
+
+    A rank-deficient PCA (certain at n <= k) or a degenerate (zero) projection
+    gives a failed record with a reason code rather than raising.
+    """
     m, k = cell.weight.m, cell.k
     stack = np.empty((len(seeds), 2 * m, 2 * m))
     for gram, seed in zip(stack, seeds):
@@ -304,7 +300,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
     """Run the full sweep; records are ordered by (parameter tuple, replicate).
 
     The replicates run in chunks, each of consecutive replicates of one
-    (cell, n) and evaluated by one stacked kernel call (see the module
+    (cell, n) and run by one :func:`run_replicates` call (see the module
     docstring).  Serially, a chunk is as long as the caps allow.
     ``workers > 1`` runs the chunks on a pool of at most
     ``min(workers, usable CPUs, replicates)`` threads in this process, with
@@ -334,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
         for param_index, (cell, n) in enumerate(groups)
         for first in range(0, cfg.replicates, size)
     ]
-    chunk = partial(_run_chunk, method=cfg.method, experiment=cfg.experiment)
+    chunk = partial(run_replicates, method=cfg.method, experiment=cfg.experiment)
     if workers == 1:
         return [record for task in tasks for record in chunk(*task)]
     # Imported here: the pool machinery costs every serial run 10-14 ms of start-up.

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import warnings
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 from subalign import cli, sim, theory
 from subalign.cli import CSV_COLUMNS, ILLUS1_BETAS, build_parser, main
 from subalign.sim import summarize
+
+
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full, a device that is always full")
 
 
 def run_illus1(tmp_path, *extra):
@@ -376,10 +381,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("existing, out, summary", [
         ({}, "rec.csv", "nodir/s.json"),
         ({"rec.csv": b"kept,1\n"}, "rec.csv", "nodir/s.json"),
-    ], ids=["unwritable_summary", "existing_records"])
+        # The probe opens /dev/full; the final write fails with ENOSPC.
+        pytest.param({}, "/dev/full", "s.json", marks=NEEDS_DEV_FULL),
+        pytest.param({}, "rec.csv", "/dev/full", marks=NEEDS_DEV_FULL),
+    ], ids=["unwritable_summary", "existing_records", "full_records", "full_summary"])
     def test_rejected_run_leaves_the_files_as_they_were(self, tmp_path, monkeypatch, capsys,
                                                         existing, out, summary):
-        # The output probe creates the files it opens; a rejection removes only those.
+        # The output probe creates the files it opens; a rejection, or a failed final
+        # write, removes only those.
         monkeypatch.chdir(tmp_path)
         for name, data in existing.items():
             (tmp_path / name).write_bytes(data)

@@ -13,7 +13,6 @@ from subalign import (
     ScientistParams,
     Subspace,
     center,
-    evaluate_gram,
     fit_error_sq,
     hausdorff_sq,
     identity_pair,
@@ -25,16 +24,16 @@ from subalign import (
     reversed_pair,
     rho,
     run_experiment,
-    run_replicate,
+    run_replicates,
     scientists_sample,
     spiked_diag_pair,
     weighted_hausdorff_sq,
 )
 from subalign import sim
 from subalign.grassmann import weight
-from subalign.kernel import STATUSES, GramResult, center_gram_inplace, evaluate_grams
+from subalign.kernel import center_gram_inplace, evaluate_grams
 
-from conftest import random_joint_covariance
+from conftest import Row, evaluate_one, random_joint_covariance, stack_rows
 
 FIELDS = ("d_sq", "eth_sq", "eps_sq", "predicted", "residual", "d_sq_corrected")
 
@@ -93,7 +92,7 @@ class TestDifferential:
     def test_kernel_matches_data_path(self, cell):
         jc, w, k, n, method, seed = cell
         want = data_path_record(jc, k, n, method, seed, w)
-        got = run_replicate(make_cell(jc, k, w), n, seed, method=method)
+        got = run_replicates(make_cell(jc, k, w), n, [seed], method=method)[0]
         assert got.status == want["status"]
         if got.status == "ok":
             for field in FIELDS:
@@ -117,7 +116,8 @@ class TestRankTolerance:
             k = int(rng.integers(2, m + 1))
             n = int(rng.integers(2, k + 1))
             jc = random_joint_covariance(rng, m)
-            assert run_replicate(make_cell(jc, k), n, seed, method="pca").status == "deficient_rank", (k, n)
+            rec = run_replicates(make_cell(jc, k), n, [seed], method="pca")[0]
+            assert rec.status == "deficient_rank", (k, n)
 
     @pytest.mark.parametrize("m", [2, 3, 6, 12])
     def test_n_is_k_plus_one_is_ok(self, m):
@@ -125,7 +125,7 @@ class TestRankTolerance:
             rng = np.random.default_rng(seed)
             k = int(rng.integers(1, m + 1))
             jc = random_joint_covariance(rng, m)
-            assert run_replicate(make_cell(jc, k), k + 1, seed, method="pca").status == "ok"
+            assert run_replicates(make_cell(jc, k), k + 1, [seed], method="pca")[0].status == "ok"
 
     def test_exactly_collinear_rows_are_deficient(self):
         # Rank 1 data with many observations: the zero eigenvalues are
@@ -133,8 +133,8 @@ class TestRankTolerance:
         v = np.random.default_rng(3).standard_normal(5000)
         data = np.vstack([v, 2 * v, -v, 0.5 * v])
         gram = center_gram_inplace(np.vstack([data, data]))
-        assert evaluate_gram(gram, 1, "pca", 5000).status == "ok"
-        assert evaluate_gram(gram, 2, "pca", 5000).status == "deficient_rank"
+        assert evaluate_one(gram, 1, "pca", 5000).status == "ok"
+        assert evaluate_one(gram, 2, "pca", 5000).status == "deficient_rank"
 
     def test_threshold_is_on_the_squared_scale(self):
         # sigma_2 / sigma_1 = 1e-5 is resolved (lambda ratio 1e-10); 1e-9 is
@@ -144,10 +144,10 @@ class TestRankTolerance:
         for ratio, status in ((1e-5, "ok"), (1e-9, "deficient_rank")):
             x = np.diag([1.0, ratio]) @ q.T
             gram = center_gram_inplace(np.vstack([x, x]))
-            assert evaluate_gram(gram, 2, "pca", 400).status == status
+            assert evaluate_one(gram, 2, "pca", 400).status == status
 
     def test_trivial_method_has_no_rank_check(self):
-        rec = run_replicate(make_cell(identity_pair(6, 0.5), 4), 3, 1, method="trivial")
+        rec = run_replicates(make_cell(identity_pair(6, 0.5), 4), 3, [1], method="trivial")[0]
         assert rec.status == "ok"
 
 
@@ -164,8 +164,8 @@ class TestProperties:
     def test_eps_symmetric_in_x_and_y(self, m, data, seed, method):
         k = data.draw(st.integers(1, m))
         x, y = random_data(seed, m, 40)
-        xy = evaluate_gram(center_gram_inplace(np.vstack([x, y])), k, method, 40)
-        yx = evaluate_gram(center_gram_inplace(np.vstack([y, x])), k, method, 40)
+        xy = evaluate_one(center_gram_inplace(np.vstack([x, y])), k, method, 40)
+        yx = evaluate_one(center_gram_inplace(np.vstack([y, x])), k, method, 40)
         assert xy.eps_sq == pytest.approx(yx.eps_sq, abs=1e-10)
         assert xy.d_sq == pytest.approx(yx.d_sq, abs=1e-10)
 
@@ -175,8 +175,8 @@ class TestProperties:
     def test_eps_invariant_to_scaling_x(self, m, data, seed, c, method):
         k = data.draw(st.integers(1, m))
         x, y = random_data(seed, m, 40)
-        base = evaluate_gram(center_gram_inplace(np.vstack([x, y])), k, method, 40)
-        scaled = evaluate_gram(center_gram_inplace(np.vstack([c * x, y])), k, method, 40)
+        base = evaluate_one(center_gram_inplace(np.vstack([x, y])), k, method, 40)
+        scaled = evaluate_one(center_gram_inplace(np.vstack([c * x, y])), k, method, 40)
         assert scaled.status == base.status == "ok"
         assert scaled.eps_sq == pytest.approx(base.eps_sq, abs=1e-9)
 
@@ -189,8 +189,8 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         w, r = np.linalg.qr(rng.standard_normal((m, m)))
         x, y = random_data(seed, m, 40)
-        out = evaluate_gram(center_gram_inplace(np.vstack([x, y])), k, "pca", 40,
-                            weight(beta * w, k), isometry=w)
+        out = evaluate_one(center_gram_inplace(np.vstack([x, y])), k, "pca", 40,
+                           weight(beta * w, k), isometry=w)
         assert out.eth_sq == pytest.approx(out.d_sq_corrected, abs=1e-9)
         for value in (out.d_sq, out.eth_sq, out.eps_sq):
             assert 0.0 <= value <= 2.0 * k
@@ -200,37 +200,37 @@ class TestEvaluateGram:
     def test_scale_of_gram_does_not_matter(self):
         x, y = random_data(5, 6, 50)
         gram = center_gram_inplace(np.vstack([x, y]))
-        a = evaluate_gram(gram, 2, "pca", 50, weight(np.eye(6), 2))
-        b = evaluate_gram(gram / 49.0, 2, "pca", 50, weight(np.eye(6), 2))
+        a = evaluate_one(gram, 2, "pca", 50, weight(np.eye(6), 2))
+        b = evaluate_one(gram / 49.0, 2, "pca", 50, weight(np.eye(6), 2))
         for field in ("d_sq", "eth_sq", "eps_sq"):
             assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-12)
         # A power of two is removed exactly, down to 1e-271 and up to 1e271.
         for e in (-900, -600, 600, 900):
-            assert evaluate_gram(np.ldexp(gram, e), 2, "pca", 50, weight(np.eye(6), 2)) == a, e
+            assert evaluate_one(np.ldexp(gram, e), 2, "pca", 50, weight(np.eye(6), 2)) == a, e
 
     def test_degenerate_projection(self):
         x = np.vstack([np.zeros((2, 30)), np.random.default_rng(1).standard_normal((3, 30))])
         gram = center_gram_inplace(np.vstack([x, x]))
-        assert evaluate_gram(gram, 2, "trivial", 30).status == "degenerate_projection"
+        assert evaluate_one(gram, 2, "trivial", 30).status == "degenerate_projection"
 
     def test_without_weight_has_no_eth(self):
         x, y = random_data(6, 4, 30)
-        out = evaluate_gram(center_gram_inplace(np.vstack([x, y])), 2, "pca", 30)
+        out = evaluate_one(center_gram_inplace(np.vstack([x, y])), 2, "pca", 30)
         assert out.status == "ok" and out.eth_sq is None and out.d_sq_corrected is None
 
     def test_input_validation(self):
         gram = np.eye(6)
         with pytest.raises(ValueError, match="2m x 2m"):
-            evaluate_gram(np.eye(5), 1, "pca", 10)
+            evaluate_one(np.eye(5), 1, "pca", 10)
         with pytest.raises(ValueError, match="k"):
-            evaluate_gram(gram, 4, "pca", 10)
+            evaluate_one(gram, 4, "pca", 10)
         with pytest.raises(ValueError, match="method"):
-            evaluate_gram(gram, 1, "svd", 10)
+            evaluate_one(gram, 1, "svd", 10)
         with pytest.raises(ValueError, match="2 observations"):
             center_gram_inplace(np.ones((3, 1)))
 
 
-def gram_alone(s, k, method, n, weight=None, isometry=None) -> GramResult:
+def gram_alone(s, k, method, n, weight=None, isometry=None) -> Row:
     """The kernel as it was before stacks (0.10.0): one Gram matrix, in 2-d numpy calls."""
     s = np.array(s, dtype=float)
     m = s.shape[0] // 2
@@ -240,17 +240,17 @@ def gram_alone(s, k, method, n, weight=None, isometry=None) -> GramResult:
         tops = []
         for block in (sxx, syy):
             if n - 1 < k:
-                return GramResult("deficient_rank")
+                return Row("deficient_rank")
             w, v = np.linalg.eigh(block)
             if not w[-k] > w[-1] * max(m, n) * np.finfo(float).eps:
-                return GramResult("deficient_rank")
+                return Row("deficient_rank")
             tops.append((v[:, -k:], float(w[-k:].sum())))
         (a, var_x), (b, var_y) = tops
     else:
         a = b = np.eye(m)[:, :k]
         var_x, var_y = float(np.trace(sxx[:k, :k])), float(np.trace(syy[:k, :k]))
     if var_x < 1e-300 or var_y < 1e-300:
-        return GramResult("degenerate_projection")
+        return Row("degenerate_projection")
 
     def chordal(inner):
         cosines = np.clip(np.linalg.svd(inner, compute_uv=False), 0.0, 1.0)
@@ -265,15 +265,7 @@ def gram_alone(s, k, method, n, weight=None, isometry=None) -> GramResult:
         sigma = np.linalg.svd(a.T @ weight.scaled @ b, compute_uv=False)
         eth_sq = min(max(float(2.0 * np.sum(1.0 - sigma / weight.mass)), 0.0), 2.0 * k)
     corrected = None if isometry is None else chordal(a.T @ isometry @ b)
-    return GramResult("ok", chordal(a.T @ b), eth_sq, min(max(float(eps_sq), 0.0), 2.0 * k),
-                      corrected)
-
-
-def stack_rows(out) -> list[GramResult]:
-    """The rows of ``evaluate_grams``'s columns, as the GramResult of each matrix."""
-    return [GramResult(STATUSES[code], *(None if col is None or np.isnan(col[r]) else col[r].item()
-                                         for col in out[1:]))
-            for r, code in enumerate(out.status)]
+    return Row("ok", chordal(a.T @ b), eth_sq, min(max(float(eps_sq), 0.0), 2.0 * k), corrected)
 
 
 class TestStack:
@@ -310,7 +302,7 @@ class TestStack:
             for gram, row in zip(members, rows):
                 want = gram_alone(gram, k, method, 50, w, isometry)
                 assert row == want
-                assert evaluate_gram(gram, k, method, 50, w, isometry=isometry) == want
+                assert evaluate_one(gram, k, method, 50, w, isometry) == want
         assert [row.status for row in stack_rows(evaluate_grams(
             grams.copy(), k, method, 50, w, isometry))] == statuses
 

@@ -5,14 +5,13 @@ from subalign import (
     CenteredData,
     Subspace,
     center,
-    evaluate_gram,
     pca_subspace,
     principal_angles,
     projector,
 )
 from subalign.kernel import center_gram_inplace
 
-from conftest import random_subspace
+from conftest import evaluate_one, random_subspace
 
 
 class TestCenter:
@@ -124,7 +123,7 @@ class TestTrivialSubspace:
     def test_first_two_coordinates(self, rng):
         # Its eps^2 is the Procrustes error between the first two rows of X and of Y.
         x, y = rng.standard_normal((2, 6, 50))
-        out = evaluate_gram(center_gram_inplace(np.vstack([x, y])), 2, "trivial", 50)
+        out = evaluate_one(center_gram_inplace(np.vstack([x, y])), 2, "trivial", 50)
         cx, cy = center(x[:2]).matrix, center(y[:2]).matrix
         nuclear = np.linalg.svd(cy @ cx.T, compute_uv=False).sum()
         want = 4.0 - 4.0 * nuclear / (np.linalg.norm(cx) * np.linalg.norm(cy))
@@ -132,14 +131,14 @@ class TestTrivialSubspace:
 
     def test_full_space(self, rng):
         gram = center_gram_inplace(rng.standard_normal((8, 30)))
-        trivial, pca = (evaluate_gram(gram, 4, method, 30) for method in ("trivial", "pca"))
+        trivial, pca = (evaluate_one(gram, 4, method, 30) for method in ("trivial", "pca"))
         assert trivial.eps_sq == pytest.approx(pca.eps_sq, abs=1e-12)
 
     def test_self_distance_zero(self, rng):
         gram = center_gram_inplace(rng.standard_normal((12, 40)))
-        assert evaluate_gram(gram, 2, "trivial", 40).d_sq == 0.0
+        assert evaluate_one(gram, 2, "trivial", 40).d_sq == 0.0
 
     def test_k_out_of_range(self):
         for k in (0, 4):
             with pytest.raises(ValueError, match="1 <= k <= m"):
-                evaluate_gram(np.eye(6), k, "trivial", 10)
+                evaluate_one(np.eye(6), k, "trivial", 10)

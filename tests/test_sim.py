@@ -21,7 +21,7 @@ from subalign import (
     reversed_pair,
     rho,
     run_experiment,
-    run_replicate,
+    run_replicates,
     scientists_sample,
     spiked_diag_pair,
     summarize,
@@ -64,41 +64,42 @@ class TestReplicateSeed:
 
 class TestRunReplicate:
     def test_trivial_method_zero_distance(self):
-        rec = run_replicate(make_cell(identity_pair(6, 0.5), 2), 500, 1, method="trivial")
+        rec = run_replicates(make_cell(identity_pair(6, 0.5), 2), 500, [1], method="trivial")[0]
         assert rec.d_sq == 0.0
         assert rec.status == "ok"
 
     def test_identity_model_weighted_equals_unweighted(self):
-        rec = run_replicate(make_cell(identity_pair(6, 0.5), 2), 500, 2, method="pca")
+        rec = run_replicates(make_cell(identity_pair(6, 0.5), 2), 500, [2], method="pca")[0]
         assert abs(rec.eth_sq - rec.d_sq) < 1e-12
 
     def test_reversed_model_correction_is_exact(self):
         jc, w = reversed_pair(20, 0.7, 0.6)
-        rec = run_replicate(make_cell(jc, 2, w), 500, 3, method="pca")
+        rec = run_replicates(make_cell(jc, 2, w), 500, [3], method="pca")[0]
         assert abs(rec.eth_sq - rec.d_sq_corrected) < 1e-9
 
     def test_record_ranges_and_residual_identity(self):
         for seed in range(5):
-            rec = run_replicate(make_cell(spiked_diag_pair(20, 0.7, 0.6), 2), 300, seed, method="pca")
+            cell = make_cell(spiked_diag_pair(20, 0.7, 0.6), 2)
+            rec = run_replicates(cell, 300, [seed], method="pca")[0]
             for value in (rec.d_sq, rec.eth_sq, rec.eps_sq):
                 assert 0.0 <= value <= 4.0
             assert rec.residual == rec.eps_sq - rec.predicted
 
     def test_scientist_model(self):
         params = ScientistParams(m=6, gamma=1.0)
-        rec = run_replicate(make_cell(params, 2), 400, 9, method="trivial")
+        rec = run_replicates(make_cell(params, 2), 400, [9], method="trivial")[0]
         assert rec.eps_sq == pytest.approx(0.0, abs=1e-9)
         assert rec.predicted == pytest.approx(0.0, abs=1e-9)
 
     def test_rank_deficiency_marks_failure(self):
-        rec = run_replicate(make_cell(identity_pair(6, 0.5), 5), 4, 1, method="pca")
+        rec = run_replicates(make_cell(identity_pair(6, 0.5), 5), 4, [1], method="pca")[0]
         assert rec.status == "deficient_rank"
         assert rec.d_sq is None and rec.eps_sq is None
 
     def test_degenerate_projection_marks_failure(self):
         diag = np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
         jc = JointCovariance(diag, diag, np.zeros((6, 6)))
-        rec = run_replicate(make_cell(jc, 2), 50, 99, method="trivial")
+        rec = run_replicates(make_cell(jc, 2), 50, [99], method="trivial")[0]
         assert rec.status == "degenerate_projection"
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-250])
@@ -107,8 +108,8 @@ class TestRunReplicate:
         # underflows, but eps^2 does not depend on the scale of the first k coordinates.
         def eps_sq(s):
             d = np.diag([s, s, 1.0, 1.0])
-            rec = run_replicate(make_cell(JointCovariance(d, d, 0.5 * d), 2), 200, 1,
-                                method="trivial")
+            rec = run_replicates(make_cell(JointCovariance(d, d, 0.5 * d), 2), 200, [1],
+                                 method="trivial")[0]
             assert rec.status == "ok"
             return rec.eps_sq
 
@@ -133,6 +134,26 @@ class TestExperimentConfig:
         assert ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2**32).replicates == 2**32
         with pytest.raises(ValueError, match="replicates"):
             ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2**32 + 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("k_values", (2.9,)), ("n_values", (100.7,)), ("replicates", 2.5), ("m", 6.0),
+        ("base_seed", 1.5),
+    ])
+    def test_rejects_non_integral_sizes_and_seed(self, field, value):
+        # int() used to run k = 2.9 as 2 and n = 100.7 as 100; a float m, replicate
+        # count or seed passed here and then failed inside the run with a TypeError.
+        fields = dict(experiment="illus1", m=6, k_values=(2,), n_values=(100,), sweep=(0.5,),
+                      replicates=3)
+        with pytest.raises(ValueError, match=f"{field} must be integers"):
+            ExperimentConfig(**(fields | {field: value}))
+
+    def test_accepts_numpy_integers(self):
+        i = np.int64
+        cfg = ExperimentConfig("illus1", i(6), (i(2),), (i(100),), (0.5,), i(2), base_seed=i(7))
+        assert (cfg.m, cfg.k_values, cfg.n_values, cfg.replicates, cfg.base_seed) == (
+            6, (2,), (100,), 2, 7)
+        assert run_experiment(cfg) == run_experiment(
+            ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2, base_seed=7))
 
     def test_rejects_infeasible_sweep_before_work(self):
         cfg = ExperimentConfig("illus1", 6, (2,), (100,), (1.5,), 3)
@@ -231,7 +252,7 @@ class TestRunExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started before workers was checked")
 
-        monkeypatch.setattr(sim, "_run_chunk", no_chunk)
+        monkeypatch.setattr(sim, "run_replicates", no_chunk)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_experiment(self.small_cfg(), workers=workers)
@@ -341,7 +362,7 @@ class TestRunExperiment:
         cfg = self.small_cfg(n_values=(2000,), sweep=(0.5,), replicates=2048, method="trivial")
         failed = threading.Event()
         after = []
-        sim_run_chunk = sim._run_chunk
+        sim_run_replicates = sim.run_replicates
 
         def run_chunk(cell, n, seeds, first, **kwargs):
             assert len(seeds) == 128
@@ -353,9 +374,9 @@ class TestRunExperiment:
             if first == 3 * 128:
                 failed.wait(timeout=10)
                 time.sleep(0.2)
-            return sim_run_chunk(cell, n, seeds, first, **kwargs)
+            return sim_run_replicates(cell, n, seeds, first, **kwargs)
 
-        monkeypatch.setattr(sim, "_run_chunk", run_chunk)
+        monkeypatch.setattr(sim, "run_replicates", run_chunk)
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk failed"):
@@ -380,8 +401,8 @@ class TestRunExperiment:
     def test_records_do_not_depend_on_workers_or_chunk_length(self, monkeypatch, cfg, statuses):
         # The kernel evaluates each matrix of a stack as it would alone, so a
         # replicate's record is the same in a chunk of 1, 3 or 7 (the whole cell).
-        want = [run_replicate(cell, n, replicate_seed(cfg.base_seed, p, r), r,
-                              method=cfg.method, experiment=cfg.experiment)
+        want = [run_replicates(cell, n, [replicate_seed(cfg.base_seed, p, r)], r,
+                               method=cfg.method, experiment=cfg.experiment)[0]
                 for p, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))
                 for r in range(cfg.replicates)]
         assert {r.status for r in want} == statuses
