@@ -85,8 +85,7 @@ def _reference_lines(cells) -> list[dict]:
     return lines
 
 
-def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int,
-                     full_scale: bool) -> dict:
+def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int, params) -> dict:
     stats = summarize(records)
     failed = Counter(r.status for r in records if r.status != "ok")
     groups = []
@@ -104,10 +103,10 @@ def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int,
             "n_values": list(cfg.n_values),
             "sweep": [_round12(v) for v in cfg.sweep],
             "replicates": cfg.replicates,
-            "beta": _round12(cfg.beta),
-            "lambda2": _round12(cfg.lambda2),
+            # null where the experiment does not fix it, not the config's unread default
+            "beta": _round12(params.get("beta", math.nan)),
+            "lambda2": _round12(params.get("lambda2", math.nan)),
             "threads": threads,
-            "full_scale": full_scale,
         },
         "failed_replicates": sum(failed.values()),  # kept while bench/gate.py reads it
         "failed_by_reason": dict(sorted(failed.items())),
@@ -121,12 +120,14 @@ def _usage_error(message) -> int:
     return 2
 
 
-def _run_and_write(args, **config) -> int:
-    """Validate the run (config, models, --threads, output paths), then run it and write."""
+def _run_and_write(args, **params) -> int:
+    """Build the run from the shared flags and the experiment's own ``params`` (k, n, sweep,
+    a fixed beta or lambda2); validate it and the output paths, then run it and write."""
     if args.threads < 1:
         return _usage_error(f"--threads must be >= 1, got {args.threads}")
     try:
-        cfg = ExperimentConfig(**config)
+        cfg = ExperimentConfig(experiment=args.command, m=args.m, replicates=args.reps,
+                               base_seed=args.seed, method=args.method, **params)
         lines = _reference_lines(cfg.cells)
     except ValueError as exc:
         return _usage_error(exc)
@@ -150,7 +151,7 @@ def _run_and_write(args, **config) -> int:
             print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
         try:
             records = run_experiment(cfg, workers=args.threads)
-            payload = _summary_payload(cfg, records, lines, args.threads, args.full_scale)
+            payload = _summary_payload(cfg, records, lines, args.threads, params)
             write_records_csv(records, out_path)
             with open(summary_path, "w") as handle:
                 json.dump(payload, handle, indent=2, allow_nan=False)
@@ -172,58 +173,42 @@ def _run_and_write(args, **config) -> int:
     return 0
 
 
-def _add_run_flags(sp, *, m, reps):
+def _add_run_flags(sp, *, m):
     sp.add_argument("--m", type=int, default=m, help=f"ambient dimension (default {m})")
     sp.add_argument("--k", type=int, nargs="+", default=None, help="projection dimensions")
     sp.add_argument("--n", type=int, nargs="+", default=None, help="observation counts")
-    sp.add_argument("--reps", type=int, default=reps, help=f"replicates per cell (default {reps})")
-    sp.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
+    sp.add_argument("--reps", type=int, default=200,
+                    help="replicates per cell (default 200; the paper's counts are 1000 for "
+                         "illus1, 10000 for illus2 and illus3, 2000 for the n sweep)")
+    sp.add_argument("--seed", type=int, default=42, help="base seed in [0, 2**64) (default 42)")
     sp.add_argument("--method", choices=METHODS, default="pca")
     sp.add_argument("--out", help="records CSV path (default <experiment>_records.csv)")
     sp.add_argument("--summary", help="summary JSON path (default <experiment>_summary.json)")
     sp.add_argument("--threads", type=int, default=1, help="parallel workers (default 1)")
-    sp.add_argument("--full-scale", action="store_true",
-                    help="restore full-scale replicate counts (slow)")
 
 
 def cmd_illus1(args) -> int:
     return _run_and_write(
-        args, experiment="illus1", m=args.m,
-        k_values=args.k or [2],
-        n_values=args.n or [1000, 10000],
+        args, k_values=args.k or [2], n_values=args.n or [1000, 10000],
         sweep=args.beta if args.beta is not None else ILLUS1_BETAS,
-        replicates=1000 if args.full_scale else args.reps,
-        base_seed=args.seed, method=args.method,
     )
 
 
 def cmd_illus2(args) -> int:
     if args.n_sweep:
-        k_values = args.k or [2]
-        n_values = args.n or list(ILLUS2_NSWEEP_NS)
-        sweep = args.lambda2 if args.lambda2 is not None else [0.7]
-        full = 2000
+        k_values, n_values, sweep = args.k or [2], args.n or ILLUS2_NSWEEP_NS, [0.7]
     else:
-        k_values = args.k or [1, 2, 10]
-        n_values = args.n or [10000]
-        sweep = args.lambda2 if args.lambda2 is not None else ILLUS2_LAMBDAS
-        full = 10000
+        k_values, n_values, sweep = args.k or [1, 2, 10], args.n or [10000], ILLUS2_LAMBDAS
     return _run_and_write(
-        args, experiment="illus2", m=args.m, k_values=k_values, n_values=n_values,
-        sweep=sweep, replicates=full if args.full_scale else args.reps,
-        base_seed=args.seed, method=args.method, beta=args.beta,
+        args, k_values=k_values, n_values=n_values,
+        sweep=args.lambda2 if args.lambda2 is not None else sweep, beta=args.beta,
     )
 
 
 def cmd_illus3(args) -> int:
     return _run_and_write(
-        args, experiment="illus3", m=args.m,
-        k_values=args.k or [1, 2, 10],
-        n_values=args.n or [10000],
-        sweep=[args.beta],
-        replicates=10000 if args.full_scale else args.reps,
-        base_seed=args.seed, method=args.method,
-        beta=args.beta, lambda2=args.lambda2,
+        args, k_values=args.k or [1, 2, 10], n_values=args.n or [10000],
+        sweep=[args.beta], beta=args.beta, lambda2=args.lambda2,
     )
 
 
@@ -290,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("illus1", help="identity covariance pair, beta sweep")
-    _add_run_flags(p1, m=6, reps=200)
+    _add_run_flags(p1, m=6)
     p1.add_argument("--beta", type=float, nargs="+", default=None,
                     help=f"beta sweep values (default {' '.join(str(b) for b in ILLUS1_BETAS)})")
     p1.set_defaults(func=cmd_illus1)
 
     p2 = sub.add_parser("illus2", help="spiked-diagonal pair, lambda2 sweep")
-    _add_run_flags(p2, m=20, reps=200)
+    _add_run_flags(p2, m=20)
     p2.add_argument("--beta", type=float, default=0.6, help="cross-covariance scale (default 0.6)")
     p2.add_argument("--lambda2", type=float, nargs="+", default=None,
                     help="second-diagonal sweep values (default 0.7 .. 0.75)")
@@ -305,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2.set_defaults(func=cmd_illus2)
 
     p3 = sub.add_parser("illus3", help="coordinate-reversed pair with corrected distance")
-    _add_run_flags(p3, m=20, reps=200)
+    _add_run_flags(p3, m=20)
     p3.add_argument("--beta", type=float, default=0.6, help="cross-covariance scale (default 0.6)")
     p3.add_argument("--lambda2", type=float, default=0.7, help="second diagonal (default 0.7)")
     p3.set_defaults(func=cmd_illus3)

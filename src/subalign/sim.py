@@ -24,10 +24,10 @@ sweep x k_values x n_values, in that nesting order) uses the 64-bit seed
 
     splitmix64_mix(base_seed XOR (p * 2**32 + r))
 
-where splitmix64_mix is the standard splitmix64 finalizer (see
-:func:`replicate_seed`).  The seed feeds ``numpy.random.default_rng``
-(PCG64).  Replicates are therefore independent of execution order and of
-the number of workers; runs with equal configs are bit-identical.
+where 0 <= base_seed < 2**64 and splitmix64_mix is the standard splitmix64
+finalizer (see :func:`replicate_seed`).  The seed feeds numpy's
+``default_rng`` (PCG64), so replicates are independent of execution order
+and of the number of workers; runs with equal configs are bit-identical.
 
 Execution
 ---------
@@ -134,6 +134,8 @@ class ExperimentConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 1 <= self.replicates <= 2**32:
             raise ValueError(f"replicates must lie in [1, 2**32], got {self.replicates}")
+        if not 0 <= self.base_seed < 2**64:  # the contract reads 64 bits: no two seeds alias
+            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
         if not self.k_values or any(not 1 <= k <= self.m for k in self.k_values):
             raise ValueError(f"k values must satisfy 1 <= k <= m = {self.m}: {self.k_values}")
         if not self.n_values or any(n < 2 for n in self.n_values):

@@ -1,7 +1,11 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,11 +160,54 @@ def test_illus1_default_record_count_formula():
     assert args.m == 6 and args.seed == 42 and args.method == "pca"
 
 
-def test_full_scale_flag_restores_reference_replicates():
-    args = build_parser().parse_args(["illus1", "--full-scale"])
-    assert args.full_scale
-    args2 = build_parser().parse_args(["illus2"])
-    assert not args2.full_scale
+# Each experiment's own flags, at small n; the shared flags are added by the tests below.
+MAPPING_CASES = {
+    "illus1": (["illus1", "--k", "2", "--n", "60", "--beta", "0.3", "0.5"], 2),
+    "illus2": (["illus2", "--k", "1", "2", "--n", "60", "--lambda2", "0.71", "0.73"], 4),
+    "illus2_n_sweep": (["illus2", "--n-sweep", "--n", "50", "100"], 2),
+    "illus3": (["illus3", "--k", "1", "2", "--n", "60"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAPPING_CASES))
+def test_shared_flags_reach_the_run(tmp_path, monkeypatch, case):
+    argv, cells = MAPPING_CASES[case]
+    configs = []
+
+    def recorded(cfg, **kwargs):
+        configs.append(cfg)
+        return sim.run_experiment(cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    out, summary = tmp_path / "r.csv", tmp_path / "s.json"
+    code = main([*argv, "--m", "8", "--reps", "3", "--seed", "11", "--method", "trivial",
+                 "--out", str(out), "--summary", str(summary)])
+    assert code == 0
+    [cfg] = configs
+    assert (cfg.experiment, cfg.m, cfg.replicates, cfg.base_seed, cfg.method) == (
+        argv[0], 8, 3, 11, "trivial")
+    rows = read_rows(out)
+    per_cell = Counter((r["sweep_param"], r["k"], r["n"]) for r in rows)
+    assert len(per_cell) == cells and set(per_cell.values()) == {3}
+    assert {(r["experiment"], r["m"], r["method"]) for r in rows} == {(argv[0], "8", "trivial")}
+    payload = json.loads(summary.read_text())
+    assert (payload["seed"], payload["config"]["replicates"]) == (11, 3)
+
+
+@pytest.mark.parametrize("argv, beta, lambda2", [
+    (["illus1", "--n", "60", "--beta", "0.5"], None, None),
+    (["illus2", "--n", "60", "--lambda2", "0.71", "0.73", "--beta", "0.5"], 0.5, None),
+    (["illus2", "--n-sweep", "--n", "50", "100"], 0.6, None),
+    (["illus3", "--n", "60", "--beta", "0.5", "--lambda2", "0.72"], 0.5, 0.72),
+], ids=["illus1", "illus2", "illus2_n_sweep", "illus3"])
+def test_summary_reports_only_the_parameters_the_run_reads(tmp_path, argv, beta, lambda2):
+    # illus1 sweeps beta and fixes no lambda2; illus2 sweeps lambda2.
+    summary = tmp_path / "s.json"
+    code = main([*argv, "--m", "6", "--k", "2", "--reps", "1", "--out", str(tmp_path / "r.csv"),
+                 "--summary", str(summary)])
+    assert code == 0
+    config = json.loads(summary.read_text())["config"]
+    assert (config["beta"], config["lambda2"]) == (beta, lambda2)
 
 
 def test_illus2_prints_theoretical_rho_and_n_sweep_groups(tmp_path, capsys):
@@ -378,23 +425,28 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and "memory" in err
         assert not out.exists() and not summary.exists()
 
-    @pytest.mark.parametrize("existing, out, summary", [
-        ({}, "rec.csv", "nodir/s.json"),
-        ({"rec.csv": b"kept,1\n"}, "rec.csv", "nodir/s.json"),
+    @pytest.mark.parametrize("existing, out, summary, extra", [
+        ({}, "rec.csv", "nodir/s.json", []),
+        ({"rec.csv": b"kept,1\n"}, "rec.csv", "nodir/s.json", []),
         # The probe opens /dev/full; the final write fails with ENOSPC.
-        pytest.param({}, "/dev/full", "s.json", marks=NEEDS_DEV_FULL),
-        pytest.param({}, "rec.csv", "/dev/full", marks=NEEDS_DEV_FULL),
-    ], ids=["unwritable_summary", "existing_records", "full_records", "full_summary"])
+        pytest.param({}, "/dev/full", "s.json", [], marks=NEEDS_DEV_FULL),
+        pytest.param({}, "rec.csv", "/dev/full", [], marks=NEEDS_DEV_FULL),
+        # A base seed outside [0, 2**64) would alias one inside it.
+        ({"rec.csv": b"kept,1\n"}, "rec.csv", "s.json", ["--seed", "-1"]),
+    ], ids=["unwritable_summary", "existing_records", "full_records", "full_summary",
+            "negative_seed"])
     def test_rejected_run_leaves_the_files_as_they_were(self, tmp_path, monkeypatch, capsys,
-                                                        existing, out, summary):
+                                                        existing, out, summary, extra):
         # The output probe creates the files it opens; a rejection, or a failed final
         # write, removes only those.
         monkeypatch.chdir(tmp_path)
         for name, data in existing.items():
             (tmp_path / name).write_bytes(data)
-        code = main(["illus1", "--reps", "1", "--n", "50", "--out", out, "--summary", summary])
+        code = main(["illus1", "--reps", "1", "--n", "50", "--out", out, "--summary", summary,
+                     *extra])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == existing
 
 
@@ -419,7 +471,32 @@ def test_summary_counts_failures_by_reason():
     cfg = sim.ExperimentConfig("custom", 4, (1, 2), (30,), (), 5, method="trivial",
                                models=models)
     records = sim.run_experiment(cfg)
-    payload = cli._summary_payload(cfg, records, cli._reference_lines(cfg.cells), 1, False)
+    payload = cli._summary_payload(cfg, records, cli._reference_lines(cfg.cells), 1, {})
     assert payload["failed_by_reason"] == {"degenerate_projection": 10}
     assert payload["failed_replicates"] == 10
     json.dumps(payload, allow_nan=False)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["illus3", "--k", "2", "--n", "200", "--reps", "3"], 0),
+    (["illus1", "--n", "2", "--k", "2", "--reps", "2", "--beta", "0.5"], 1),
+    (["compute", "empty.csv", "empty.csv", "--k", "1"], 2),
+    (["compute", "constant.csv", "constant.csv", "--k", "2", "--method", "trivial"], 3),
+], ids=["exit0", "exit1", "exit2", "exit3"])
+def test_installed_entry_path_exit_codes(tmp_path, argv, code):
+    # python -m subalign runs cli.entry, which turns main's return value into the exit code.
+    (tmp_path / "empty.csv").write_text("")
+    constant = np.random.default_rng(3).standard_normal((4, 30))
+    constant[:2] = 1.0
+    write_matrix(tmp_path / "constant.csv", constant)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = os.environ | {"PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "subalign", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code >= 2:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+    else:
+        assert (tmp_path / f"{argv[0]}_summary.json").exists()

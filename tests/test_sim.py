@@ -135,6 +135,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="replicates"):
             ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2**32 + 1)
 
+    def test_rejects_base_seeds_outside_64_bits(self):
+        # The seeding contract reads 64 bits: -1 would alias 2**64 - 1, and 2**64 + 42 seed 42.
+        cfg = ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2, base_seed=2**64 - 1)
+        assert cfg.base_seed == 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\*\*64\)"):
+                ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2, base_seed=seed)
+
     @pytest.mark.parametrize("field, value", [
         ("k_values", (2.9,)), ("n_values", (100.7,)), ("replicates", 2.5), ("m", 6.0),
         ("base_seed", 1.5),
