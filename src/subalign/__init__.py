@@ -36,8 +36,7 @@ from .model import (
 )
 from .sim import (
     ExperimentConfig,
-    ReplicateRecord,
-    SummaryStats,
+    Records,
     make_cell,
     replicate_seed,
     run_experiment,
@@ -46,4 +45,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
 import sys
 import warnings
-from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
 from .grassmann import unit_scale_inplace, weight
 from .kernel import STATUSES, center_gram_inplace, evaluate_grams
-from .sim import METHODS, ExperimentConfig, ReplicateRecord, run_experiment, summarize
+from .sim import METHODS, ExperimentConfig, Records, run_experiment, summarize
 from .theory import plugin_rho
 
 __all__ = ["main", "entry", "CSV_COLUMNS", "write_records_csv"]
@@ -47,10 +46,9 @@ ILLUS2_LAMBDAS = (0.70, 0.71, 0.72, 0.73, 0.74, 0.75)
 ILLUS2_NSWEEP_NS = (10, 100, 1000, 10000)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.12g}"
+def _fmt(value: float) -> str:
+    """12 significant digits; the empty field for NaN (an absent or failed value)."""
+    return "" if math.isnan(value) else f"{value:.12g}"
 
 
 def _round12(value: float):
@@ -58,19 +56,21 @@ def _round12(value: float):
     return float(f"{value:.12g}") if math.isfinite(value) else None
 
 
-def write_records_csv(records: list[ReplicateRecord], path: str) -> None:
+def write_records_csv(records: Records, path: str) -> None:
+    gap = np.abs(records.eth_sq - records.d_sq_corrected)
+    floats = (records.sweep_param, records.d_sq, records.eth_sq, records.eps_sq,
+              records.predicted, records.residual, records.d_sq_corrected, gap)
+    sweep, d2, eth2, eps2, predicted, residual, corrected, gap = (
+        map(_fmt, column.tolist()) for column in floats)
+    status = [STATUSES[code] for code in records.status.tolist()]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            gap = None
-            if r.eth_sq is not None and r.d_sq_corrected is not None:
-                gap = abs(r.eth_sq - r.d_sq_corrected)
-            writer.writerow([
-                r.experiment, r.method, r.m, r.k, r.n, _fmt(r.sweep_param), r.replicate,
-                _fmt(r.d_sq), _fmt(r.eth_sq), _fmt(r.eps_sq), _fmt(r.predicted),
-                _fmt(r.residual), _fmt(r.d_sq_corrected), r.status, _fmt(gap),
-            ])
+        writer.writerows(zip(
+            repeat(records.experiment), repeat(records.method), repeat(records.m),
+            records.k.tolist(), records.n.tolist(), sweep, records.replicate.tolist(),
+            d2, eth2, eps2, predicted, residual, corrected, status, gap,
+        ))
 
 
 def _reference_lines(cells) -> list[dict]:
@@ -85,14 +85,12 @@ def _reference_lines(cells) -> list[dict]:
     return lines
 
 
-def _summary_payload(cfg: ExperimentConfig, records, lines, threads: int, params) -> dict:
-    stats = summarize(records)
-    failed = Counter(r.status for r in records if r.status != "ok")
-    groups = []
-    for s in stats:
-        entry = dict(s.group) | {f.name: getattr(s, f.name) for f in dataclasses.fields(s)[1:]}
-        groups.append({key: _round12(value) if isinstance(value, float) else value
-                       for key, value in entry.items()})
+def _summary_payload(cfg: ExperimentConfig, records: Records, lines, threads: int,
+                     params) -> dict:
+    groups = [{key: _round12(value) if isinstance(value, float) else value
+               for key, value in group.items()} for group in summarize(records)]
+    counts = np.bincount(records.status, minlength=len(STATUSES)).tolist()
+    failed = {reason: count for reason, count in zip(STATUSES[1:], counts[1:]) if count}
     return {
         "experiment": cfg.experiment,
         "method": cfg.method,

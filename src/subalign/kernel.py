@@ -84,8 +84,8 @@ class GramColumns(NamedTuple):
     ``status`` holds R int8 codes, indices into :data:`STATUSES` (0 is ok).
     The float columns hold R values each, NaN where the status is not ok;
     ``eth_sq`` is None without a weight, ``d_sq_corrected`` without an
-    isometry.  Row r belongs to matrix r; the float field names are those
-    of :class:`subalign.sim.ReplicateRecord`.
+    isometry.  Row r belongs to matrix r; the simulator keeps these columns,
+    under the same names, in its :class:`subalign.sim.Records` table.
     """
 
     status: np.ndarray

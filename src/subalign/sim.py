@@ -10,7 +10,9 @@ a chunk is up to ``_MAX_CHUNK`` consecutive replicates of one (cell, n),
 fewer where the kernel's stacks would pass ``_MAX_CHUNK_BYTES``.  A chunk
 is one :func:`run_replicates` call: it draws its Gram matrices into one
 stack, evaluates them with one :func:`subalign.kernel.evaluate_grams` call
-and builds its records from the returned columns.
+and returns the kernel's columns with the predicted value and the residual
+added, computed once for the chunk.  The run is one :class:`Records` table,
+the chunks' columns in order; the summary and the CLI's records CSV read it.
 A run is a list of cells, one per (model, k), each built and validated
 once by :func:`make_cell` when a config's cells are first read
 (:attr:`ExperimentConfig.cells`): the draw is picked, rho computed, the
@@ -39,7 +41,7 @@ LAPACK calls release the interpreter lock, so the threads overlap there.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import product
 from math import isfinite, nan
@@ -49,7 +51,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .grassmann import Weight, check_isometry, weight
-from .kernel import STATUSES, center_gram_inplace, evaluate_grams
+from .kernel import center_gram_inplace, evaluate_grams
 from .model import JointCovariance, ScientistParams, mvn_gram, scientists_sample
 from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .theory import predicted_fit_error_sq, rho
@@ -58,9 +60,8 @@ __all__ = [
     "EXPERIMENTS",
     "METHODS",
     "ExperimentConfig",
-    "ReplicateRecord",
+    "Records",
     "Cell",
-    "SummaryStats",
     "replicate_seed",
     "make_cell",
     "run_replicates",
@@ -86,11 +87,13 @@ def _mix64(x: int) -> int:
 
 def replicate_seed(base_seed: int, param_index: int, replicate_index: int) -> int:
     """The documented per-replicate seed; see the module docstring."""
+    if not 0 <= base_seed < 2**64:  # as in ExperimentConfig: no two seeds alias
+        raise ValueError(f"base_seed must lie in [0, 2**64), got {base_seed}")
     if not 0 <= param_index < 2**32:
         raise ValueError(f"param_index must fit in 32 bits, got {param_index}")
     if not 0 <= replicate_index < 2**32:
         raise ValueError(f"replicate_index must fit in 32 bits, got {replicate_index}")
-    return _mix64((base_seed & _MASK64) ^ ((param_index << 32) | replicate_index))
+    return _mix64(base_seed ^ ((param_index << 32) | replicate_index))
 
 
 @dataclass(frozen=True)
@@ -182,31 +185,36 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ReplicateRecord:
-    """One replicate's outputs, with the config axes echoed.
+class Records:
+    """A run's replicates as one table: the config's scalars and one column per field.
 
-    ``status`` is "ok", or a reason code ("deficient_rank",
-    "degenerate_projection") for replicates whose numeric fields are None.
-    ``d_sq_corrected`` is the square distance after undoing the model's
-    isometry (illus3 only), None elsewhere.  Every field but the config axes,
-    ``predicted`` and ``residual`` is read from the row of the kernel's
-    :class:`subalign.kernel.GramColumns`.
+    Row i is replicate ``replicate[i]`` of cell ``(sweep_param[i], k[i])`` at
+    ``n[i]``.  ``status`` holds int8 indices into :data:`subalign.kernel.STATUSES`
+    (0 is "ok"); the float columns, the kernel's plus ``predicted`` and
+    ``residual = eps_sq - predicted``, are NaN where the status is not ok,
+    and ``d_sq_corrected`` also for models without an isometry.
     """
 
     experiment: str
     method: str
     m: int
-    k: int
-    n: int
-    sweep_param: float
-    replicate: int
-    d_sq: Optional[float] = None
-    eth_sq: Optional[float] = None
-    eps_sq: Optional[float] = None
-    predicted: Optional[float] = None
-    residual: Optional[float] = None
-    d_sq_corrected: Optional[float] = None
-    status: str = "ok"
+    k: np.ndarray
+    n: np.ndarray
+    sweep_param: np.ndarray
+    replicate: np.ndarray
+    status: np.ndarray
+    d_sq: np.ndarray
+    eth_sq: np.ndarray
+    eps_sq: np.ndarray
+    predicted: np.ndarray
+    residual: np.ndarray
+    d_sq_corrected: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+
+_COLUMNS = tuple(f.name for f in fields(Records))[3:]  # the per-row fields
 
 
 class Cell(NamedTuple):
@@ -272,34 +280,36 @@ def _chunk_size(m: int) -> int:
 
 
 def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *, method: str,
-                   experiment: str = "custom") -> list[ReplicateRecord]:
+                   experiment: str = "custom") -> Records:
     """Replicates ``first, first + 1, ...`` of (cell, n), one per seed, with one kernel call.
 
     A rank-deficient PCA (certain at n <= k) or a degenerate (zero) projection
-    gives a failed record with a reason code rather than raising.
+    gives a failed row with a reason code rather than raising.
     """
-    m, k = cell.weight.m, cell.k
-    stack = np.empty((len(seeds), 2 * m, 2 * m))
+    m, k, r = cell.weight.m, cell.k, len(seeds)
+    stack = np.empty((r, 2 * m, 2 * m))
     for gram, seed in zip(stack, seeds):
         gram[...] = cell.draw(n, np.random.default_rng(seed))
     out = evaluate_grams(stack, k, method, n, cell.weight, cell.isometry)
-    records = []
-    rows = zip(out.status.tolist(), out.d_sq.tolist(), out.eth_sq.tolist(), out.eps_sq.tolist(),
-               [None] * len(seeds) if out.d_sq_corrected is None else out.d_sq_corrected.tolist())
-    for replicate, (code, d_sq, eth_sq, eps_sq, corrected) in enumerate(rows, first):
-        if code:
-            records.append(ReplicateRecord(experiment, method, m, k, n, cell.sweep_param,
-                                           replicate, status=STATUSES[code]))
-            continue
-        predicted = predicted_fit_error_sq(cell.rho, k, eth_sq)
-        records.append(ReplicateRecord(experiment, method, m, k, n, cell.sweep_param, replicate,
-                                       d_sq, eth_sq, eps_sq, predicted, eps_sq - predicted,
-                                       corrected))
-    return records
+    ok = out.status == 0
+    predicted = np.full(r, nan)
+    predicted[ok] = predicted_fit_error_sq(cell.rho, k, out.eth_sq[ok])
+    corrected = np.full(r, nan) if out.d_sq_corrected is None else out.d_sq_corrected
+    return Records(experiment, method, m, np.full(r, k), np.full(r, n),
+                   np.full(r, cell.sweep_param), np.arange(first, first + r), out.status,
+                   out.d_sq, out.eth_sq, out.eps_sq, predicted, out.eps_sq - predicted, corrected)
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRecord]:
-    """Run the full sweep; records are ordered by (parameter tuple, replicate).
+def _concatenate(chunks: list[Records]) -> Records:
+    """The chunks' rows in order, as one table."""
+    head = chunks[0]
+    columns = {name: np.concatenate([getattr(chunk, name) for chunk in chunks])
+               for name in _COLUMNS}
+    return Records(head.experiment, head.method, head.m, **columns)
+
+
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Records:
+    """Run the full sweep; rows are ordered by (parameter tuple, replicate).
 
     The replicates run in chunks, each of consecutive replicates of one
     (cell, n) and run by one :func:`run_replicates` call (see the module
@@ -310,13 +320,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
     more per (cell, n).  The cells are shared read-only and their draws keep
     no state, so a run holds no draw memory once it returns.  The normal
     draw, the in-place centering and the stacked LAPACK calls release the
-    interpreter lock and run in parallel; the Python around them, such as
-    building the records, does not.  When a chunk raises, or the run is
-    interrupted, chunks not yet started are cancelled and the exception
-    propagates once the running ones finish.  Because every replicate is a
-    pure function of its derived seed, and the kernel evaluates each matrix
-    of a stack as it would alone, the output is identical at any worker
-    count and chunk length.  ``workers < 1`` raises ValueError.
+    interpreter lock and run in parallel; the Python around them does not.
+    When a chunk raises, or the run is interrupted, chunks not yet started
+    are cancelled and the exception propagates once the running ones finish.
+    Because every replicate is a pure function of its derived seed, and the
+    kernel evaluates each matrix of a stack as it would alone, the output is
+    identical at any worker count and chunk length.  ``workers < 1`` raises
+    ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -334,7 +344,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
     ]
     chunk = partial(run_replicates, method=cfg.method, experiment=cfg.experiment)
     if workers == 1:
-        return [record for task in tasks for record in chunk(*task)]
+        return _concatenate([chunk(*task) for task in tasks])
     # Imported here: the pool machinery costs every serial run 10-14 ms of start-up.
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
@@ -346,61 +356,40 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReplicateRec
         pool.shutdown(cancel_futures=True)
     # Chunks are cancelled only after every earlier one started, so the first
     # failure in order is a chunk's own exception, never a cancellation.
-    return [record for future in futures for record in future.result()]
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Per-group sample statistics over the ok replicates.
-
-    ``group`` pairs each group-by field with its value.  Standard
-    deviations use the n - 1 denominator; a single-member group reports 0
-    with ``single_sample`` set.  Failed replicates are excluded and counted
-    in ``failed``.
-    """
-
-    group: tuple[tuple[str, object], ...]
-    count: int
-    failed: int
-    mean_eps_sq: float
-    stdev_eps_sq: float
-    mean_eps_sq_over_2k: float
-    stdev_eps_sq_over_2k: float
-    mean_residual: float
-    stdev_residual: float
-    single_sample: bool = False
-
-
-_GROUP_BY = ("method", "m", "k", "n", "sweep_param")
+    return _concatenate([future.result() for future in futures])
 
 
 def _mean_stdev(values: np.ndarray) -> tuple[float, float]:
-    if values.size == 1:
-        return float(values[0]), 0.0
+    if values.size <= 1:
+        return (float(values[0]), 0.0) if values.size else (nan, nan)
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def summarize(records: list[ReplicateRecord]) -> list[SummaryStats]:
-    """Mean/stdev of eps^2, eps^2 / 2k and residuals per (method, m, k, n, sweep_param)."""
-    if not records:
+def summarize(records: Records) -> list[dict]:
+    """Mean/stdev of eps^2, eps^2 / 2k and residuals over the ok rows, one dict per group.
+
+    A group is a run of rows with equal ``(k, n, sweep_param)``: one per
+    (cell, n), since a config rejects repeated values.  Standard deviations
+    use the n - 1 denominator; a group of one ok row reports 0 with
+    ``single_sample`` set, and a group without one reports NaN.
+    """
+    if not len(records):
         raise ValueError("no records to summarize")
-    groups: dict[tuple, list[ReplicateRecord]] = {}
-    for rec in records:
-        key = tuple((f, getattr(rec, f)) for f in _GROUP_BY)
-        groups.setdefault(key, []).append(rec)
+    axes = (records.k, records.n, records.sweep_param)
+    starts = np.flatnonzero(np.any([axis[1:] != axis[:-1] for axis in axes], axis=0)) + 1
+    bounds = [0, *starts.tolist(), len(records)]
+    ratio = records.eps_sq / (2.0 * records.k)
     out = []
-    for key, recs in groups.items():
-        ok = [r for r in recs if r.status == "ok"]
-        failed = len(recs) - len(ok)
-        if not ok:
-            out.append(SummaryStats(key, 0, failed, nan, nan, nan, nan, nan, nan))
-            continue
-        eps = np.array([r.eps_sq for r in ok])
-        ratio = np.array([r.eps_sq / (2.0 * r.k) for r in ok])
-        resid = np.array([r.residual for r in ok])
-        mean_e, sd_e = _mean_stdev(eps)
-        mean_r, sd_r = _mean_stdev(ratio)
-        mean_res, sd_res = _mean_stdev(resid)
-        out.append(SummaryStats(key, len(ok), failed, mean_e, sd_e, mean_r, sd_r,
-                                mean_res, sd_res, single_sample=len(ok) == 1))
+    for lo, hi in zip(bounds, bounds[1:]):
+        ok = records.status[lo:hi] == 0
+        count = int(ok.sum())
+        (mean_e, sd_e), (mean_r, sd_r), (mean_res, sd_res) = (
+            _mean_stdev(column[lo:hi][ok]) for column in (records.eps_sq, ratio, records.residual))
+        out.append(dict(
+            method=records.method, m=records.m, k=records.k[lo].item(), n=records.n[lo].item(),
+            sweep_param=records.sweep_param[lo].item(), count=count, failed=hi - lo - count,
+            mean_eps_sq=mean_e, stdev_eps_sq=sd_e, mean_eps_sq_over_2k=mean_r,
+            stdev_eps_sq_over_2k=sd_r, mean_residual=mean_res, stdev_residual=sd_res,
+            single_sample=count == 1,
+        ))
     return out

@@ -53,21 +53,27 @@ def rho(jc: JointCovariance, k: int) -> float:
     return _rho(jc.cov_x, jc.cov_y, jc.cov_xy, k)
 
 
-def predicted_fit_error_sq(rho_value: float, k: int, eth_sq: float) -> float:
+def predicted_fit_error_sq(rho_value, k, eth_sq):
     """The limiting square fitting-error ``(1 - rho) * 2k + rho * eth_sq``.
 
     Lies in [eth_sq, 2k].  Inputs may drift past their ranges by at most
     1e-9 (they are typically computed quantities); worse violations raise.
+    Arrays are taken elementwise, with numpy broadcasting, and give an
+    array; scalars give a float.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not -_RANGE_SLACK <= rho_value <= 1.0 + _RANGE_SLACK:
-        raise ValueError(f"rho must lie in [0, 1], got {rho_value}")
-    if not -_RANGE_SLACK <= eth_sq <= 2.0 * k + _RANGE_SLACK:
-        raise ValueError(f"eth_sq must lie in [0, 2k] = [0, {2 * k}], got {eth_sq}")
-    rho_value = min(max(rho_value, 0.0), 1.0)
-    eth_sq = min(max(eth_sq, 0.0), 2.0 * k)
-    return (1.0 - rho_value) * 2.0 * k + rho_value * eth_sq
+    k, rho_value, eth_sq = np.asarray(k), np.asarray(rho_value, float), np.asarray(eth_sq, float)
+    two_k = 2.0 * k
+    for value, low, high, rule in (
+            (k, 1, np.inf, "k must be >= 1"),
+            (rho_value, -_RANGE_SLACK, 1.0 + _RANGE_SLACK, "rho must lie in [0, 1]"),
+            (eth_sq, -_RANGE_SLACK, two_k + _RANGE_SLACK, "eth_sq must lie in [0, 2k]")):
+        outside = ~((low <= value) & (value <= high))  # NaN is outside
+        if outside.any():
+            raise ValueError(f"{rule}, got {np.broadcast_to(value, outside.shape)[outside][0]}")
+    rho_value = np.clip(rho_value, 0.0, 1.0)
+    eth_sq = np.clip(eth_sq, 0.0, two_k)
+    value = (1.0 - rho_value) * 2.0 * k + rho_value * eth_sq
+    return float(value) if value.ndim == 0 else value
 
 
 def plugin_rho(gram: np.ndarray, k: int) -> float:

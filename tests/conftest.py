@@ -1,3 +1,4 @@
+from dataclasses import fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,6 +52,16 @@ def evaluate_one(s, k, method, n, weight=None, isometry=None) -> Row:
     """``evaluate_grams`` on a stack of one, a copy of the 2m x 2m Gram matrix ``s``."""
     return stack_rows(evaluate_grams(np.array(s, dtype=float)[None], k, method, n, weight,
                                      isometry))[0]
+
+
+def assert_tables_equal(got, want):
+    """Two ``sim.Records`` tables hold the same scalars and columns; NaN equals NaN."""
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert a == b, field.name
 
 
 @pytest.fixture

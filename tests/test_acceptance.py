@@ -38,11 +38,7 @@ def check(num, ok, description):
 
 
 def stats_by(records, *fields):
-    out = {}
-    for s in summarize(records):
-        group = dict(s.group)
-        out[tuple(group[f] for f in fields)] = s
-    return out
+    return {tuple(s[f] for f in fields): s for s in summarize(records)}
 
 
 def test_criterion_01_rho_exactness():
@@ -59,7 +55,7 @@ def _illus1_table(method):
         sweep=(0.0, 0.5, 0.9, 0.99), replicates=200, base_seed=SEED, method=method,
     )
     stats = stats_by(run_experiment(cfg), "sweep_param")
-    return {beta: stats[(beta,)].mean_eps_sq for beta in cfg.sweep}
+    return {beta: stats[(beta,)]["mean_eps_sq"] for beta in cfg.sweep}
 
 
 def test_criterion_02_trivial_reference_means():
@@ -85,7 +81,7 @@ def test_criterion_04_normalized_means_show_phenomenon():
         sweep=(0.7,), replicates=200, base_seed=SEED, method="pca", beta=0.6,
     )
     stats = stats_by(run_experiment(cfg), "k")
-    means = {k: stats[(k,)].mean_eps_sq_over_2k for k in (1, 2, 10)}
+    means = {k: stats[(k,)]["mean_eps_sq_over_2k"] for k in (1, 2, 10)}
     expected = {1: (0.4017, 0.005), 2: (0.4323, 0.025), 10: (0.2797, 0.007)}
     errors = {k: (abs(means[k] - v), tol) for k, (v, tol) in expected.items()}
     within = all(err <= tol for err, tol in errors.values())
@@ -100,8 +96,8 @@ def test_criterion_05_small_gap_keeps_high_variance():
         sweep=(0.75,), replicates=200, base_seed=SEED, method="pca", beta=0.6,
     )
     stats = stats_by(run_experiment(cfg), "k")
-    mean1, sd1 = stats[(1,)].mean_eps_sq_over_2k, stats[(1,)].stdev_eps_sq_over_2k
-    mean2, sd2 = stats[(2,)].mean_eps_sq_over_2k, stats[(2,)].stdev_eps_sq_over_2k
+    mean1, sd1 = stats[(1,)]["mean_eps_sq_over_2k"], stats[(1,)]["stdev_eps_sq_over_2k"]
+    mean2, sd2 = stats[(2,)]["mean_eps_sq_over_2k"], stats[(2,)]["stdev_eps_sq_over_2k"]
     ok = (mean2 < mean1) and (sd2 > 5.0 * sd1)
     check(5, ok, f"lambda2=0.75: means k2={mean2:.4f} < k1={mean1:.4f}, "
                  f"stdev ratio {sd2 / sd1:.1f} > 5")
@@ -113,7 +109,7 @@ def test_criterion_06_isometry_correction_exact():
         replicates=200, base_seed=SEED, method="pca", lambda2=0.7,
     )
     records = run_experiment(cfg)
-    worst = max(abs(r.eth_sq - r.d_sq_corrected) for r in records)
+    worst = np.max(np.abs(records.eth_sq - records.d_sq_corrected))
     check(6, worst < 1e-9,
           f"max |weighted - corrected| over {len(records)} replicates = {worst:.2e} < 1e-9")
 
@@ -125,7 +121,7 @@ def test_criterion_07_residuals_shrink_with_n():
         models=((0.5, identity_pair(6, 0.5), None),),
     )
     records = run_experiment(cfg)
-    mean_abs = {n: float(np.mean([abs(r.residual) for r in records if r.n == n]))
+    mean_abs = {n: float(np.mean(np.abs(records.residual[records.n == n])))
                 for n in (100, 10_000)}
     ok = mean_abs[10_000] < 0.03 and mean_abs[10_000] < mean_abs[100]
     check(7, ok, f"mean |residual|: n=1e4 {mean_abs[10_000]:.4f} < 0.03 "

@@ -12,7 +12,10 @@ import pytest
 
 from subalign import cli, sim, theory
 from subalign.cli import CSV_COLUMNS, ILLUS1_BETAS, build_parser, main
+from subalign.kernel import STATUSES
 from subalign.sim import summarize
+
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
@@ -57,20 +60,64 @@ def test_illus1_writes_records_and_summary(tmp_path):
 def test_records_roundtrip_reproduces_summary(tmp_path):
     code, out, summary = run_illus1(tmp_path)
     assert code == 0
-    records = [
-        sim.ReplicateRecord(r["experiment"], r["method"], int(r["m"]), int(r["k"]), int(r["n"]),
-                            float(r["sweep_param"]), int(r["replicate"]), eps_sq=float(r["eps2"]),
-                            residual=float(r["residual"]), status=r["status"])
-        for r in read_rows(out)
-    ]
-    regrouped = {tuple(s.group): s for s in summarize(records)}
+    rows = read_rows(out)
+
+    def column(name, dtype=float):
+        return np.array([r[name] or "nan" for r in rows], dtype=dtype)
+
+    absent = np.full(len(rows), np.nan)
+    records = sim.Records(
+        rows[0]["experiment"], rows[0]["method"], int(rows[0]["m"]), column("k", int),
+        column("n", int), column("sweep_param"), column("replicate", int),
+        np.array([STATUSES.index(r["status"]) for r in rows], dtype=np.int8),
+        absent, absent, column("eps2"), absent, column("residual"), absent,
+    )
+    keys = ("method", "m", "k", "n", "sweep_param")
+    regrouped = {tuple(s[f] for f in keys): s for s in summarize(records)}
     payload = json.loads(summary.read_text())
     for entry in payload["summary"]:
-        key = tuple((f, entry[f]) for f in ("method", "m", "k", "n", "sweep_param"))
-        stats = regrouped[key]
+        stats = regrouped[tuple(entry[f] for f in keys)]
         for field in ("mean_eps_sq", "stdev_eps_sq", "mean_eps_sq_over_2k",
                       "stdev_eps_sq_over_2k", "mean_residual", "stdev_residual"):
-            assert getattr(stats, field) == pytest.approx(entry[field], abs=1e-9)
+            assert stats[field] == pytest.approx(entry[field], abs=1e-9)
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("illus1_trivial",
+     ["illus1", "--method", "trivial", "--n", "2000", "--reps", "4", "--threads", "2"], 0),
+    ("illus2",
+     ["illus2", "--k", "1", "2", "--n", "2", "500", "--reps", "3", "--lambda2", "0.7", "0.75"],
+     1),
+    ("illus3", ["illus3", "--k", "1", "2", "--n", "500", "--reps", "3"], 0),
+])
+def test_outputs_match_the_golden_files(tmp_path, name, argv, code):
+    # tests/data holds the records CSV and summary JSON these argv wrote at
+    # 0.13.0: the trivial path, the PCA path with deficient_rank rows (n = 2),
+    # and the isometry path with its corrected distance and correction gap.
+    out, summary = tmp_path / "records.csv", tmp_path / "summary.json"
+    assert main([*argv, "--out", str(out), "--summary", str(summary)]) == code
+    assert out.read_bytes() == (GOLDEN / f"{name}_records.csv").read_bytes()
+    assert summary.read_bytes() == (GOLDEN / f"{name}_summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mixed_isometry_run_writes_corrected_columns_only_where_defined(tmp_path, workers):
+    # A custom run of a model without an isometry, then one with: the first
+    # model's rows have empty d2_corrected and correction_gap, the second's have both.
+    jc, w = sim.reversed_pair(8, 0.7, 0.5)
+    models = ((0.8, sim.identity_pair(8, 0.8), None), (0.5, jc, w))
+    cfg = sim.ExperimentConfig("custom", 8, (1, 2), (300,), (), 3, base_seed=2, models=models)
+    cli.write_records_csv(sim.run_experiment(cfg, workers=workers), str(tmp_path / "r.csv"))
+    rows = read_rows(tmp_path / "r.csv")
+    assert [(r["sweep_param"], r["k"]) for r in rows] == (
+        [("0.8", "1")] * 3 + [("0.8", "2")] * 3 + [("0.5", "1")] * 3 + [("0.5", "2")] * 3)
+    for r in rows:
+        assert r["status"] == "ok"
+        assert "" not in [r[c] for c in ("d2", "eth2", "eps2", "predicted", "residual")]
+    assert {(r["d2_corrected"], r["correction_gap"]) for r in rows[:6]} == {("", "")}
+    for r in rows[6:]:
+        assert float(r["correction_gap"]) < 1e-9
+        assert float(r["d2_corrected"]) == pytest.approx(float(r["eth2"]), abs=1e-9)
 
 
 def test_trivial_method_zeroes_distance_column(tmp_path):

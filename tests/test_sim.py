@@ -12,7 +12,7 @@ import pytest
 from subalign import (
     ExperimentConfig,
     JointCovariance,
-    ReplicateRecord,
+    Records,
     ScientistParams,
     identity_pair,
     make_cell,
@@ -26,9 +26,11 @@ from subalign import (
     spiked_diag_pair,
     summarize,
 )
-from subalign import sim
+from subalign import sim, theory
 from subalign.grassmann import weighted_sq
-from subalign.kernel import center_gram_inplace
+from subalign.kernel import STATUSES, center_gram_inplace
+
+from conftest import assert_tables_equal
 
 
 def reference_splitmix_mix(x):
@@ -61,46 +63,58 @@ class TestReplicateSeed:
         with pytest.raises(ValueError):
             replicate_seed(0, 0, -1)
 
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_base_seed_outside_64_bits_raises(self, base_seed):
+        # Masked to 64 bits, -1 gave the seeds of 2**64 - 1, and 2**64 those of 0.
+        with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\*\*64\)"):
+            replicate_seed(base_seed, 0, 0)
+
+
+def run_one(cell, n, seed, method):
+    """The chunk of one replicate, as a table of one row."""
+    return run_replicates(cell, n, [seed], method=method)
+
 
 class TestRunReplicate:
     def test_trivial_method_zero_distance(self):
-        rec = run_replicates(make_cell(identity_pair(6, 0.5), 2), 500, [1], method="trivial")[0]
-        assert rec.d_sq == 0.0
-        assert rec.status == "ok"
+        out = run_one(make_cell(identity_pair(6, 0.5), 2), 500, 1, "trivial")
+        assert out.d_sq[0] == 0.0
+        assert STATUSES[out.status[0]] == "ok"
 
     def test_identity_model_weighted_equals_unweighted(self):
-        rec = run_replicates(make_cell(identity_pair(6, 0.5), 2), 500, [2], method="pca")[0]
-        assert abs(rec.eth_sq - rec.d_sq) < 1e-12
+        out = run_one(make_cell(identity_pair(6, 0.5), 2), 500, 2, "pca")
+        assert abs(out.eth_sq[0] - out.d_sq[0]) < 1e-12
 
     def test_reversed_model_correction_is_exact(self):
         jc, w = reversed_pair(20, 0.7, 0.6)
-        rec = run_replicates(make_cell(jc, 2, w), 500, [3], method="pca")[0]
-        assert abs(rec.eth_sq - rec.d_sq_corrected) < 1e-9
+        out = run_one(make_cell(jc, 2, w), 500, 3, "pca")
+        assert abs(out.eth_sq[0] - out.d_sq_corrected[0]) < 1e-9
 
     def test_record_ranges_and_residual_identity(self):
         for seed in range(5):
             cell = make_cell(spiked_diag_pair(20, 0.7, 0.6), 2)
-            rec = run_replicates(cell, 300, [seed], method="pca")[0]
-            for value in (rec.d_sq, rec.eth_sq, rec.eps_sq):
+            out = run_one(cell, 300, seed, "pca")
+            for value in (out.d_sq[0], out.eth_sq[0], out.eps_sq[0]):
                 assert 0.0 <= value <= 4.0
-            assert rec.residual == rec.eps_sq - rec.predicted
+            assert out.residual[0] == out.eps_sq[0] - out.predicted[0]
 
     def test_scientist_model(self):
         params = ScientistParams(m=6, gamma=1.0)
-        rec = run_replicates(make_cell(params, 2), 400, [9], method="trivial")[0]
-        assert rec.eps_sq == pytest.approx(0.0, abs=1e-9)
-        assert rec.predicted == pytest.approx(0.0, abs=1e-9)
+        out = run_one(make_cell(params, 2), 400, 9, "trivial")
+        assert out.eps_sq[0] == pytest.approx(0.0, abs=1e-9)
+        assert out.predicted[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_rank_deficiency_marks_failure(self):
-        rec = run_replicates(make_cell(identity_pair(6, 0.5), 5), 4, [1], method="pca")[0]
-        assert rec.status == "deficient_rank"
-        assert rec.d_sq is None and rec.eps_sq is None
+        out = run_one(make_cell(identity_pair(6, 0.5), 5), 4, 1, "pca")
+        assert STATUSES[out.status[0]] == "deficient_rank"
+        for column in (out.d_sq, out.eth_sq, out.eps_sq, out.predicted, out.residual):
+            assert np.isnan(column[0])
 
     def test_degenerate_projection_marks_failure(self):
         diag = np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
         jc = JointCovariance(diag, diag, np.zeros((6, 6)))
-        rec = run_replicates(make_cell(jc, 2), 50, [99], method="trivial")[0]
-        assert rec.status == "degenerate_projection"
+        out = run_one(make_cell(jc, 2), 50, 99, "trivial")
+        assert STATUSES[out.status[0]] == "degenerate_projection"
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-250])
     def test_trivial_method_with_tiny_leading_coordinates(self, scale):
@@ -108,12 +122,44 @@ class TestRunReplicate:
         # underflows, but eps^2 does not depend on the scale of the first k coordinates.
         def eps_sq(s):
             d = np.diag([s, s, 1.0, 1.0])
-            rec = run_replicates(make_cell(JointCovariance(d, d, 0.5 * d), 2), 200, [1],
-                                 method="trivial")[0]
-            assert rec.status == "ok"
-            return rec.eps_sq
+            out = run_one(make_cell(JointCovariance(d, d, 0.5 * d), 2), 200, 1, "trivial")
+            assert STATUSES[out.status[0]] == "ok"
+            return out.eps_sq[0]
 
         assert eps_sq(scale) == pytest.approx(eps_sq(1.0), abs=1e-9)
+
+    def test_chunk_columns_and_axes(self):
+        # A chunk of replicates 5..7: its axes echo the cell, n and the replicate
+        # indices, and the model without an isometry has NaN corrected distances.
+        cell = make_cell(identity_pair(6, 0.5), 2, sweep_param=0.5)
+        out = run_replicates(cell, 300, [11, 12, 13], 5, method="pca", experiment="illus1")
+        assert (out.experiment, out.method, out.m, len(out)) == ("illus1", "pca", 6, 3)
+        assert out.k.tolist() == [2] * 3 and out.n.tolist() == [300] * 3
+        assert out.sweep_param.tolist() == [0.5] * 3
+        assert out.replicate.tolist() == [5, 6, 7]
+        assert out.status.dtype == np.int8 and out.status.tolist() == [0] * 3
+        assert np.isnan(out.d_sq_corrected).all()
+        assert np.array_equal(out.residual, out.eps_sq - out.predicted)
+
+    def test_prediction_is_one_call_per_chunk(self, monkeypatch):
+        # One call per chunk, on the ok rows: all four at n = 400, none at n = 2
+        # (centered data of 2 observations cannot resolve k = 2), which keep NaN.
+        calls = []
+
+        def counted(rho_value, k, eth_sq):
+            calls.append(len(eth_sq))
+            return theory.predicted_fit_error_sq(rho_value, k, eth_sq)
+
+        monkeypatch.setattr(sim, "predicted_fit_error_sq", counted)
+        cell = make_cell(identity_pair(6, 0.5), 2)
+        out = run_replicates(cell, 400, [1, 2, 3, 4], method="pca")
+        assert calls == [4]
+        assert out.predicted.tolist() == [
+            theory.predicted_fit_error_sq(cell.rho, 2, eth) for eth in out.eth_sq.tolist()]
+        calls.clear()
+        out = run_replicates(cell, 2, [1, 2], method="pca")
+        assert calls == [0]
+        assert out.status.tolist() == [1, 1] and np.isnan(out.predicted).all()
 
 
 class TestExperimentConfig:
@@ -160,8 +206,8 @@ class TestExperimentConfig:
         cfg = ExperimentConfig("illus1", i(6), (i(2),), (i(100),), (0.5,), i(2), base_seed=i(7))
         assert (cfg.m, cfg.k_values, cfg.n_values, cfg.replicates, cfg.base_seed) == (
             6, (2,), (100,), 2, 7)
-        assert run_experiment(cfg) == run_experiment(
-            ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2, base_seed=7))
+        assert_tables_equal(run_experiment(cfg), run_experiment(
+            ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2, base_seed=7)))
 
     def test_rejects_infeasible_sweep_before_work(self):
         cfg = ExperimentConfig("illus1", 6, (2,), (100,), (1.5,), 3)
@@ -241,16 +287,16 @@ class TestRunExperiment:
     def test_record_count_and_order(self):
         records = run_experiment(self.small_cfg())
         assert len(records) == 6
-        assert [r.sweep_param for r in records] == [0.2, 0.2, 0.2, 0.5, 0.5, 0.5]
-        assert [r.replicate for r in records] == [0, 1, 2, 0, 1, 2]
+        assert records.sweep_param.tolist() == [0.2, 0.2, 0.2, 0.5, 0.5, 0.5]
+        assert records.replicate.tolist() == [0, 1, 2, 0, 1, 2]
 
     def test_rerun_is_bit_identical(self):
         cfg = self.small_cfg()
-        assert run_experiment(cfg) == run_experiment(cfg)
+        assert_tables_equal(run_experiment(cfg), run_experiment(cfg))
 
     def test_worker_count_does_not_change_results(self):
         cfg = self.small_cfg(replicates=4)
-        assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+        assert_tables_equal(run_experiment(cfg, workers=1), run_experiment(cfg, workers=2))
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, monkeypatch, workers):
@@ -276,10 +322,9 @@ class TestRunExperiment:
                 "custom", 6, (1, 2), (1000,), (), 3, base_seed=1, models=((0.5, jc, None),)))
 
         want, got = records(base), records(scaled)
-        assert [r.status for r in got] == ["ok"] * 6
-        for g, w in zip(got, want):
-            for field in ("d_sq", "eth_sq", "eps_sq", "predicted", "residual"):
-                assert getattr(g, field) == pytest.approx(getattr(w, field), abs=1e-9)
+        assert got.status.tolist() == [0] * 6
+        for field in ("d_sq", "eth_sq", "eps_sq", "predicted", "residual"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-9)
 
     def test_custom_models(self):
         jc, w = reversed_pair(8, 0.7, 0.5)
@@ -289,8 +334,8 @@ class TestRunExperiment:
         )
         records = run_experiment(cfg)
         assert len(records) == 4
-        assert all(r.d_sq_corrected is not None for r in records)
-        assert all(abs(r.eth_sq - r.d_sq_corrected) < 1e-9 for r in records)
+        assert not np.isnan(records.d_sq_corrected).any()
+        assert (np.abs(records.eth_sq - records.d_sq_corrected) < 1e-9).all()
 
     @pytest.mark.parametrize("bad, match", [
         (lambda w: 2 * w, "not orthogonal"),
@@ -328,14 +373,14 @@ class TestRunExperiment:
         serial = run_experiment(cfg, workers=1)
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(4)),
                             raising=False)
-        assert run_experiment(cfg, workers=2) == serial
+        assert_tables_equal(run_experiment(cfg, workers=2), serial)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert run_experiment(cfg, workers=4) == serial
+            assert_tables_equal(run_experiment(cfg, workers=4), serial)
         finally:
             sys.setswitchinterval(interval)
-        assert [r.d_sq_corrected is None for r in serial] == [True] * 12 + [False] * 12
+        assert np.isnan(serial.d_sq_corrected).tolist() == [True] * 12 + [False] * 12
 
     def test_pool_runs_bounded_chunks(self, monkeypatch):
         # About workers * 8 pool tasks, never one per replicate: a chunk holds
@@ -352,7 +397,7 @@ class TestRunExperiment:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
         cfg = self.small_cfg(n_values=(20, 30), sweep=(0.2, 0.5), replicates=501,
                              method="trivial")
-        assert run_experiment(cfg, workers=2) == run_experiment(cfg, workers=1)
+        assert_tables_equal(run_experiment(cfg, workers=2), run_experiment(cfg, workers=1))
         assert 4 <= len(submitted) <= 2 * 8 + 4
         groups = {}
         for _, cell, n, seeds, first in submitted:
@@ -397,7 +442,7 @@ class TestRunExperiment:
         cfg = self.small_cfg(k_values=(5,), n_values=(4,), sweep=(0.5,))
         records = run_experiment(cfg)
         assert len(records) == 3
-        assert all(r.status == "deficient_rank" for r in records)
+        assert [STATUSES[code] for code in records.status] == ["deficient_rank"] * 3
 
     @pytest.mark.parametrize("cfg, statuses", [
         (ExperimentConfig("illus2", 8, (1, 2), (2, 60, 400), (0.7,), 7, base_seed=3),
@@ -408,18 +453,19 @@ class TestRunExperiment:
     ], ids=["illus2", "illus3", "illus1_trivial"])
     def test_records_do_not_depend_on_workers_or_chunk_length(self, monkeypatch, cfg, statuses):
         # The kernel evaluates each matrix of a stack as it would alone, so a
-        # replicate's record is the same in a chunk of 1, 3 or 7 (the whole cell).
-        want = [run_replicates(cell, n, [replicate_seed(cfg.base_seed, p, r)], r,
-                               method=cfg.method, experiment=cfg.experiment)[0]
-                for p, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))
-                for r in range(cfg.replicates)]
-        assert {r.status for r in want} == statuses
+        # replicate's row is the same in a chunk of 1, 3 or 7 (the whole cell).
+        want = sim._concatenate([
+            run_replicates(cell, n, [replicate_seed(cfg.base_seed, p, r)], r,
+                           method=cfg.method, experiment=cfg.experiment)
+            for p, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))
+            for r in range(cfg.replicates)])
+        assert {STATUSES[code] for code in want.status} == statuses
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(4)),
                             raising=False)
         for cap in (1, 3, 256):
             monkeypatch.setattr(sim, "_MAX_CHUNK", cap)
             for workers in (1, 2, 4):
-                assert run_experiment(cfg, workers=workers) == want, (cap, workers)
+                assert_tables_equal(run_experiment(cfg, workers=workers), want)
 
     def test_chunk_stack_stays_within_its_memory_cap(self):
         # At m = 100 a replicate's Gram stack and eigenvectors take 480 kB, so
@@ -434,7 +480,7 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [r.status for r in records] == ["ok"] * 300
+        assert records.status.tolist() == [0] * 300
         assert peak < sim._MAX_CHUNK_BYTES + draw + 4 * 2**20
 
     def test_run_keeps_no_draw_memory(self):
@@ -452,52 +498,69 @@ class TestRunExperiment:
 
 class TestSummarize:
     @staticmethod
-    def record(eps, rep, status="ok", k=2):
-        ok = status == "ok"
-        return ReplicateRecord(
-            experiment="custom", method="pca", m=6, k=k, n=100, sweep_param=0.5,
-            replicate=rep,
-            d_sq=0.0 if ok else None, eth_sq=0.0 if ok else None,
-            eps_sq=eps if ok else None, predicted=2.0 if ok else None,
-            residual=(eps - 2.0) if ok else None, status=status,
-        )
+    def table(eps, status=None, k=None):
+        """Rows of one cell at n = 100: d^2 = eth^2 = 0 and predicted 2 where ok, NaN elsewhere."""
+        rows = len(eps)
+        codes = np.array([STATUSES.index(s) for s in status or ["ok"] * rows], dtype=np.int8)
+        ok = codes == 0
+        eps = np.where(ok, np.array(eps, dtype=float), np.nan)
+        zero, two = np.where(ok, 0.0, np.nan), np.where(ok, 2.0, np.nan)
+        return Records("custom", "pca", 6, np.array(k or [2] * rows, dtype=np.int64),
+                       np.full(rows, 100), np.full(rows, 0.5), np.arange(rows), codes,
+                       zero, zero, eps, two, eps - two, np.full(rows, np.nan))
 
     def test_mean_and_sample_stdev(self):
-        stats = summarize([self.record(1.0, 0), self.record(3.0, 1)])
+        stats = summarize(self.table([1.0, 3.0]))
         assert len(stats) == 1
         s = stats[0]
-        assert s.count == 2
-        assert s.mean_eps_sq == pytest.approx(2.0)
-        assert s.stdev_eps_sq == pytest.approx(np.sqrt(2.0))
-        assert s.mean_eps_sq_over_2k == pytest.approx(0.5)
-        assert s.mean_residual == pytest.approx(0.0)
+        assert s["count"] == 2
+        assert s["mean_eps_sq"] == pytest.approx(2.0)
+        assert s["stdev_eps_sq"] == pytest.approx(np.sqrt(2.0))
+        assert s["mean_eps_sq_over_2k"] == pytest.approx(0.5)
+        assert s["mean_residual"] == pytest.approx(0.0)
+
+    def test_keys_in_summary_order(self):
+        [s] = summarize(self.table([1.0, 3.0]))
+        assert list(s) == ["method", "m", "k", "n", "sweep_param", "count", "failed",
+                           "mean_eps_sq", "stdev_eps_sq", "mean_eps_sq_over_2k",
+                           "stdev_eps_sq_over_2k", "mean_residual", "stdev_residual",
+                           "single_sample"]
+        assert (s["method"], s["m"], s["k"], s["n"], s["sweep_param"]) == ("pca", 6, 2, 100, 0.5)
+        assert all(type(s[key]) is int for key in ("m", "k", "n", "count", "failed"))
 
     def test_all_equal_values(self):
-        stats = summarize([self.record(1.5, i) for i in range(4)])
-        assert stats[0].stdev_eps_sq == pytest.approx(0.0)
+        stats = summarize(self.table([1.5] * 4))
+        assert stats[0]["stdev_eps_sq"] == pytest.approx(0.0)
 
     def test_single_sample_flag(self):
-        s = summarize([self.record(1.5, 0)])[0]
-        assert s.single_sample
-        assert s.stdev_eps_sq == 0.0
+        s = summarize(self.table([1.5]))[0]
+        assert s["single_sample"]
+        assert s["stdev_eps_sq"] == 0.0
 
     def test_failed_records_excluded_and_counted(self):
-        stats = summarize([
-            self.record(1.0, 0), self.record(3.0, 1),
-            self.record(0.0, 2, status="deficient_rank"),
-        ])
+        stats = summarize(self.table([1.0, 3.0, 0.0], status=["ok", "ok", "deficient_rank"]))
         s = stats[0]
-        assert s.count == 2
-        assert s.failed == 1
-        assert s.mean_eps_sq == pytest.approx(2.0)
+        assert s["count"] == 2
+        assert s["failed"] == 1
+        assert s["mean_eps_sq"] == pytest.approx(2.0)
+
+    def test_group_without_ok_rows(self):
+        [s] = summarize(self.table([0.0, 0.0], status=["deficient_rank", "degenerate_projection"]))
+        assert (s["count"], s["failed"], s["single_sample"]) == (0, 2, False)
+        assert all(np.isnan(s[key]) for key in ("mean_eps_sq", "stdev_residual"))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no records"):
-            summarize([])
+            summarize(self.table([]))
 
     def test_grouping_splits_on_k(self):
-        stats = summarize([self.record(1.0, 0, k=1), self.record(3.0, 0, k=2)])
+        stats = summarize(self.table([1.0, 3.0], k=[1, 2]))
         assert len(stats) == 2
+
+    def test_groups_are_runs_of_rows(self):
+        stats = summarize(self.table([1.0, 3.0, 0.5, 0.7, 0.9], k=[1, 1, 2, 2, 2]))
+        assert [(s["k"], s["count"]) for s in stats] == [(1, 2), (2, 3)]
+        assert stats[1]["mean_eps_sq"] == pytest.approx(0.7)
 
 
 def test_reversed_weighted_matches_unpermuted_distance_distribution():
@@ -510,9 +573,9 @@ def test_reversed_weighted_matches_unpermuted_distance_distribution():
         experiment="illus2", sweep=(0.7,), beta=0.6, **common))
     reversed_ = run_experiment(ExperimentConfig(
         experiment="illus3", sweep=(0.6,), lambda2=0.7, **common))
-    mean_d_plain = np.mean([r.d_sq for r in plain])
-    mean_eth_rev = np.mean([r.eth_sq for r in reversed_])
-    mean_d_rev = np.mean([r.d_sq for r in reversed_])
+    mean_d_plain = np.mean(plain.d_sq)
+    mean_eth_rev = np.mean(reversed_.eth_sq)
+    mean_d_rev = np.mean(reversed_.d_sq)
     assert abs(mean_eth_rev - mean_d_plain) < 0.05
     assert mean_d_rev > mean_eth_rev + 0.5
 
@@ -524,9 +587,9 @@ def test_trivial_identity_prediction_is_flat_line():
         experiment="illus1", m=6, k_values=(2,), n_values=(300,), sweep=(0.5,),
         replicates=4, base_seed=3, method="trivial",
     )
-    for rec in run_experiment(cfg):
-        assert rec.predicted == pytest.approx((1.0 - 0.5) * 4.0, abs=1e-12)
-        assert rec.eth_sq == pytest.approx(0.0, abs=1e-12)
+    records = run_experiment(cfg)
+    assert records.predicted == pytest.approx(np.full(4, (1.0 - 0.5) * 4.0), abs=1e-12)
+    assert records.eth_sq == pytest.approx(np.zeros(4), abs=1e-12)
 
 
 class TestPoolSize:
@@ -551,4 +614,4 @@ class TestPoolSize:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         cfg = ExperimentConfig("illus1", 6, (2,), (200,), (0.5,), 3, base_seed=7)
-        assert run_experiment(cfg, workers=8) == run_experiment(cfg, workers=1)
+        assert_tables_equal(run_experiment(cfg, workers=8), run_experiment(cfg, workers=1))

@@ -85,6 +85,46 @@ class TestPredictedFitErrorSq:
         with pytest.raises(ValueError, match="eth_sq"):
             predicted_fit_error_sq(0.5, 2, 4.5)
 
+    def test_array_form_is_the_scalar_form_bit_for_bit(self):
+        # A grid over rho, k and eth^2, with the clamp edges: rho and eth^2
+        # within 1e-9 below 0 or above their maxima, exactly at them, and the
+        # smallest subnormal.
+        rhos = [-1e-9, -5e-10, -0.0, 0.0, 5e-324, 0.3, 0.5, 12.0 / 17.0, 1.0 - 2**-53, 1.0,
+                1.0 + 5e-10, 1.0 + 1e-9]
+        grid = []
+        for k in (1, 2, 3, 10):
+            eths = [-1e-9, -1e-12, 0.0, 5e-324, 0.1, 0.5 * k, 2.0 * k - 1e-12, 2.0 * k,
+                    2.0 * k + 1e-9]
+            grid += [(r, k, e) for r in rhos for e in eths]
+        r, k, e = (np.array(column) for column in zip(*grid))
+        got = predicted_fit_error_sq(r, k, e)
+        want = np.array([predicted_fit_error_sq(*point) for point in grid])
+        assert got.dtype == np.float64 and got.shape == (len(grid),)
+        assert got.tobytes() == want.tobytes()
+
+        def python_floats(r, k, e):  # the formula on Python floats, clamped by min and max
+            r, e = min(max(r, 0.0), 1.0), min(max(e, 0.0), 2.0 * k)
+            return (1.0 - r) * 2.0 * k + r * e
+
+        assert want.tobytes() == np.array([python_floats(*point) for point in grid]).tobytes()
+        # A scalar rho and k against an eth^2 column, as the simulator calls it.
+        column = np.linspace(0.0, 4.0, 17)
+        assert predicted_fit_error_sq(0.3, 2, column).tobytes() == np.array(
+            [predicted_fit_error_sq(0.3, 2, float(x)) for x in column]).tobytes()
+        assert type(predicted_fit_error_sq(0.3, 2, 1.0)) is float
+
+    @pytest.mark.parametrize("rho_value, k, eth_sq, match", [
+        ([0.5, 1.5], 2, [1.0, 1.0], "rho"),
+        ([0.5, np.nan], 2, [1.0, 1.0], "rho"),
+        (0.5, 2, [1.0, -0.5], "eth_sq"),
+        (0.5, [1, 2], [2.5, 2.5], "eth_sq"),
+        (0.5, 2, [1.0, np.nan], "eth_sq"),
+        (0.5, [2, 0], [1.0, 0.0], "k"),
+    ])
+    def test_array_range_violations_raise(self, rho_value, k, eth_sq, match):
+        with pytest.raises(ValueError, match=match):
+            predicted_fit_error_sq(np.array(rho_value), np.array(k), np.array(eth_sq))
+
 
 class TestGammaToRho:
     """The two-device generators with accuracy gamma induce rho = gamma^2."""

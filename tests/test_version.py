@@ -17,6 +17,11 @@ def test_version_matches_pyproject():
     assert match.group(1) == subalign.__version__
 
 
+def test_readme_documents_this_version():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"## Changed in {subalign.__version__}\n" in readme
+
+
 # __main__ runs the CLI when imported.
 MODULES = [info.name for info in pkgutil.iter_modules(subalign.__path__)
            if info.name != "__main__"]
