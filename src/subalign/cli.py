@@ -30,6 +30,7 @@ import numpy as np
 
 from .grassmann import unit_scale_inplace, weight
 from .kernel import STATUSES, center_gram_inplace, evaluate_grams
+from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .sim import METHODS, ExperimentConfig, Records, run_experiment, summarize
 from .theory import plugin_rho
 
@@ -44,6 +45,10 @@ CSV_COLUMNS = [
 ILLUS1_BETAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 ILLUS2_LAMBDAS = (0.70, 0.71, 0.72, 0.73, 0.74, 0.75)
 ILLUS2_NSWEEP_NS = (10, 100, 1000, 10000)
+
+# Rows of the records CSV made into Python objects at once: the writer's memory
+# stays bounded however many replicates a run has.
+_CSV_BLOCK_ROWS = 256
 
 
 def _fmt(value: float) -> str:
@@ -60,17 +65,20 @@ def write_records_csv(records: Records, path: str) -> None:
     gap = np.abs(records.eth_sq - records.d_sq_corrected)
     floats = (records.sweep_param, records.d_sq, records.eth_sq, records.eps_sq,
               records.predicted, records.residual, records.d_sq_corrected, gap)
-    sweep, d2, eth2, eps2, predicted, residual, corrected, gap = (
-        map(_fmt, column.tolist()) for column in floats)
-    status = [STATUSES[code] for code in records.status.tolist()]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(
-            repeat(records.experiment), repeat(records.method), repeat(records.m),
-            records.k.tolist(), records.n.tolist(), sweep, records.replicate.tolist(),
-            d2, eth2, eps2, predicted, residual, corrected, status, gap,
-        ))
+        for lo in range(0, len(records), _CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            sweep, d2, eth2, eps2, predicted, residual, corrected, gap = (
+                map(_fmt, column[rows].tolist()) for column in floats)
+            status = [STATUSES[code] for code in records.status[rows].tolist()]
+            writer.writerows(zip(
+                repeat(records.experiment), repeat(records.method), repeat(records.m),
+                records.k[rows].tolist(), records.n[rows].tolist(), sweep,
+                records.replicate[rows].tolist(),
+                d2, eth2, eps2, predicted, residual, corrected, status, gap,
+            ))
 
 
 def _reference_lines(cells) -> list[dict]:
@@ -99,9 +107,9 @@ def _summary_payload(cfg: ExperimentConfig, records: Records, lines, threads: in
         "config": {
             "k_values": list(cfg.k_values),
             "n_values": list(cfg.n_values),
-            "sweep": [_round12(v) for v in cfg.sweep],
+            "sweep": [_round12(sweep_param) for sweep_param, _, _ in cfg.models],
             "replicates": cfg.replicates,
-            # null where the experiment does not fix it, not the config's unread default
+            # null where the experiment does not fix it
             "beta": _round12(params.get("beta", math.nan)),
             "lambda2": _round12(params.get("lambda2", math.nan)),
             "threads": threads,
@@ -118,14 +126,16 @@ def _usage_error(message) -> int:
     return 2
 
 
-def _run_and_write(args, **params) -> int:
-    """Build the run from the shared flags and the experiment's own ``params`` (k, n, sweep,
-    a fixed beta or lambda2); validate it and the output paths, then run it and write."""
+def _run_and_write(args, models, k_values, n_values, **params) -> int:
+    """Build the run from the shared flags, the experiment's k and n values and ``models``,
+    a lazy iterable of (sweep_param, model, isometry) triples, consumed here so that an
+    infeasible model or one too large for memory is a usage error; validate the run and the
+    output paths, then run it and write.  ``params`` is the fixed beta or lambda2 to echo."""
     if args.threads < 1:
         return _usage_error(f"--threads must be >= 1, got {args.threads}")
     try:
-        cfg = ExperimentConfig(experiment=args.command, m=args.m, replicates=args.reps,
-                               base_seed=args.seed, method=args.method, **params)
+        cfg = ExperimentConfig(args.command, models, k_values, n_values, args.reps,
+                               base_seed=args.seed, method=args.method)
         lines = _reference_lines(cfg.cells)
     except ValueError as exc:
         return _usage_error(exc)
@@ -186,28 +196,24 @@ def _add_run_flags(sp, *, m):
 
 
 def cmd_illus1(args) -> int:
-    return _run_and_write(
-        args, k_values=args.k or [2], n_values=args.n or [1000, 10000],
-        sweep=args.beta if args.beta is not None else ILLUS1_BETAS,
-    )
+    models = ((beta, identity_pair(args.m, beta), None) for beta in args.beta or ILLUS1_BETAS)
+    return _run_and_write(args, models, args.k or [2], args.n or [1000, 10000])
 
 
 def cmd_illus2(args) -> int:
     if args.n_sweep:
-        k_values, n_values, sweep = args.k or [2], args.n or ILLUS2_NSWEEP_NS, [0.7]
+        k_values, n_values, lambdas = args.k or [2], args.n or ILLUS2_NSWEEP_NS, [0.7]
     else:
-        k_values, n_values, sweep = args.k or [1, 2, 10], args.n or [10000], ILLUS2_LAMBDAS
-    return _run_and_write(
-        args, k_values=k_values, n_values=n_values,
-        sweep=args.lambda2 if args.lambda2 is not None else sweep, beta=args.beta,
-    )
+        k_values, n_values, lambdas = args.k or [1, 2, 10], args.n or [10000], ILLUS2_LAMBDAS
+    models = ((lam, spiked_diag_pair(args.m, lam, args.beta), None)
+              for lam in args.lambda2 or lambdas)
+    return _run_and_write(args, models, k_values, n_values, beta=args.beta)
 
 
 def cmd_illus3(args) -> int:
-    return _run_and_write(
-        args, k_values=args.k or [1, 2, 10], n_values=args.n or [10000],
-        sweep=[args.beta], beta=args.beta, lambda2=args.lambda2,
-    )
+    models = ((beta, *reversed_pair(args.m, args.lambda2, beta)) for beta in [args.beta])
+    return _run_and_write(args, models, args.k or [1, 2, 10], args.n or [10000],
+                          beta=args.beta, lambda2=args.lambda2)
 
 
 def _load_matrix(path: str) -> np.ndarray:

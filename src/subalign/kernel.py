@@ -42,6 +42,7 @@ evaluates a stack of one.
 Scale.  The outputs are invariant to the scale of S, but products of its
 entries overflow near max |S| = 1e160 and underflow near 1e-160, so each
 matrix's scale is first removed exactly (``grassmann.unit_scale_inplace``).
+A stack with a non-finite entry (a draw that overflowed) raises ValueError.
 
 Rank.  Centered data with n observations has rank at most n - 1, so
 ``n <= k`` is deficient outright.  Otherwise an eigenvalue of Sxx (Syy)
@@ -153,6 +154,8 @@ def evaluate_grams(
     if not isinstance(stack, np.ndarray) or stack.ndim != 3 or stack.dtype != np.float64:
         raise ValueError("need an (R, 2m, 2m) float64 stack of Gram matrices")
     sxx, syy, sxy = gram_blocks(stack)
+    if not np.isfinite(stack).all():
+        raise ValueError("Gram stack has non-finite entries (nan or inf)")
     unit_scale_inplace(stack)  # the blocks are views of the stack
     r, m = len(stack), sxx.shape[-1]
     if not 1 <= k <= m:

@@ -124,6 +124,11 @@ class ScientistParams:
         if self.base not in ("normal", "uniform"):
             raise ValueError(f"unknown base distribution {self.base!r}")
 
+    @property
+    def covariance(self) -> JointCovariance:
+        """The pair's block covariance, in either scenario: ``identity_pair(m, gamma^2)``."""
+        return identity_pair(self.m, self.gamma**2)
+
 
 def scientists_sample(params: ScientistParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n paired daily measurements: X stacked on Y, one ``(2m, n)`` array.
@@ -164,15 +169,19 @@ def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarra
 
 def identity_pair(m: int, beta: float) -> JointCovariance:
     """Cov(X) = Cov(Y) = I_m with Cov(X, Y) = beta I_m; needs |beta| <= 1."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if abs(beta) > 1.0:
         raise ValueError(f"|beta| <= 1 required for positive semidefiniteness, got {beta}")
     eye = np.eye(m)
     return JointCovariance(eye, eye, beta * eye)
 
 
-def _spiked_diagonal(m: int, lambda2: float) -> np.ndarray:
+def _spiked_diagonal(m: int, lambda2: float, beta: float) -> np.ndarray:
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
+    if not (np.isfinite(lambda2) and np.isfinite(beta)):  # inf * 0 would warn first
+        raise ValueError(f"lambda2 and beta must be finite, got {lambda2} and {beta}")
     diag = np.full(m, 0.7)
     diag[0] = 1.0
     diag[1] = lambda2
@@ -187,7 +196,7 @@ def spiked_diag_pair(m: int, lambda2: float, beta: float) -> JointCovariance:
     unstable.  Feasibility (|beta| <= smallest diagonal) is enforced through
     the block-PSD check at construction.
     """
-    cov = np.diag(_spiked_diagonal(m, lambda2))
+    cov = np.diag(_spiked_diagonal(m, lambda2, beta))
     return JointCovariance(cov, cov, beta * np.eye(m))
 
 
@@ -199,7 +208,7 @@ def reversed_pair(m: int, lambda2: float, beta: float) -> tuple[JointCovariance,
     ``w`` is returned so callers can compare subspaces after undoing the
     permutation.
     """
-    cov_x = np.diag(_spiked_diagonal(m, lambda2))
+    cov_x = np.diag(_spiked_diagonal(m, lambda2, beta))
     w = np.fliplr(np.eye(m))
     cov_y = w @ cov_x @ w.T
     return JointCovariance(cov_x, cov_y, beta * w), w

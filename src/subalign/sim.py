@@ -13,8 +13,10 @@ stack, evaluates them with one :func:`subalign.kernel.evaluate_grams` call
 and returns the kernel's columns with the predicted value and the residual
 added, computed once for the chunk.  The run is one :class:`Records` table,
 the chunks' columns in order; the summary and the CLI's records CSV read it.
-A run is a list of cells, one per (model, k), each built and validated
-once by :func:`make_cell` when a config's cells are first read
+A config's sweep is its models, (sweep_param, model, isometry-or-None)
+triples that the caller builds (the CLI, for illus1/2/3).  A run is a list
+of cells, one per (model, k), each built and validated once by
+:func:`make_cell` when a config's cells are first read
 (:attr:`ExperimentConfig.cells`): the draw is picked, rho computed, the
 weight prepared and the isometry checked there, and every replicate of
 the cell reads them.  The CLI's reference lines read the same cells.
@@ -22,7 +24,7 @@ the cell reads them.  The CLI's reference lines read the same cells.
 Seeding contract
 ----------------
 Replicate r of parameter tuple p (tuples enumerate the Cartesian product
-sweep x k_values x n_values, in that nesting order) uses the 64-bit seed
+models x k_values x n_values, in that nesting order) uses the 64-bit seed
 
     splitmix64_mix(base_seed XOR (p * 2**32 + r))
 
@@ -53,7 +55,6 @@ import numpy as np
 from .grassmann import Weight, check_isometry, weight
 from .kernel import center_gram_inplace, evaluate_grams
 from .model import JointCovariance, ScientistParams, mvn_gram, scientists_sample
-from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .theory import predicted_fit_error_sq, rho
 
 __all__ = [
@@ -100,41 +101,36 @@ def replicate_seed(base_seed: int, param_index: int, replicate_index: int) -> in
 class ExperimentConfig:
     """Declarative description of one Monte Carlo sweep.
 
-    ``sweep`` holds beta values for illus1, lambda2 values for illus2 and a
-    single beta for illus3.  ``beta`` is the fixed cross-covariance scale
-    where the sweep varies something else (illus2); ``lambda2`` is the fixed
-    second diagonal for illus3.  ``experiment="custom"`` runs caller-built
-    models: ``models`` must then be a tuple of (sweep_param, model,
-    isometry-or-None) triples and ``sweep`` is ignored.
+    ``models`` holds the sweep as (sweep_param, model, isometry-or-None)
+    triples, in sweep order: their sweep params must be finite and distinct,
+    and the models share one dimension, :attr:`m`.  ``experiment`` names the
+    run in its records; it does not choose the models.
     """
 
     experiment: str
-    m: int
+    models: tuple[tuple[float, Model, Optional[np.ndarray]], ...]
     k_values: tuple[int, ...]
     n_values: tuple[int, ...]
-    sweep: tuple[float, ...]
     replicates: int
     base_seed: int = 42
     method: str = "pca"
-    beta: float = 0.6
-    lambda2: float = 0.7
-    models: Optional[tuple[tuple[float, Model, Optional[np.ndarray]], ...]] = None
 
     def __post_init__(self):
-        for name in ("m", "k_values", "n_values", "replicates", "base_seed"):
+        for name in ("k_values", "n_values", "replicates", "base_seed"):
             value = getattr(self, name)
             try:  # integers only: int() would truncate 2.9 to 2 without a word
                 value = tuple(map(index, value)) if name.endswith("_values") else index(value)
             except TypeError:
                 raise ValueError(f"{name} must be integers, got {value!r}") from None
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "sweep", tuple(float(v) for v in self.sweep))
+        models = tuple((float(p), model, w) for p, model, w in self.models)
+        object.__setattr__(self, "models", models)
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        if len(dims := {model.m for _, model, _ in models}) != 1:
+            raise ValueError(f"models must be nonempty and of one dimension, got {sorted(dims)}")
         if not 1 <= self.replicates <= 2**32:
             raise ValueError(f"replicates must lie in [1, 2**32], got {self.replicates}")
         if not 0 <= self.base_seed < 2**64:  # the contract reads 64 bits: no two seeds alias
@@ -143,45 +139,29 @@ class ExperimentConfig:
             raise ValueError(f"k values must satisfy 1 <= k <= m = {self.m}: {self.k_values}")
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError(f"n values must be >= 2: {self.n_values}")
-        if not all(map(isfinite, (*self.sweep, self.beta, self.lambda2))):
-            raise ValueError("sweep, beta and lambda2 must be finite")
-        for name in ("sweep", "k_values", "n_values"):  # a repeat would merge summary groups
-            values = getattr(self, name)
+        sweep = tuple(p for p, _, _ in models)
+        if not all(map(isfinite, sweep)):
+            raise ValueError(f"sweep_param must be finite, got {sweep}")
+        for name, values in (("sweep_param", sweep), ("k_values", self.k_values),
+                             ("n_values", self.n_values)):  # a repeat would merge summary groups
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
-        if self.experiment == "custom":
-            if not self.models:
-                raise ValueError("custom experiment requires models")
-        elif not self.sweep:
-            raise ValueError("sweep must be nonempty")
+
+    @property
+    def m(self) -> int:
+        """The models' common dimension."""
+        return self.models[0][1].m
 
     @cached_property
     def cells(self) -> list[Cell]:
-        """The (sweep value, k) cells in parameter order (see :func:`make_cell`).
+        """The (model, k) cells in parameter order (see :func:`make_cell`).
 
-        Built on first use, which checks that the models are feasible and of
-        dimension ``m``, that their isometries are orthogonal and that their
-        sweep values are finite and distinct, before any work; and kept: the
-        config is immutable, so a run builds each cell once.
+        Built on first use, which checks the isometries are orthogonal before
+        any work; and kept: the config is immutable, so a run builds each cell
+        once.
         """
-        if self.experiment == "illus1":
-            models = [(b, identity_pair(self.m, b), None) for b in self.sweep]
-        elif self.experiment == "illus2":
-            models = [(lam, spiked_diag_pair(self.m, lam, self.beta), None) for lam in self.sweep]
-        elif self.experiment == "illus3":
-            models = [(b, *reversed_pair(self.m, self.lambda2, b)) for b in self.sweep]
-        else:
-            models = self.models
-            if len({sweep_param for sweep_param, _, _ in models}) != len(models):
-                raise ValueError("custom models repeat a sweep_param")
-        cells = []
-        for sweep_param, model, w in models:
-            if model.m != self.m:
-                raise ValueError(f"model dimension {model.m} differs from m = {self.m}")
-            if not isfinite(sweep_param):
-                raise ValueError(f"sweep_param must be finite, got {sweep_param}")
-            cells += [make_cell(model, k, w, sweep_param) for k in self.k_values]
-        return cells
+        return [make_cell(model, k, w, sweep_param)
+                for sweep_param, model, w in self.models for k in self.k_values]
 
 
 @dataclass(frozen=True)
@@ -239,10 +219,10 @@ def make_cell(model: Model, k: int, isometry: Optional[np.ndarray] = None,
     """Build a cell: pick the draw, compute rho, prepare the weight and check the isometry, once.
 
     The one place that maps a model to its covariance and its draw (the
-    two-device model is the identity pair at ``beta = gamma^2``, drawn as data).
+    two-device model is drawn as data).
     """
     if isinstance(model, ScientistParams):
-        jc = identity_pair(model.m, model.gamma**2)
+        jc = model.covariance
 
         def draw(n, rng):
             return center_gram_inplace(scientists_sample(model, n, rng))

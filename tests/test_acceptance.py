@@ -50,12 +50,13 @@ def test_criterion_01_rho_exactness():
 
 
 def _illus1_table(method):
+    betas = (0.0, 0.5, 0.9, 0.99)
     cfg = ExperimentConfig(
-        experiment="illus1", m=6, k_values=(2,), n_values=(10_000,),
-        sweep=(0.0, 0.5, 0.9, 0.99), replicates=200, base_seed=SEED, method=method,
+        experiment="illus1", models=tuple((b, identity_pair(6, b), None) for b in betas),
+        k_values=(2,), n_values=(10_000,), replicates=200, base_seed=SEED, method=method,
     )
     stats = stats_by(run_experiment(cfg), "sweep_param")
-    return {beta: stats[(beta,)]["mean_eps_sq"] for beta in cfg.sweep}
+    return {beta: stats[(beta,)]["mean_eps_sq"] for beta in betas}
 
 
 def test_criterion_02_trivial_reference_means():
@@ -77,8 +78,8 @@ def test_criterion_03_pca_reference_means():
 
 def test_criterion_04_normalized_means_show_phenomenon():
     cfg = ExperimentConfig(
-        experiment="illus2", m=20, k_values=(1, 2, 10), n_values=(10_000,),
-        sweep=(0.7,), replicates=200, base_seed=SEED, method="pca", beta=0.6,
+        experiment="illus2", models=((0.7, spiked_diag_pair(20, 0.7, 0.6), None),),
+        k_values=(1, 2, 10), n_values=(10_000,), replicates=200, base_seed=SEED, method="pca",
     )
     stats = stats_by(run_experiment(cfg), "k")
     means = {k: stats[(k,)]["mean_eps_sq_over_2k"] for k in (1, 2, 10)}
@@ -92,8 +93,8 @@ def test_criterion_04_normalized_means_show_phenomenon():
 
 def test_criterion_05_small_gap_keeps_high_variance():
     cfg = ExperimentConfig(
-        experiment="illus2", m=20, k_values=(1, 2), n_values=(10_000,),
-        sweep=(0.75,), replicates=200, base_seed=SEED, method="pca", beta=0.6,
+        experiment="illus2", models=((0.75, spiked_diag_pair(20, 0.75, 0.6), None),),
+        k_values=(1, 2), n_values=(10_000,), replicates=200, base_seed=SEED, method="pca",
     )
     stats = stats_by(run_experiment(cfg), "k")
     mean1, sd1 = stats[(1,)]["mean_eps_sq_over_2k"], stats[(1,)]["stdev_eps_sq_over_2k"]
@@ -105,8 +106,8 @@ def test_criterion_05_small_gap_keeps_high_variance():
 
 def test_criterion_06_isometry_correction_exact():
     cfg = ExperimentConfig(
-        experiment="illus3", m=20, k_values=(2,), n_values=(2_000,), sweep=(0.6,),
-        replicates=200, base_seed=SEED, method="pca", lambda2=0.7,
+        experiment="illus3", models=((0.6, *reversed_pair(20, 0.7, 0.6)),),
+        k_values=(2,), n_values=(2_000,), replicates=200, base_seed=SEED, method="pca",
     )
     records = run_experiment(cfg)
     worst = np.max(np.abs(records.eth_sq - records.d_sq_corrected))
@@ -116,9 +117,8 @@ def test_criterion_06_isometry_correction_exact():
 
 def test_criterion_07_residuals_shrink_with_n():
     cfg = ExperimentConfig(
-        experiment="custom", m=6, k_values=(2,), n_values=(100, 10_000), sweep=(),
-        replicates=200, base_seed=SEED, method="pca",
-        models=((0.5, identity_pair(6, 0.5), None),),
+        experiment="custom", models=((0.5, identity_pair(6, 0.5), None),),
+        k_values=(2,), n_values=(100, 10_000), replicates=200, base_seed=SEED, method="pca",
     )
     records = run_experiment(cfg)
     mean_abs = {n: float(np.mean(np.abs(records.residual[records.n == n])))

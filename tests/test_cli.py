@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subalign import cli, sim, theory
+from subalign import JointCovariance, cli, identity_pair, reversed_pair, sim, theory
 from subalign.cli import CSV_COLUMNS, ILLUS1_BETAS, build_parser, main
 from subalign.kernel import STATUSES
 from subalign.sim import summarize
@@ -89,24 +89,34 @@ def test_records_roundtrip_reproduces_summary(tmp_path):
      ["illus2", "--k", "1", "2", "--n", "2", "500", "--reps", "3", "--lambda2", "0.7", "0.75"],
      1),
     ("illus3", ["illus3", "--k", "1", "2", "--n", "500", "--reps", "3"], 0),
+    ("illus1_pca", ["illus1", "--n", "200", "--reps", "2"], 0),
+    ("illus2_nsweep", ["illus2", "--n-sweep", "--m", "8", "--reps", "3"], 0),
 ])
 def test_outputs_match_the_golden_files(tmp_path, name, argv, code):
-    # tests/data holds the records CSV and summary JSON these argv wrote at
-    # 0.13.0: the trivial path, the PCA path with deficient_rank rows (n = 2),
-    # and the isometry path with its corrected distance and correction gap.
+    # tests/data holds the records CSV and summary JSON these argv wrote: at
+    # 0.13.0, the trivial path, the PCA path with deficient_rank rows (n = 2),
+    # and the isometry path with its corrected distance and correction gap; at
+    # 0.14.0, illus1's default betas by PCA and the illus2 n sweep.
     out, summary = tmp_path / "records.csv", tmp_path / "summary.json"
     assert main([*argv, "--out", str(out), "--summary", str(summary)]) == code
     assert out.read_bytes() == (GOLDEN / f"{name}_records.csv").read_bytes()
     assert summary.read_bytes() == (GOLDEN / f"{name}_summary.json").read_bytes()
 
 
+def test_records_csv_written_in_blocks_matches_the_golden_file(tmp_path, monkeypatch):
+    # 22 rows in blocks of 5: four full blocks and a partial one, the same bytes.
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 5)
+    test_outputs_match_the_golden_files(tmp_path, "illus1_pca",
+                                        ["illus1", "--n", "200", "--reps", "2"], 0)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mixed_isometry_run_writes_corrected_columns_only_where_defined(tmp_path, workers):
     # A custom run of a model without an isometry, then one with: the first
     # model's rows have empty d2_corrected and correction_gap, the second's have both.
-    jc, w = sim.reversed_pair(8, 0.7, 0.5)
-    models = ((0.8, sim.identity_pair(8, 0.8), None), (0.5, jc, w))
-    cfg = sim.ExperimentConfig("custom", 8, (1, 2), (300,), (), 3, base_seed=2, models=models)
+    jc, w = reversed_pair(8, 0.7, 0.5)
+    models = ((0.8, identity_pair(8, 0.8), None), (0.5, jc, w))
+    cfg = sim.ExperimentConfig("custom", models, (1, 2), (300,), 3, base_seed=2)
     cli.write_records_csv(sim.run_experiment(cfg, workers=workers), str(tmp_path / "r.csv"))
     rows = read_rows(tmp_path / "r.csv")
     assert [(r["sweep_param"], r["k"]) for r in rows] == (
@@ -180,7 +190,7 @@ def test_models_and_rho_are_computed_once_per_cell(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sim, "spiked_diag_pair", counted(sim.spiked_diag_pair, built))
+    monkeypatch.setattr(cli, "spiked_diag_pair", counted(cli.spiked_diag_pair, built))
     # Counted wherever rho is bound, so a second computation in the CLI would show.
     for module in (sim, cli):
         monkeypatch.setattr(module, "rho", counted(theory.rho, rho_calls), raising=False)
@@ -450,6 +460,19 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and "repeats" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        [cmd, flag, value] for cmd, flag in (("illus1", "--beta"), ("illus2", "--beta"),
+                                             ("illus3", "--beta"), ("illus2", "--lambda2"),
+                                             ("illus3", "--lambda2"))
+        for value in ("nan", "inf")])
+    def test_non_finite_model_flag_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # The model constructors reject the value before any replicate runs.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--reps", "1", "--n", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("summary", ["same.out", "link.out"])
     def test_out_and_summary_on_one_file_exits_2(self, tmp_path, capsys, summary):
         # The summary would overwrite the records; a symlink to the records is the same file.
@@ -513,10 +536,9 @@ def test_summary_counts_failures_by_reason():
     # A trivial cell whose first two coordinates are constant fails every
     # replicate as degenerate; at k = 1 a second cell fails none.
     diag = np.diag([0.0, 0.0, 1.0, 1.0])
-    models = ((0.0, sim.JointCovariance(diag, diag, 0.5 * diag), None),
-              (1.0, sim.identity_pair(4, 0.5), None))
-    cfg = sim.ExperimentConfig("custom", 4, (1, 2), (30,), (), 5, method="trivial",
-                               models=models)
+    models = ((0.0, JointCovariance(diag, diag, 0.5 * diag), None),
+              (1.0, identity_pair(4, 0.5), None))
+    cfg = sim.ExperimentConfig("custom", models, (1, 2), (30,), 5, method="trivial")
     records = sim.run_experiment(cfg)
     payload = cli._summary_payload(cfg, records, cli._reference_lines(cfg.cells), 1, {})
     assert payload["failed_by_reason"] == {"degenerate_projection": 10}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from subalign import (
     ExperimentConfig,
+    JointCovariance,
     NormalizedProjection,
     ScientistParams,
     Subspace,
@@ -327,6 +328,21 @@ class TestStack:
             with pytest.raises(ValueError, match="float64 stack"):
                 evaluate_grams(bad, 1, "pca", 10)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_entry(self, bad):
+        grams = self.mixed_stack(2)
+        grams[3, 1, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_grams(grams, 2, "pca", 50)
+
+    @pytest.mark.parametrize("method", ["pca", "trivial"])
+    def test_rejects_an_overflowed_draw(self, method):
+        # A model at 1e305 overflows its Gram matrix at n = 1e5.  Unchecked, the
+        # pca replicates were recorded as deficient_rank and trivial raised LinAlgError.
+        jc = JointCovariance(1e305 * np.eye(6), 1e305 * np.eye(6), 0.5e305 * np.eye(6))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            run_replicates(make_cell(jc, 2), 100_000, [1, 2], method=method)
+
 
 def fresh_draw_gram(jc, n, rng):
     """``mvn_gram`` as the plain formula: a fresh (2m, n) normal draw, centered."""
@@ -393,7 +409,8 @@ class TestDrawBuffer:
         # A cell binds its draw when it is built, and a config keeps its cells,
         # so each side builds its own config.
         def config():
-            return ExperimentConfig("illus2", 20, (1, 2), (50, 2000), (0.7, 0.75), 3, base_seed=5)
+            models = tuple((lam, spiked_diag_pair(20, lam, 0.6), None) for lam in (0.7, 0.75))
+            return ExperimentConfig("illus2", models, (1, 2), (50, 2000), 3, base_seed=5)
 
         calls = []
         with monkeypatch.context() as patch:
@@ -442,8 +459,7 @@ class TestScientistsDraw:
         models = tuple((float(i), p, None) for i, p in enumerate(SCIENTIST_MODELS))
 
         def config():  # one per side, as in TestDrawBuffer
-            return ExperimentConfig("custom", 5, (1, 3), (40, 500), (), 2, base_seed=8,
-                                    models=models)
+            return ExperimentConfig("custom", models, (1, 3), (40, 500), 2, base_seed=8)
 
         calls = []
         with monkeypatch.context() as patch:

@@ -33,6 +33,11 @@ from subalign.kernel import STATUSES, center_gram_inplace
 from conftest import assert_tables_equal
 
 
+def identity_models(m, *betas):
+    """illus1's models: the identity pair at each beta, without an isometry."""
+    return tuple((b, identity_pair(m, b), None) for b in betas)
+
+
 def reference_splitmix_mix(x):
     # Independent transcription of the splitmix64 finalizer.
     mask = (1 << 64) - 1
@@ -165,82 +170,80 @@ class TestRunReplicate:
 class TestExperimentConfig:
     def test_rejects_bad_method(self):
         with pytest.raises(ValueError, match="method"):
-            ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 3, method="svd")
+            ExperimentConfig("illus1", identity_models(6, 0.5), (2,), (100,), 3, method="svd")
 
     def test_rejects_k_above_m(self):
         with pytest.raises(ValueError, match="k values"):
-            ExperimentConfig("illus1", 6, (7,), (100,), (0.5,), 3)
+            ExperimentConfig("illus1", identity_models(6, 0.5), (7,), (100,), 3)
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError, match="replicates"):
-            ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 0)
+            ExperimentConfig("illus1", identity_models(6, 0.5), (2,), (100,), 0)
 
     def test_rejects_replicates_beyond_the_seed_range(self):
         # Replicate indices are 32-bit in the seeding contract.  Only built, never run.
-        assert ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2**32).replicates == 2**32
+        models = identity_models(6, 0.5)
+        assert ExperimentConfig("illus1", models, (2,), (100,), 2**32).replicates == 2**32
         with pytest.raises(ValueError, match="replicates"):
-            ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2**32 + 1)
+            ExperimentConfig("illus1", models, (2,), (100,), 2**32 + 1)
 
     def test_rejects_base_seeds_outside_64_bits(self):
         # The seeding contract reads 64 bits: -1 would alias 2**64 - 1, and 2**64 + 42 seed 42.
-        cfg = ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2, base_seed=2**64 - 1)
+        models = identity_models(6, 0.5)
+        cfg = ExperimentConfig("illus1", models, (2,), (100,), 2, base_seed=2**64 - 1)
         assert cfg.base_seed == 2**64 - 1
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\*\*64\)"):
-                ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2, base_seed=seed)
+                ExperimentConfig("illus1", models, (2,), (100,), 2, base_seed=seed)
 
     @pytest.mark.parametrize("field, value", [
-        ("k_values", (2.9,)), ("n_values", (100.7,)), ("replicates", 2.5), ("m", 6.0),
-        ("base_seed", 1.5),
+        ("k_values", (2.9,)), ("n_values", (100.7,)), ("replicates", 2.5), ("base_seed", 1.5),
     ])
     def test_rejects_non_integral_sizes_and_seed(self, field, value):
-        # int() used to run k = 2.9 as 2 and n = 100.7 as 100; a float m, replicate
+        # int() used to run k = 2.9 as 2 and n = 100.7 as 100; a float replicate
         # count or seed passed here and then failed inside the run with a TypeError.
-        fields = dict(experiment="illus1", m=6, k_values=(2,), n_values=(100,), sweep=(0.5,),
-                      replicates=3)
+        fields = dict(experiment="illus1", models=identity_models(6, 0.5), k_values=(2,),
+                      n_values=(100,), replicates=3)
         with pytest.raises(ValueError, match=f"{field} must be integers"):
             ExperimentConfig(**(fields | {field: value}))
 
     def test_accepts_numpy_integers(self):
         i = np.int64
-        cfg = ExperimentConfig("illus1", i(6), (i(2),), (i(100),), (0.5,), i(2), base_seed=i(7))
+        cfg = ExperimentConfig("illus1", identity_models(i(6), 0.5), (i(2),), (i(100),), i(2),
+                               base_seed=i(7))
         assert (cfg.m, cfg.k_values, cfg.n_values, cfg.replicates, cfg.base_seed) == (
             6, (2,), (100,), 2, 7)
         assert_tables_equal(run_experiment(cfg), run_experiment(
-            ExperimentConfig("illus1", 6, (2,), (100,), (0.5,), 2, base_seed=7)))
+            ExperimentConfig("illus1", identity_models(6, 0.5), (2,), (100,), 2, base_seed=7)))
 
     def test_rejects_infeasible_sweep_before_work(self):
-        cfg = ExperimentConfig("illus1", 6, (2,), (100,), (1.5,), 3)
+        # The model is built before the config, so an infeasible one never reaches a run.
         with pytest.raises(ValueError, match="beta"):
-            cfg.cells
+            ExperimentConfig("illus1", identity_models(6, 1.5), (2,), (100,), 3)
 
     def test_custom_requires_models(self):
         with pytest.raises(ValueError, match="models"):
-            ExperimentConfig("custom", 6, (2,), (100,), (), 3)
+            ExperimentConfig("custom", (), (2,), (100,), 3)
 
     def test_custom_model_dimension_must_match_m(self):
-        # Records would otherwise say m = 8 while the config and summary say 6.
-        cfg = ExperimentConfig("custom", 6, (2,), (100,), (), 3,
-                               models=((0.5, identity_pair(8, 0.5), None),))
-        with pytest.raises(ValueError, match="model dimension 8 differs from m = 6"):
-            cfg.cells
+        # m is the models' one dimension: records would otherwise mix m = 6 and m = 8.
+        models = ((0.5, identity_pair(6, 0.5), None), (0.6, identity_pair(8, 0.6), None))
+        with pytest.raises(ValueError, match=r"one dimension, got \[6, 8\]"):
+            ExperimentConfig("custom", models, (2,), (100,), 3)
 
     @pytest.mark.parametrize("sweep_param", [np.nan, np.inf])
     def test_custom_sweep_param_must_be_finite(self, sweep_param):
         # NaN keys never compare equal, so a pooled run summarized into one
         # group per record.
-        cfg = ExperimentConfig("custom", 6, (2,), (100,), (), 3,
-                               models=((sweep_param, identity_pair(6, 0.5), None),))
         with pytest.raises(ValueError, match="sweep_param must be finite"):
-            cfg.cells
-
+            ExperimentConfig("custom", ((sweep_param, identity_pair(6, 0.5), None),),
+                             (2,), (100,), 3)
 
     def test_custom_sweep_param_must_be_distinct(self):
         # Both models would be summarized as one group, its mean between theirs.
         models = ((0.5, identity_pair(6, 0.0), None), (0.5, identity_pair(6, 0.99), None))
-        cfg = ExperimentConfig("custom", 6, (2,), (1000,), (), 20, models=models)
-        with pytest.raises(ValueError, match="repeat a sweep_param"):
-            cfg.cells
+        with pytest.raises(ValueError, match="sweep_param repeats a value"):
+            ExperimentConfig("custom", models, (2,), (1000,), 20)
 
 
 class TestMakeCell:
@@ -276,10 +279,10 @@ class TestMakeCell:
 
 
 class TestRunExperiment:
-    def small_cfg(self, **overrides):
+    def small_cfg(self, betas=(0.2, 0.5), **overrides):
         base = dict(
-            experiment="illus1", m=6, k_values=(2,), n_values=(200,),
-            sweep=(0.2, 0.5), replicates=3, base_seed=7, method="pca",
+            experiment="illus1", models=identity_models(6, *betas), k_values=(2,),
+            n_values=(200,), replicates=3, base_seed=7, method="pca",
         )
         base.update(overrides)
         return ExperimentConfig(**base)
@@ -319,7 +322,7 @@ class TestRunExperiment:
 
         def records(jc):
             return run_experiment(ExperimentConfig(
-                "custom", 6, (1, 2), (1000,), (), 3, base_seed=1, models=((0.5, jc, None),)))
+                "custom", ((0.5, jc, None),), (1, 2), (1000,), 3, base_seed=1))
 
         want, got = records(base), records(scaled)
         assert got.status.tolist() == [0] * 6
@@ -329,8 +332,8 @@ class TestRunExperiment:
     def test_custom_models(self):
         jc, w = reversed_pair(8, 0.7, 0.5)
         cfg = ExperimentConfig(
-            experiment="custom", m=8, k_values=(1, 2), n_values=(300,), sweep=(),
-            replicates=2, base_seed=11, models=((0.5, jc, w),),
+            experiment="custom", models=((0.5, jc, w),), k_values=(1, 2), n_values=(300,),
+            replicates=2, base_seed=11,
         )
         records = run_experiment(cfg)
         assert len(records) == 4
@@ -345,8 +348,7 @@ class TestRunExperiment:
         jc, w = reversed_pair(8, 0.7, 0.5)
 
         def custom_cfg():
-            return ExperimentConfig("custom", 8, (2,), (100,), (), 3,
-                                    models=((0.5, jc, bad(w)),))
+            return ExperimentConfig("custom", ((0.5, jc, bad(w)),), (2,), (100,), 3)
 
         with pytest.raises(ValueError, match=match):
             custom_cfg().cells
@@ -366,9 +368,9 @@ class TestRunExperiment:
         # interval interleave the draws of different threads.
         jc, w = reversed_pair(8, 0.7, 0.5)
         cfg = ExperimentConfig(
-            experiment="custom", m=8, k_values=(1, 2), n_values=(100, 2000), sweep=(),
-            replicates=3, base_seed=5,
+            experiment="custom",
             models=((0.8, ScientistParams(m=8, gamma=0.8), None), (0.5, jc, w)),
+            k_values=(1, 2), n_values=(100, 2000), replicates=3, base_seed=5,
         )
         serial = run_experiment(cfg, workers=1)
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(4)),
@@ -395,8 +397,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
-        cfg = self.small_cfg(n_values=(20, 30), sweep=(0.2, 0.5), replicates=501,
-                             method="trivial")
+        cfg = self.small_cfg((0.2, 0.5), n_values=(20, 30), replicates=501, method="trivial")
         assert_tables_equal(run_experiment(cfg, workers=2), run_experiment(cfg, workers=1))
         assert 4 <= len(submitted) <= 2 * 8 + 4
         groups = {}
@@ -412,7 +413,7 @@ class TestRunExperiment:
         # thread starts (2048 replicates make 16 chunks of 128).  The chunk
         # before the failing one outlasts it, so a pool that read the results
         # in order would go on starting chunks while it waited.
-        cfg = self.small_cfg(n_values=(2000,), sweep=(0.5,), replicates=2048, method="trivial")
+        cfg = self.small_cfg((0.5,), n_values=(2000,), replicates=2048, method="trivial")
         failed = threading.Event()
         after = []
         sim_run_replicates = sim.run_replicates
@@ -439,17 +440,18 @@ class TestRunExperiment:
         assert threading.active_count() == threads
 
     def test_failed_replicates_recorded_not_raised(self):
-        cfg = self.small_cfg(k_values=(5,), n_values=(4,), sweep=(0.5,))
+        cfg = self.small_cfg((0.5,), k_values=(5,), n_values=(4,))
         records = run_experiment(cfg)
         assert len(records) == 3
         assert [STATUSES[code] for code in records.status] == ["deficient_rank"] * 3
 
     @pytest.mark.parametrize("cfg, statuses", [
-        (ExperimentConfig("illus2", 8, (1, 2), (2, 60, 400), (0.7,), 7, base_seed=3),
-         {"ok", "deficient_rank"}),
-        (ExperimentConfig("illus3", 8, (1, 3), (200,), (0.6,), 7, base_seed=4), {"ok"}),
-        (ExperimentConfig("illus1", 4, (1, 2), (2, 500), (0.0, 0.9), 7, base_seed=5,
-                          method="trivial"), {"ok"}),
+        (ExperimentConfig("illus2", ((0.7, spiked_diag_pair(8, 0.7, 0.6), None),), (1, 2),
+                          (2, 60, 400), 7, base_seed=3), {"ok", "deficient_rank"}),
+        (ExperimentConfig("illus3", ((0.6, *reversed_pair(8, 0.7, 0.6)),), (1, 3), (200,), 7,
+                          base_seed=4), {"ok"}),
+        (ExperimentConfig("illus1", identity_models(4, 0.0, 0.9), (1, 2), (2, 500), 7,
+                          base_seed=5, method="trivial"), {"ok"}),
     ], ids=["illus2", "illus3", "illus1_trivial"])
     def test_records_do_not_depend_on_workers_or_chunk_length(self, monkeypatch, cfg, statuses):
         # The kernel evaluates each matrix of a stack as it would alone, so a
@@ -471,7 +473,7 @@ class TestRunExperiment:
         # At m = 100 a replicate's Gram stack and eigenvectors take 480 kB, so
         # the 32 MiB cap splits 300 replicates into chunks of 69; 256 at once
         # would take 123 MB.
-        cfg = ExperimentConfig("illus1", 100, (2,), (50,), (0.5,), 300)
+        cfg = ExperimentConfig("illus1", identity_models(100, 0.5), (2,), (50,), 300)
         assert sim._chunk_size(cfg.m) == 69
         draw = 2 * cfg.m * 50 * 8
         tracemalloc.start()
@@ -485,7 +487,8 @@ class TestRunExperiment:
 
     def test_run_keeps_no_draw_memory(self):
         # The draw of this cell is a 61 MiB (2m, n) array; none of it may outlive the run.
-        cfg = ExperimentConfig("illus2", 20, (2,), (200_000,), (0.7,), 1)
+        cfg = ExperimentConfig("illus2", ((0.7, spiked_diag_pair(20, 0.7, 0.6), None),), (2,),
+                               (200_000,), 1)
         tracemalloc.start()
         try:
             run_experiment(cfg)
@@ -568,11 +571,11 @@ def test_reversed_weighted_matches_unpermuted_distance_distribution():
     # plain distance plays in the unpermuted model: replicate-by-replicate
     # the two experiments produce statistically matching values, while the
     # reversed model's raw distance is inflated.
-    common = dict(m=12, k_values=(1,), n_values=(2000,), replicates=8, base_seed=21)
+    common = dict(k_values=(1,), n_values=(2000,), replicates=8, base_seed=21)
     plain = run_experiment(ExperimentConfig(
-        experiment="illus2", sweep=(0.7,), beta=0.6, **common))
+        experiment="illus2", models=((0.7, spiked_diag_pair(12, 0.7, 0.6), None),), **common))
     reversed_ = run_experiment(ExperimentConfig(
-        experiment="illus3", sweep=(0.6,), lambda2=0.7, **common))
+        experiment="illus3", models=((0.6, *reversed_pair(12, 0.7, 0.6)),), **common))
     mean_d_plain = np.mean(plain.d_sq)
     mean_eth_rev = np.mean(reversed_.eth_sq)
     mean_d_rev = np.mean(reversed_.d_sq)
@@ -584,7 +587,7 @@ def test_trivial_identity_prediction_is_flat_line():
     # With the trivial subspaces the distance is identically zero, so the
     # predicted value is the intercept (1 - rho) * 2k for every replicate.
     cfg = ExperimentConfig(
-        experiment="illus1", m=6, k_values=(2,), n_values=(300,), sweep=(0.5,),
+        experiment="illus1", models=identity_models(6, 0.5), k_values=(2,), n_values=(300,),
         replicates=4, base_seed=3, method="trivial",
     )
     records = run_experiment(cfg)
@@ -613,5 +616,5 @@ class TestPoolSize:
             raise AssertionError("thread pool started")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        cfg = ExperimentConfig("illus1", 6, (2,), (200,), (0.5,), 3, base_seed=7)
+        cfg = ExperimentConfig("illus1", identity_models(6, 0.5), (2,), (200,), 3, base_seed=7)
         assert_tables_equal(run_experiment(cfg, workers=8), run_experiment(cfg, workers=1))
