@@ -45,4 +45,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

@@ -61,7 +61,7 @@ def _round12(value: float):
     return float(f"{value:.12g}") if math.isfinite(value) else None
 
 
-def write_records_csv(records: Records, path: str) -> None:
+def write_records_csv(records: Records, path: str, experiment: str) -> None:
     gap = np.abs(records.eth_sq - records.d_sq_corrected)
     floats = (records.sweep_param, records.d_sq, records.eth_sq, records.eps_sq,
               records.predicted, records.residual, records.d_sq_corrected, gap)
@@ -74,7 +74,7 @@ def write_records_csv(records: Records, path: str) -> None:
                 map(_fmt, column[rows].tolist()) for column in floats)
             status = [STATUSES[code] for code in records.status[rows].tolist()]
             writer.writerows(zip(
-                repeat(records.experiment), repeat(records.method), repeat(records.m),
+                repeat(experiment), repeat(records.method), repeat(records.m),
                 records.k[rows].tolist(), records.n[rows].tolist(), sweep,
                 records.replicate[rows].tolist(),
                 d2, eth2, eps2, predicted, residual, corrected, status, gap,
@@ -93,14 +93,14 @@ def _reference_lines(cells) -> list[dict]:
     return lines
 
 
-def _summary_payload(cfg: ExperimentConfig, records: Records, lines, threads: int,
-                     params) -> dict:
+def _summary_payload(experiment: str, cfg: ExperimentConfig, records: Records, lines,
+                     threads: int, params) -> dict:
     groups = [{key: _round12(value) if isinstance(value, float) else value
                for key, value in group.items()} for group in summarize(records)]
     counts = np.bincount(records.status, minlength=len(STATUSES)).tolist()
     failed = {reason: count for reason, count in zip(STATUSES[1:], counts[1:]) if count}
     return {
-        "experiment": cfg.experiment,
+        "experiment": experiment,
         "method": cfg.method,
         "m": cfg.m,
         "seed": cfg.base_seed,
@@ -134,15 +134,15 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
     if args.threads < 1:
         return _usage_error(f"--threads must be >= 1, got {args.threads}")
     try:
-        cfg = ExperimentConfig(args.command, models, k_values, n_values, args.reps,
-                               base_seed=args.seed, method=args.method)
+        cfg = ExperimentConfig(models, k_values, n_values, args.reps, base_seed=args.seed,
+                               method=args.method)
         lines = _reference_lines(cfg.cells)
     except ValueError as exc:
         return _usage_error(exc)
     except MemoryError as exc:
         return _usage_error(f"not enough memory for this run: {exc}")
-    out_path = args.out or f"{cfg.experiment}_records.csv"
-    summary_path = args.summary or f"{cfg.experiment}_summary.json"
+    out_path = args.out or f"{args.command}_records.csv"
+    summary_path = args.summary or f"{args.command}_summary.json"
     created, error = [], None  # a rejected or failed run removes the files its probe created
     try:
         for path in (out_path, summary_path):
@@ -159,8 +159,8 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
             print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
         try:
             records = run_experiment(cfg, workers=args.threads)
-            payload = _summary_payload(cfg, records, lines, args.threads, params)
-            write_records_csv(records, out_path)
+            payload = _summary_payload(args.command, cfg, records, lines, args.threads, params)
+            write_records_csv(records, out_path, args.command)
             with open(summary_path, "w") as handle:
                 json.dump(payload, handle, indent=2, allow_nan=False)
                 handle.write("\n")
@@ -245,16 +245,19 @@ def cmd_compute(args) -> int:
     for name, mat in (("X", x), ("Y", y), ("cross covariance", cross)):
         if mat is not None and not np.all(np.isfinite(mat)):
             return _usage_error(f"{name} has non-finite entries (nan or inf)")
-    # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
-    # it: removing each one's scale exactly keeps it in range (weight() removes C's).
-    stack = np.vstack([x, y])
-    for half in (stack[:m], stack[m:]):
-        unit_scale_inplace(half)
-    gram = center_gram_inplace(stack)
-    # A stack of one, on a copy: the kernel rescales its stack in place, and plugin_rho
-    # reads the unscaled matrix (an odd power of two does not pass exactly through sqrt).
-    out = evaluate_grams(gram[None].copy(), args.k, args.method, n,
-                         None if cross is None else weight(cross, args.k))
+    try:
+        # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
+        # it: removing each one's scale exactly keeps it in range (weight() removes C's).
+        stack = np.vstack([x, y])
+        for half in (stack[:m], stack[m:]):
+            unit_scale_inplace(half)
+        gram = center_gram_inplace(stack)
+        # A stack of one, on a copy: the kernel rescales its stack in place, and plugin_rho
+        # reads the unscaled matrix (an odd power of two does not pass exactly through sqrt).
+        out = evaluate_grams(gram[None].copy(), args.k, args.method, n,
+                             None if cross is None else weight(cross, args.k))
+    except MemoryError as exc:
+        return _usage_error(f"not enough memory for this run: {exc}")
     if out.status[0]:
         reason = STATUSES[out.status[0]].replace("_", " ")
         print(f"error: {reason} for requested dimension k = {args.k}", file=sys.stderr)

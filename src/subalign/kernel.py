@@ -62,7 +62,6 @@ the sampling noise alike in both routes.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -84,16 +83,16 @@ class GramColumns(NamedTuple):
 
     ``status`` holds R int8 codes, indices into :data:`STATUSES` (0 is ok).
     The float columns hold R values each, NaN where the status is not ok;
-    ``eth_sq`` is None without a weight, ``d_sq_corrected`` without an
+    ``eth_sq`` is all NaN without a weight, ``d_sq_corrected`` without an
     isometry.  Row r belongs to matrix r; the simulator keeps these columns,
     under the same names, in its :class:`subalign.sim.Records` table.
     """
 
     status: np.ndarray
     d_sq: np.ndarray
-    eth_sq: Optional[np.ndarray]
+    eth_sq: np.ndarray
     eps_sq: np.ndarray
-    d_sq_corrected: Optional[np.ndarray]
+    d_sq_corrected: np.ndarray
 
 
 def center_gram_inplace(z: np.ndarray) -> np.ndarray:
@@ -161,9 +160,7 @@ def evaluate_grams(
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     status = np.zeros(r, dtype=np.int8)
-    nan = partial(np.full, r, np.nan)
-    out = GramColumns(status, nan(), None if weight is None else nan(), nan(),
-                      None if isometry is None else nan())
+    out = GramColumns(status, *(np.full(r, np.nan) for _ in range(4)))
     if method == "pca":
         if n - 1 < k:  # centered data of n observations has rank at most n - 1
             status[:] = _DEFICIENT_RANK

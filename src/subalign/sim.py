@@ -12,7 +12,8 @@ is one :func:`run_replicates` call: it draws its Gram matrices into one
 stack, evaluates them with one :func:`subalign.kernel.evaluate_grams` call
 and returns the kernel's columns with the predicted value and the residual
 added, computed once for the chunk.  The run is one :class:`Records` table,
-the chunks' columns in order; the summary and the CLI's records CSV read it.
+the chunks' columns in order; the summary and the CLI's records CSV read it,
+and the CLI labels them with its subcommand, the one name a run has.
 A config's sweep is its models, (sweep_param, model, isometry-or-None)
 triples that the caller builds (the CLI, for illus1/2/3).  A run is a list
 of cells, one per (model, k), each built and validated once by
@@ -58,7 +59,6 @@ from .model import JointCovariance, ScientistParams, mvn_gram, scientists_sample
 from .theory import predicted_fit_error_sq, rho
 
 __all__ = [
-    "EXPERIMENTS",
     "METHODS",
     "ExperimentConfig",
     "Records",
@@ -70,7 +70,6 @@ __all__ = [
     "summarize",
 ]
 
-EXPERIMENTS = ("illus1", "illus2", "illus3", "custom")
 METHODS = ("pca", "trivial")
 
 Model = Union[JointCovariance, ScientistParams]
@@ -103,11 +102,10 @@ class ExperimentConfig:
 
     ``models`` holds the sweep as (sweep_param, model, isometry-or-None)
     triples, in sweep order: their sweep params must be finite and distinct,
-    and the models share one dimension, :attr:`m`.  ``experiment`` names the
-    run in its records; it does not choose the models.
+    and the models share one dimension, :attr:`m`.  The run has no name
+    here: the CLI labels its outputs with its subcommand.
     """
 
-    experiment: str
     models: tuple[tuple[float, Model, Optional[np.ndarray]], ...]
     k_values: tuple[int, ...]
     n_values: tuple[int, ...]
@@ -125,8 +123,6 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
         models = tuple((float(p), model, w) for p, model, w in self.models)
         object.__setattr__(self, "models", models)
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if len(dims := {model.m for _, model, _ in models}) != 1:
@@ -170,12 +166,12 @@ class Records:
 
     Row i is replicate ``replicate[i]`` of cell ``(sweep_param[i], k[i])`` at
     ``n[i]``.  ``status`` holds int8 indices into :data:`subalign.kernel.STATUSES`
-    (0 is "ok"); the float columns, the kernel's plus ``predicted`` and
-    ``residual = eps_sq - predicted``, are NaN where the status is not ok,
-    and ``d_sq_corrected`` also for models without an isometry.
+    (0 is "ok").  The float columns are the kernel's
+    (:class:`subalign.kernel.GramColumns`, under the same names) plus
+    ``predicted`` and ``residual = eps_sq - predicted``; they are NaN where the
+    status is not ok, and ``d_sq_corrected`` also for models without an isometry.
     """
 
-    experiment: str
     method: str
     m: int
     k: np.ndarray
@@ -194,7 +190,7 @@ class Records:
         return len(self.status)
 
 
-_COLUMNS = tuple(f.name for f in fields(Records))[3:]  # the per-row fields
+_COLUMNS = tuple(f.name for f in fields(Records))[2:]  # the per-row fields
 
 
 class Cell(NamedTuple):
@@ -259,8 +255,8 @@ def _chunk_size(m: int) -> int:
     return max(1, min(_MAX_CHUNK, _MAX_CHUNK_BYTES // (48 * m * m)))
 
 
-def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *, method: str,
-                   experiment: str = "custom") -> Records:
+def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *,
+                   method: str) -> Records:
     """Replicates ``first, first + 1, ...`` of (cell, n), one per seed, with one kernel call.
 
     A rank-deficient PCA (certain at n <= k) or a degenerate (zero) projection
@@ -274,10 +270,9 @@ def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *, meth
     ok = out.status == 0
     predicted = np.full(r, nan)
     predicted[ok] = predicted_fit_error_sq(cell.rho, k, out.eth_sq[ok])
-    corrected = np.full(r, nan) if out.d_sq_corrected is None else out.d_sq_corrected
-    return Records(experiment, method, m, np.full(r, k), np.full(r, n),
-                   np.full(r, cell.sweep_param), np.arange(first, first + r), out.status,
-                   out.d_sq, out.eth_sq, out.eps_sq, predicted, out.eps_sq - predicted, corrected)
+    return Records(method=method, m=m, k=np.full(r, k), n=np.full(r, n),
+                   sweep_param=np.full(r, cell.sweep_param), replicate=np.arange(first, first + r),
+                   predicted=predicted, residual=out.eps_sq - predicted, **out._asdict())
 
 
 def _concatenate(chunks: list[Records]) -> Records:
@@ -285,7 +280,7 @@ def _concatenate(chunks: list[Records]) -> Records:
     head = chunks[0]
     columns = {name: np.concatenate([getattr(chunk, name) for chunk in chunks])
                for name in _COLUMNS}
-    return Records(head.experiment, head.method, head.m, **columns)
+    return Records(head.method, head.m, **columns)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Records:
@@ -322,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Records:
         for param_index, (cell, n) in enumerate(groups)
         for first in range(0, cfg.replicates, size)
     ]
-    chunk = partial(run_replicates, method=cfg.method, experiment=cfg.experiment)
+    chunk = partial(run_replicates, method=cfg.method)
     if workers == 1:
         return _concatenate([chunk(*task) for task in tasks])
     # Imported here: the pool machinery costs every serial run 10-14 ms of start-up.
@@ -348,15 +343,17 @@ def _mean_stdev(values: np.ndarray) -> tuple[float, float]:
 def summarize(records: Records) -> list[dict]:
     """Mean/stdev of eps^2, eps^2 / 2k and residuals over the ok rows, one dict per group.
 
-    A group is a run of rows with equal ``(k, n, sweep_param)``: one per
-    (cell, n), since a config rejects repeated values.  Standard deviations
-    use the n - 1 denominator; a group of one ok row reports 0 with
-    ``single_sample`` set, and a group without one reports NaN.
+    A group is a run of rows with equal ``(k, n, sweep_param)``, NaN equal
+    to NaN (make_cell's default sweep value): one per (cell, n), since a
+    config rejects repeated values.  Standard deviations use the n - 1
+    denominator; a group of one ok row reports 0 with ``single_sample`` set,
+    and a group without one reports NaN.
     """
     if not len(records):
         raise ValueError("no records to summarize")
     axes = (records.k, records.n, records.sweep_param)
-    starts = np.flatnonzero(np.any([axis[1:] != axis[:-1] for axis in axes], axis=0)) + 1
+    starts = np.flatnonzero(np.any([(a[1:] != a[:-1]) & ~(np.isnan(a[1:]) & np.isnan(a[:-1]))
+                                    for a in axes], axis=0)) + 1
     bounds = [0, *starts.tolist(), len(records)]
     ratio = records.eps_sq / (2.0 * records.k)
     out = []

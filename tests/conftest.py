@@ -32,7 +32,7 @@ def random_joint_covariance(rng, m) -> JointCovariance:
 
 
 class Row(NamedTuple):
-    """One matrix's row of ``evaluate_grams``'s columns: None for an absent column or a NaN."""
+    """One matrix's row of ``evaluate_grams``'s columns: None for a NaN (absent or failed)."""
 
     status: str
     d_sq: Optional[float] = None
@@ -43,8 +43,7 @@ class Row(NamedTuple):
 
 def stack_rows(out) -> list[Row]:
     """The rows of ``evaluate_grams``'s columns, one per matrix of the stack."""
-    return [Row(STATUSES[code], *(None if col is None or np.isnan(col[r]) else col[r].item()
-                                  for col in out[1:]))
+    return [Row(STATUSES[code], *(None if np.isnan(col[r]) else col[r].item() for col in out[1:]))
             for r, code in enumerate(out.status)]
 
 

@@ -52,7 +52,7 @@ def test_criterion_01_rho_exactness():
 def _illus1_table(method):
     betas = (0.0, 0.5, 0.9, 0.99)
     cfg = ExperimentConfig(
-        experiment="illus1", models=tuple((b, identity_pair(6, b), None) for b in betas),
+        models=tuple((b, identity_pair(6, b), None) for b in betas),
         k_values=(2,), n_values=(10_000,), replicates=200, base_seed=SEED, method=method,
     )
     stats = stats_by(run_experiment(cfg), "sweep_param")
@@ -78,7 +78,7 @@ def test_criterion_03_pca_reference_means():
 
 def test_criterion_04_normalized_means_show_phenomenon():
     cfg = ExperimentConfig(
-        experiment="illus2", models=((0.7, spiked_diag_pair(20, 0.7, 0.6), None),),
+        models=((0.7, spiked_diag_pair(20, 0.7, 0.6), None),),
         k_values=(1, 2, 10), n_values=(10_000,), replicates=200, base_seed=SEED, method="pca",
     )
     stats = stats_by(run_experiment(cfg), "k")
@@ -93,7 +93,7 @@ def test_criterion_04_normalized_means_show_phenomenon():
 
 def test_criterion_05_small_gap_keeps_high_variance():
     cfg = ExperimentConfig(
-        experiment="illus2", models=((0.75, spiked_diag_pair(20, 0.75, 0.6), None),),
+        models=((0.75, spiked_diag_pair(20, 0.75, 0.6), None),),
         k_values=(1, 2), n_values=(10_000,), replicates=200, base_seed=SEED, method="pca",
     )
     stats = stats_by(run_experiment(cfg), "k")
@@ -106,7 +106,7 @@ def test_criterion_05_small_gap_keeps_high_variance():
 
 def test_criterion_06_isometry_correction_exact():
     cfg = ExperimentConfig(
-        experiment="illus3", models=((0.6, *reversed_pair(20, 0.7, 0.6)),),
+        models=((0.6, *reversed_pair(20, 0.7, 0.6)),),
         k_values=(2,), n_values=(2_000,), replicates=200, base_seed=SEED, method="pca",
     )
     records = run_experiment(cfg)
@@ -117,7 +117,7 @@ def test_criterion_06_isometry_correction_exact():
 
 def test_criterion_07_residuals_shrink_with_n():
     cfg = ExperimentConfig(
-        experiment="custom", models=((0.5, identity_pair(6, 0.5), None),),
+        models=((0.5, identity_pair(6, 0.5), None),),
         k_values=(2,), n_values=(100, 10_000), replicates=200, base_seed=SEED, method="pca",
     )
     records = run_experiment(cfg)

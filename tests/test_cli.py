@@ -67,8 +67,8 @@ def test_records_roundtrip_reproduces_summary(tmp_path):
 
     absent = np.full(len(rows), np.nan)
     records = sim.Records(
-        rows[0]["experiment"], rows[0]["method"], int(rows[0]["m"]), column("k", int),
-        column("n", int), column("sweep_param"), column("replicate", int),
+        rows[0]["method"], int(rows[0]["m"]), column("k", int), column("n", int),
+        column("sweep_param"), column("replicate", int),
         np.array([STATUSES.index(r["status"]) for r in rows], dtype=np.int8),
         absent, absent, column("eps2"), absent, column("residual"), absent,
     )
@@ -116,8 +116,9 @@ def test_mixed_isometry_run_writes_corrected_columns_only_where_defined(tmp_path
     # model's rows have empty d2_corrected and correction_gap, the second's have both.
     jc, w = reversed_pair(8, 0.7, 0.5)
     models = ((0.8, identity_pair(8, 0.8), None), (0.5, jc, w))
-    cfg = sim.ExperimentConfig("custom", models, (1, 2), (300,), 3, base_seed=2)
-    cli.write_records_csv(sim.run_experiment(cfg, workers=workers), str(tmp_path / "r.csv"))
+    cfg = sim.ExperimentConfig(models, (1, 2), (300,), 3, base_seed=2)
+    cli.write_records_csv(sim.run_experiment(cfg, workers=workers), str(tmp_path / "r.csv"),
+                          "custom")
     rows = read_rows(tmp_path / "r.csv")
     assert [(r["sweep_param"], r["k"]) for r in rows] == (
         [("0.8", "1")] * 3 + [("0.8", "2")] * 3 + [("0.5", "1")] * 3 + [("0.5", "2")] * 3)
@@ -241,8 +242,7 @@ def test_shared_flags_reach_the_run(tmp_path, monkeypatch, case):
                  "--out", str(out), "--summary", str(summary)])
     assert code == 0
     [cfg] = configs
-    assert (cfg.experiment, cfg.m, cfg.replicates, cfg.base_seed, cfg.method) == (
-        argv[0], 8, 3, 11, "trivial")
+    assert (cfg.m, cfg.replicates, cfg.base_seed, cfg.method) == (8, 3, 11, "trivial")
     rows = read_rows(out)
     per_cell = Counter((r["sweep_param"], r["k"], r["n"]) for r in rows)
     assert len(per_cell) == cells and set(per_cell.values()) == {3}
@@ -306,6 +306,30 @@ class TestCompute:
         result = json.loads(capsys.readouterr().out)
         assert result["d_sq"] == 0.0
         assert result["eps_sq"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["pca", "trivial"])
+    def test_without_cross_covariance_prints_no_eth(self, tmp_path, rng, capsys, method):
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_matrix(x_path, rng.standard_normal((4, 60)))
+        write_matrix(y_path, rng.standard_normal((4, 60)))
+        assert main(["compute", str(x_path), str(y_path), "--k", "2", "--method", method]) == 0
+        out = capsys.readouterr().out
+        assert "null" not in out
+        assert list(json.loads(out)) == ["m", "n", "k", "method", "eps_sq", "d_sq", "rho_hat"]
+
+    def test_input_too_large_for_memory_exits_2(self, tmp_path, rng, monkeypatch, capsys):
+        # A stand-in for a Gram matrix numpy cannot allocate: a real one is refused
+        # only where the operating system does not overcommit memory.
+        def refuse(z):
+            raise MemoryError("Unable to allocate 29.1 TiB")
+
+        monkeypatch.setattr(cli, "center_gram_inplace", refuse)
+        x_path = tmp_path / "x.csv"
+        write_matrix(x_path, rng.standard_normal((4, 30)))
+        assert main(["compute", str(x_path), str(x_path), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not enough memory") and captured.err.count("\n") == 1
 
     def test_cross_covariance_enables_weighted_distance(self, tmp_path, rng, capsys):
         x = rng.standard_normal((4, 60))
@@ -538,9 +562,10 @@ def test_summary_counts_failures_by_reason():
     diag = np.diag([0.0, 0.0, 1.0, 1.0])
     models = ((0.0, JointCovariance(diag, diag, 0.5 * diag), None),
               (1.0, identity_pair(4, 0.5), None))
-    cfg = sim.ExperimentConfig("custom", models, (1, 2), (30,), 5, method="trivial")
+    cfg = sim.ExperimentConfig(models, (1, 2), (30,), 5, method="trivial")
     records = sim.run_experiment(cfg)
-    payload = cli._summary_payload(cfg, records, cli._reference_lines(cfg.cells), 1, {})
+    payload = cli._summary_payload("custom", cfg, records, cli._reference_lines(cfg.cells), 1,
+                                   {})
     assert payload["failed_by_reason"] == {"degenerate_projection": 10}
     assert payload["failed_replicates"] == 10
     json.dumps(payload, allow_nan=False)

@@ -321,7 +321,7 @@ class TestStack:
         grams = self.mixed_stack(2)
         out = evaluate_grams(grams.copy(), 3, "pca", 3)  # n - 1 < k: no eigensolver runs
         assert out.status.tolist() == [1] * 4 and np.isnan(out.d_sq).all()
-        assert out.eth_sq is None and out.d_sq_corrected is None
+        assert np.isnan(out.eth_sq).all() and np.isnan(out.d_sq_corrected).all()
 
     def test_rejects_a_stack_it_cannot_scale_in_place(self):
         for bad in (np.eye(4), np.ones((2, 4, 4), dtype=np.float32), [np.eye(4)]):
@@ -410,7 +410,7 @@ class TestDrawBuffer:
         # so each side builds its own config.
         def config():
             models = tuple((lam, spiked_diag_pair(20, lam, 0.6), None) for lam in (0.7, 0.75))
-            return ExperimentConfig("illus2", models, (1, 2), (50, 2000), 3, base_seed=5)
+            return ExperimentConfig(models, (1, 2), (50, 2000), 3, base_seed=5)
 
         calls = []
         with monkeypatch.context() as patch:
@@ -459,7 +459,7 @@ class TestScientistsDraw:
         models = tuple((float(i), p, None) for i, p in enumerate(SCIENTIST_MODELS))
 
         def config():  # one per side, as in TestDrawBuffer
-            return ExperimentConfig("custom", models, (1, 3), (40, 500), 2, base_seed=8)
+            return ExperimentConfig(models, (1, 3), (40, 500), 2, base_seed=8)
 
         calls = []
         with monkeypatch.context() as patch:

@@ -137,8 +137,8 @@ class TestRunReplicate:
         # A chunk of replicates 5..7: its axes echo the cell, n and the replicate
         # indices, and the model without an isometry has NaN corrected distances.
         cell = make_cell(identity_pair(6, 0.5), 2, sweep_param=0.5)
-        out = run_replicates(cell, 300, [11, 12, 13], 5, method="pca", experiment="illus1")
-        assert (out.experiment, out.method, out.m, len(out)) == ("illus1", "pca", 6, 3)
+        out = run_replicates(cell, 300, [11, 12, 13], 5, method="pca")
+        assert (out.method, out.m, len(out)) == ("pca", 6, 3)
         assert out.k.tolist() == [2] * 3 and out.n.tolist() == [300] * 3
         assert out.sweep_param.tolist() == [0.5] * 3
         assert out.replicate.tolist() == [5, 6, 7]
@@ -170,31 +170,31 @@ class TestRunReplicate:
 class TestExperimentConfig:
     def test_rejects_bad_method(self):
         with pytest.raises(ValueError, match="method"):
-            ExperimentConfig("illus1", identity_models(6, 0.5), (2,), (100,), 3, method="svd")
+            ExperimentConfig(identity_models(6, 0.5), (2,), (100,), 3, method="svd")
 
     def test_rejects_k_above_m(self):
         with pytest.raises(ValueError, match="k values"):
-            ExperimentConfig("illus1", identity_models(6, 0.5), (7,), (100,), 3)
+            ExperimentConfig(identity_models(6, 0.5), (7,), (100,), 3)
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError, match="replicates"):
-            ExperimentConfig("illus1", identity_models(6, 0.5), (2,), (100,), 0)
+            ExperimentConfig(identity_models(6, 0.5), (2,), (100,), 0)
 
     def test_rejects_replicates_beyond_the_seed_range(self):
         # Replicate indices are 32-bit in the seeding contract.  Only built, never run.
         models = identity_models(6, 0.5)
-        assert ExperimentConfig("illus1", models, (2,), (100,), 2**32).replicates == 2**32
+        assert ExperimentConfig(models, (2,), (100,), 2**32).replicates == 2**32
         with pytest.raises(ValueError, match="replicates"):
-            ExperimentConfig("illus1", models, (2,), (100,), 2**32 + 1)
+            ExperimentConfig(models, (2,), (100,), 2**32 + 1)
 
     def test_rejects_base_seeds_outside_64_bits(self):
         # The seeding contract reads 64 bits: -1 would alias 2**64 - 1, and 2**64 + 42 seed 42.
         models = identity_models(6, 0.5)
-        cfg = ExperimentConfig("illus1", models, (2,), (100,), 2, base_seed=2**64 - 1)
+        cfg = ExperimentConfig(models, (2,), (100,), 2, base_seed=2**64 - 1)
         assert cfg.base_seed == 2**64 - 1
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\*\*64\)"):
-                ExperimentConfig("illus1", models, (2,), (100,), 2, base_seed=seed)
+                ExperimentConfig(models, (2,), (100,), 2, base_seed=seed)
 
     @pytest.mark.parametrize("field, value", [
         ("k_values", (2.9,)), ("n_values", (100.7,)), ("replicates", 2.5), ("base_seed", 1.5),
@@ -202,48 +202,46 @@ class TestExperimentConfig:
     def test_rejects_non_integral_sizes_and_seed(self, field, value):
         # int() used to run k = 2.9 as 2 and n = 100.7 as 100; a float replicate
         # count or seed passed here and then failed inside the run with a TypeError.
-        fields = dict(experiment="illus1", models=identity_models(6, 0.5), k_values=(2,),
+        fields = dict(models=identity_models(6, 0.5), k_values=(2,),
                       n_values=(100,), replicates=3)
         with pytest.raises(ValueError, match=f"{field} must be integers"):
             ExperimentConfig(**(fields | {field: value}))
 
     def test_accepts_numpy_integers(self):
         i = np.int64
-        cfg = ExperimentConfig("illus1", identity_models(i(6), 0.5), (i(2),), (i(100),), i(2),
+        cfg = ExperimentConfig(identity_models(i(6), 0.5), (i(2),), (i(100),), i(2),
                                base_seed=i(7))
         assert (cfg.m, cfg.k_values, cfg.n_values, cfg.replicates, cfg.base_seed) == (
             6, (2,), (100,), 2, 7)
         assert_tables_equal(run_experiment(cfg), run_experiment(
-            ExperimentConfig("illus1", identity_models(6, 0.5), (2,), (100,), 2, base_seed=7)))
+            ExperimentConfig(identity_models(6, 0.5), (2,), (100,), 2, base_seed=7)))
 
     def test_rejects_infeasible_sweep_before_work(self):
         # The model is built before the config, so an infeasible one never reaches a run.
         with pytest.raises(ValueError, match="beta"):
-            ExperimentConfig("illus1", identity_models(6, 1.5), (2,), (100,), 3)
+            ExperimentConfig(identity_models(6, 1.5), (2,), (100,), 3)
 
     def test_custom_requires_models(self):
         with pytest.raises(ValueError, match="models"):
-            ExperimentConfig("custom", (), (2,), (100,), 3)
+            ExperimentConfig((), (2,), (100,), 3)
 
     def test_custom_model_dimension_must_match_m(self):
         # m is the models' one dimension: records would otherwise mix m = 6 and m = 8.
         models = ((0.5, identity_pair(6, 0.5), None), (0.6, identity_pair(8, 0.6), None))
         with pytest.raises(ValueError, match=r"one dimension, got \[6, 8\]"):
-            ExperimentConfig("custom", models, (2,), (100,), 3)
+            ExperimentConfig(models, (2,), (100,), 3)
 
     @pytest.mark.parametrize("sweep_param", [np.nan, np.inf])
     def test_custom_sweep_param_must_be_finite(self, sweep_param):
-        # NaN keys never compare equal, so a pooled run summarized into one
-        # group per record.
+        # The summary would echo a non-finite sweep value as null.
         with pytest.raises(ValueError, match="sweep_param must be finite"):
-            ExperimentConfig("custom", ((sweep_param, identity_pair(6, 0.5), None),),
-                             (2,), (100,), 3)
+            ExperimentConfig(((sweep_param, identity_pair(6, 0.5), None),), (2,), (100,), 3)
 
     def test_custom_sweep_param_must_be_distinct(self):
         # Both models would be summarized as one group, its mean between theirs.
         models = ((0.5, identity_pair(6, 0.0), None), (0.5, identity_pair(6, 0.99), None))
         with pytest.raises(ValueError, match="sweep_param repeats a value"):
-            ExperimentConfig("custom", models, (2,), (1000,), 20)
+            ExperimentConfig(models, (2,), (1000,), 20)
 
 
 class TestMakeCell:
@@ -281,7 +279,7 @@ class TestMakeCell:
 class TestRunExperiment:
     def small_cfg(self, betas=(0.2, 0.5), **overrides):
         base = dict(
-            experiment="illus1", models=identity_models(6, *betas), k_values=(2,),
+            models=identity_models(6, *betas), k_values=(2,),
             n_values=(200,), replicates=3, base_seed=7, method="pca",
         )
         base.update(overrides)
@@ -322,7 +320,7 @@ class TestRunExperiment:
 
         def records(jc):
             return run_experiment(ExperimentConfig(
-                "custom", ((0.5, jc, None),), (1, 2), (1000,), 3, base_seed=1))
+                ((0.5, jc, None),), (1, 2), (1000,), 3, base_seed=1))
 
         want, got = records(base), records(scaled)
         assert got.status.tolist() == [0] * 6
@@ -332,7 +330,7 @@ class TestRunExperiment:
     def test_custom_models(self):
         jc, w = reversed_pair(8, 0.7, 0.5)
         cfg = ExperimentConfig(
-            experiment="custom", models=((0.5, jc, w),), k_values=(1, 2), n_values=(300,),
+            models=((0.5, jc, w),), k_values=(1, 2), n_values=(300,),
             replicates=2, base_seed=11,
         )
         records = run_experiment(cfg)
@@ -348,7 +346,7 @@ class TestRunExperiment:
         jc, w = reversed_pair(8, 0.7, 0.5)
 
         def custom_cfg():
-            return ExperimentConfig("custom", ((0.5, jc, bad(w)),), (2,), (100,), 3)
+            return ExperimentConfig(((0.5, jc, bad(w)),), (2,), (100,), 3)
 
         with pytest.raises(ValueError, match=match):
             custom_cfg().cells
@@ -368,7 +366,6 @@ class TestRunExperiment:
         # interval interleave the draws of different threads.
         jc, w = reversed_pair(8, 0.7, 0.5)
         cfg = ExperimentConfig(
-            experiment="custom",
             models=((0.8, ScientistParams(m=8, gamma=0.8), None), (0.5, jc, w)),
             k_values=(1, 2), n_values=(100, 2000), replicates=3, base_seed=5,
         )
@@ -446,11 +443,11 @@ class TestRunExperiment:
         assert [STATUSES[code] for code in records.status] == ["deficient_rank"] * 3
 
     @pytest.mark.parametrize("cfg, statuses", [
-        (ExperimentConfig("illus2", ((0.7, spiked_diag_pair(8, 0.7, 0.6), None),), (1, 2),
+        (ExperimentConfig(((0.7, spiked_diag_pair(8, 0.7, 0.6), None),), (1, 2),
                           (2, 60, 400), 7, base_seed=3), {"ok", "deficient_rank"}),
-        (ExperimentConfig("illus3", ((0.6, *reversed_pair(8, 0.7, 0.6)),), (1, 3), (200,), 7,
+        (ExperimentConfig(((0.6, *reversed_pair(8, 0.7, 0.6)),), (1, 3), (200,), 7,
                           base_seed=4), {"ok"}),
-        (ExperimentConfig("illus1", identity_models(4, 0.0, 0.9), (1, 2), (2, 500), 7,
+        (ExperimentConfig(identity_models(4, 0.0, 0.9), (1, 2), (2, 500), 7,
                           base_seed=5, method="trivial"), {"ok"}),
     ], ids=["illus2", "illus3", "illus1_trivial"])
     def test_records_do_not_depend_on_workers_or_chunk_length(self, monkeypatch, cfg, statuses):
@@ -458,7 +455,7 @@ class TestRunExperiment:
         # replicate's row is the same in a chunk of 1, 3 or 7 (the whole cell).
         want = sim._concatenate([
             run_replicates(cell, n, [replicate_seed(cfg.base_seed, p, r)], r,
-                           method=cfg.method, experiment=cfg.experiment)
+                           method=cfg.method)
             for p, (cell, n) in enumerate(product(cfg.cells, cfg.n_values))
             for r in range(cfg.replicates)])
         assert {STATUSES[code] for code in want.status} == statuses
@@ -473,7 +470,7 @@ class TestRunExperiment:
         # At m = 100 a replicate's Gram stack and eigenvectors take 480 kB, so
         # the 32 MiB cap splits 300 replicates into chunks of 69; 256 at once
         # would take 123 MB.
-        cfg = ExperimentConfig("illus1", identity_models(100, 0.5), (2,), (50,), 300)
+        cfg = ExperimentConfig(identity_models(100, 0.5), (2,), (50,), 300)
         assert sim._chunk_size(cfg.m) == 69
         draw = 2 * cfg.m * 50 * 8
         tracemalloc.start()
@@ -487,7 +484,7 @@ class TestRunExperiment:
 
     def test_run_keeps_no_draw_memory(self):
         # The draw of this cell is a 61 MiB (2m, n) array; none of it may outlive the run.
-        cfg = ExperimentConfig("illus2", ((0.7, spiked_diag_pair(20, 0.7, 0.6), None),), (2,),
+        cfg = ExperimentConfig(((0.7, spiked_diag_pair(20, 0.7, 0.6), None),), (2,),
                                (200_000,), 1)
         tracemalloc.start()
         try:
@@ -508,9 +505,17 @@ class TestSummarize:
         ok = codes == 0
         eps = np.where(ok, np.array(eps, dtype=float), np.nan)
         zero, two = np.where(ok, 0.0, np.nan), np.where(ok, 2.0, np.nan)
-        return Records("custom", "pca", 6, np.array(k or [2] * rows, dtype=np.int64),
+        return Records("pca", 6, np.array(k or [2] * rows, dtype=np.int64),
                        np.full(rows, 100), np.full(rows, 0.5), np.arange(rows), codes,
                        zero, zero, eps, two, eps - two, np.full(rows, np.nan))
+
+    def test_nan_sweep_rows_form_one_group(self):
+        # make_cell's default sweep value is NaN; NaN != NaN used to start a
+        # new group at every row, each a single sample.
+        stats = summarize(run_replicates(make_cell(identity_pair(6, .5), 2), 200, [1, 2, 3, 4],
+                                         method="pca"))
+        assert [(s["count"], s["single_sample"]) for s in stats] == [(4, False)]
+        assert np.isnan(stats[0]["sweep_param"])
 
     def test_mean_and_sample_stdev(self):
         stats = summarize(self.table([1.0, 3.0]))
@@ -573,9 +578,9 @@ def test_reversed_weighted_matches_unpermuted_distance_distribution():
     # reversed model's raw distance is inflated.
     common = dict(k_values=(1,), n_values=(2000,), replicates=8, base_seed=21)
     plain = run_experiment(ExperimentConfig(
-        experiment="illus2", models=((0.7, spiked_diag_pair(12, 0.7, 0.6), None),), **common))
+        models=((0.7, spiked_diag_pair(12, 0.7, 0.6), None),), **common))
     reversed_ = run_experiment(ExperimentConfig(
-        experiment="illus3", models=((0.6, *reversed_pair(12, 0.7, 0.6)),), **common))
+        models=((0.6, *reversed_pair(12, 0.7, 0.6)),), **common))
     mean_d_plain = np.mean(plain.d_sq)
     mean_eth_rev = np.mean(reversed_.eth_sq)
     mean_d_rev = np.mean(reversed_.d_sq)
@@ -587,7 +592,7 @@ def test_trivial_identity_prediction_is_flat_line():
     # With the trivial subspaces the distance is identically zero, so the
     # predicted value is the intercept (1 - rho) * 2k for every replicate.
     cfg = ExperimentConfig(
-        experiment="illus1", models=identity_models(6, 0.5), k_values=(2,), n_values=(300,),
+        models=identity_models(6, 0.5), k_values=(2,), n_values=(300,),
         replicates=4, base_seed=3, method="trivial",
     )
     records = run_experiment(cfg)
@@ -616,5 +621,5 @@ class TestPoolSize:
             raise AssertionError("thread pool started")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        cfg = ExperimentConfig("illus1", identity_models(6, 0.5), (2,), (200,), 3, base_seed=7)
+        cfg = ExperimentConfig(identity_models(6, 0.5), (2,), (200,), 3, base_seed=7)
         assert_tables_equal(run_experiment(cfg, workers=8), run_experiment(cfg, workers=1))
