@@ -11,8 +11,8 @@ Outputs: a records CSV (fixed column order, floats at 12 significant
 digits) and a summary JSON (strict RFC 8259: non-finite values are
 written as null).  Exit codes: 0 all replicates completed, 1 some
 replicates failed, 2 usage or I/O error (including infeasible models,
-non-finite input and runs too large for memory), 3 deficient rank or
-degenerate projection in ``compute``.
+non-finite input, overflowed draws and runs too large for memory), 3
+deficient rank or degenerate projection in ``compute``.
 """
 
 from __future__ import annotations
@@ -121,29 +121,19 @@ def _summary_payload(experiment: str, cfg: ExperimentConfig, records: Records, l
     }
 
 
-def _usage_error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _run_and_write(args, models, k_values, n_values, **params) -> int:
     """Build the run from the shared flags, the experiment's k and n values and ``models``,
-    a lazy iterable of (sweep_param, model, isometry) triples, consumed here so that an
-    infeasible model or one too large for memory is a usage error; validate the run and the
-    output paths, then run it and write.  ``params`` is the fixed beta or lambda2 to echo."""
+    a lazy iterable of (sweep_param, model, isometry) triples consumed before any file is
+    made; probe the output paths, run, and write.  ``params`` is the fixed beta or lambda2 to
+    echo.  A rejected, failed or interrupted run removes the files its probe created."""
     if args.threads < 1:
-        return _usage_error(f"--threads must be >= 1, got {args.threads}")
-    try:
-        cfg = ExperimentConfig(models, k_values, n_values, args.reps, base_seed=args.seed,
-                               method=args.method)
-        lines = _reference_lines(cfg.cells)
-    except ValueError as exc:
-        return _usage_error(exc)
-    except MemoryError as exc:
-        return _usage_error(f"not enough memory for this run: {exc}")
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    cfg = ExperimentConfig(models, k_values, n_values, args.reps, base_seed=args.seed,
+                           method=args.method)
+    lines = _reference_lines(cfg.cells)
     out_path = args.out or f"{args.command}_records.csv"
     summary_path = args.summary or f"{args.command}_summary.json"
-    created, error = [], None  # a rejected or failed run removes the files its probe created
+    created = []
     try:
         for path in (out_path, summary_path):
             if not os.path.exists(path):
@@ -151,28 +141,20 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
             with open(path, "a"):  # an unwritable path fails here, before any replicate runs
                 pass
         if os.path.samefile(out_path, summary_path):  # the summary would overwrite the records
-            error = f"--out and --summary name the same file: {out_path}"
-    except OSError as exc:
-        error = f"cannot write output: {exc}"
-    if not error:
+            raise ValueError(f"--out and --summary name the same file: {out_path}")
         for line in lines:
             print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
-        try:
-            records = run_experiment(cfg, workers=args.threads)
-            payload = _summary_payload(args.command, cfg, records, lines, args.threads, params)
-            write_records_csv(records, out_path, args.command)
-            with open(summary_path, "w") as handle:
-                json.dump(payload, handle, indent=2, allow_nan=False)
-                handle.write("\n")
-        except MemoryError as exc:
-            error = f"not enough memory for this run: {exc}"
-        except OSError as exc:
-            error = f"cannot write output: {exc}"
-    if error:
+        records = run_experiment(cfg, workers=args.threads)
+        payload = _summary_payload(args.command, cfg, records, lines, args.threads, params)
+        write_records_csv(records, out_path, args.command)
+        with open(summary_path, "w") as handle:
+            json.dump(payload, handle, indent=2, allow_nan=False)
+            handle.write("\n")
+    except BaseException:
         for path in created:
             if os.path.exists(path):
                 os.remove(path)
-        return _usage_error(error)
+        raise
     failed = payload["failed_replicates"]
     print(f"wrote {len(records)} records to {out_path}; summary to {summary_path}")
     if failed:
@@ -232,32 +214,29 @@ def cmd_compute(args) -> int:
         x, y = _load_matrix(args.x), _load_matrix(args.y)
         cross = _load_matrix(args.cross_cov) if args.cross_cov else None
     except (OSError, ValueError) as exc:
-        return _usage_error(f"cannot read matrix: {exc}")
+        raise ValueError(f"cannot read matrix: {exc}") from exc
     if x.shape != y.shape:
-        return _usage_error(f"shape mismatch: {x.shape} vs {y.shape}")
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     m, n = x.shape
     if not 1 <= args.k <= m:
-        return _usage_error(f"k must satisfy 1 <= k <= m = {m}, got {args.k}")
+        raise ValueError(f"k must satisfy 1 <= k <= m = {m}, got {args.k}")
     if n < 2:
-        return _usage_error("need at least 2 observations")
+        raise ValueError("need at least 2 observations")
     if cross is not None and cross.shape != (m, m):
-        return _usage_error(f"cross covariance must be {m} x {m}, got {cross.shape}")
+        raise ValueError(f"cross covariance must be {m} x {m}, got {cross.shape}")
     for name, mat in (("X", x), ("Y", y), ("cross covariance", cross)):
         if mat is not None and not np.all(np.isfinite(mat)):
-            return _usage_error(f"{name} has non-finite entries (nan or inf)")
-    try:
-        # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
-        # it: removing each one's scale exactly keeps it in range (weight() removes C's).
-        stack = np.vstack([x, y])
-        for half in (stack[:m], stack[m:]):
-            unit_scale_inplace(half)
-        gram = center_gram_inplace(stack)
-        # A stack of one, on a copy: the kernel rescales its stack in place, and plugin_rho
-        # reads the unscaled matrix (an odd power of two does not pass exactly through sqrt).
-        out = evaluate_grams(gram[None].copy(), args.k, args.method, n,
-                             None if cross is None else weight(cross, args.k))
-    except MemoryError as exc:
-        return _usage_error(f"not enough memory for this run: {exc}")
+            raise ValueError(f"{name} has non-finite entries (nan or inf)")
+    # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
+    # it: removing each one's scale exactly keeps it in range (weight() removes C's).
+    stack = np.vstack([x, y])
+    for half in (stack[:m], stack[m:]):
+        unit_scale_inplace(half)
+    gram = center_gram_inplace(stack)
+    # A stack of one, on a copy: the kernel rescales its stack in place, and plugin_rho
+    # reads the unscaled matrix (an odd power of two does not pass exactly through sqrt).
+    out = evaluate_grams(gram[None].copy(), args.k, args.method, n,
+                         None if cross is None else weight(cross, args.k))
     if out.status[0]:
         reason = STATUSES[out.status[0]].replace("_", " ")
         print(f"error: {reason} for requested dimension k = {args.k}", file=sys.stderr)
@@ -314,8 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; the one place an error becomes exit 2
+    (a ValueError, MemoryError or OSError, as one ``error:`` line).  Interrupts propagate."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        message = exc
+    except MemoryError as exc:
+        message = f"not enough memory for this run: {exc}"
+    except OSError as exc:
+        message = f"cannot write output: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

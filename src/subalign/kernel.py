@@ -106,7 +106,7 @@ def center_gram_inplace(z: np.ndarray) -> np.ndarray:
     if z.shape[1] < 2:
         raise ValueError("need at least 2 observations to center")
     z -= z.mean(axis=1, keepdims=True)
-    return z @ z.T
+    return np.dot(z, z.T)  # releases the interpreter lock, where z @ z.T holds it
 
 
 def gram_blocks(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -37,8 +37,9 @@ and of the number of workers; runs with equal configs are bit-identical.
 Execution
 ---------
 :func:`run_experiment` runs the chunks serially, or on a pool of threads in
-this process; the normal draw, its centering and the kernel's stacked
-LAPACK calls release the interpreter lock, so the threads overlap there.
+this process; the normal draw, its centering, the Gram product and the
+kernel's stacked LAPACK calls release the interpreter lock, so the threads
+overlap there.
 """
 
 from __future__ import annotations
@@ -264,8 +265,9 @@ def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *,
     """
     m, k, r = cell.weight.m, cell.k, len(seeds)
     stack = np.empty((r, 2 * m, 2 * m))
-    for gram, seed in zip(stack, seeds):
-        gram[...] = cell.draw(n, np.random.default_rng(seed))
+    with np.errstate(over="ignore", invalid="ignore"):  # evaluate_grams reports an overflow
+        for gram, seed in zip(stack, seeds):
+            gram[...] = cell.draw(n, np.random.default_rng(seed))
     out = evaluate_grams(stack, k, method, n, cell.weight, cell.isometry)
     ok = out.status == 0
     predicted = np.full(r, nan)
@@ -294,8 +296,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Records:
     chunks short enough for about ``workers * 8`` of them, plus at most one
     more per (cell, n).  The cells are shared read-only and their draws keep
     no state, so a run holds no draw memory once it returns.  The normal
-    draw, the in-place centering and the stacked LAPACK calls release the
-    interpreter lock and run in parallel; the Python around them does not.
+    draw, the in-place centering, the Gram product and the stacked LAPACK
+    calls release the interpreter lock and run in parallel; the Python
+    around them does not.
     When a chunk raises, or the run is interrupted, chunks not yet started
     are cancelled and the exception propagates once the running ones finish.
     Because every replicate is a pure function of its derived seed, and the

@@ -519,6 +519,18 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and "memory" in err
         assert not out.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("argv", [["illus2", "--lambda2", "1e308"],
+                                      ["illus3", "--lambda2", "1e307"]], ids=["illus2", "illus3"])
+    def test_overflowed_draw_exits_2(self, tmp_path, monkeypatch, capsys, argv, threads):
+        # The model is feasible, but its Gram matrix overflows float64 in the draw: the
+        # kernel's non-finite check is the one report, not numpy's overflow warning.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--reps", "2", "--n", "100", "--k", "2", "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("existing, out, summary, extra", [
         ({}, "rec.csv", "nodir/s.json", []),
         ({"rec.csv": b"kept,1\n"}, "rec.csv", "nodir/s.json", []),
@@ -541,6 +553,19 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == existing
+
+    @pytest.mark.parametrize("existing", [{}, {"rec.csv": b"kept,1\n"}], ids=["new", "existing"])
+    def test_interrupted_run_removes_the_files_it_created(self, tmp_path, monkeypatch, existing):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", interrupt)
+        monkeypatch.chdir(tmp_path)
+        for name, data in existing.items():
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(KeyboardInterrupt):
+            main(["illus1", "--reps", "1", "--n", "50", "--out", "rec.csv", "--summary", "s.json"])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == existing
 
 

@@ -232,6 +232,16 @@ class TestEvaluateGram:
             center_gram_inplace(np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("shape", [(12, 10000), (40, 10000), (40, 10), (2, 3)])
+def test_gram_product_is_the_matmul_of_the_centered_data(shape):
+    # center_gram_inplace forms Zc Zc^T by np.dot, which releases the interpreter lock;
+    # the records depend on it giving the bits of the matmul operator.
+    z = np.random.default_rng(shape[0] * shape[1]).standard_normal(shape)
+    zc = z - z.mean(axis=1, keepdims=True)
+    assert np.array_equal(center_gram_inplace(z), zc @ zc.T)
+    assert np.array_equal(z, zc)
+
+
 def gram_alone(s, k, method, n, weight=None, isometry=None) -> Row:
     """The kernel as it was before stacks (0.10.0): one Gram matrix, in 2-d numpy calls."""
     s = np.array(s, dtype=float)
