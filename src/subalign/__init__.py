@@ -5,7 +5,7 @@ PCA) and then compared by orthogonal Procrustes fitting, the square
 fitting-error converges to a convex combination of its maximum 2k and a
 (cross-covariance weighted) square distance between the projection
 subspaces, mixed by a correlation parameter computed from the covariance
-blocks.  This package provides the geometry, the generators, the
+blocks.  This package provides the geometry, the generator, the
 closed-form limit quantities, and a Monte Carlo harness with a CLI.
 """
 
@@ -27,11 +27,9 @@ from .datamatrix import (
 from .kernel import evaluate_grams
 from .model import (
     JointCovariance,
-    ScientistParams,
     identity_pair,
     mvn_gram,
     reversed_pair,
-    scientists_sample,
     spiked_diag_pair,
 )
 from .sim import (
@@ -45,4 +43,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

@@ -143,7 +143,7 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
         if os.path.samefile(out_path, summary_path):  # the summary would overwrite the records
             raise ValueError(f"--out and --summary name the same file: {out_path}")
         for line in lines:
-            print(f"rho(sweep_param={line['sweep_param']:g}, k={line['k']}) = {line['rho']:.12g}")
+            print(f"rho(sweep_param={line['sweep_param']:.12g}, k={line['k']}) = {line['rho']:.12g}")
         records = run_experiment(cfg, workers=args.threads)
         payload = _summary_payload(args.command, cfg, records, lines, args.threads, params)
         write_records_csv(records, out_path, args.command)

@@ -7,8 +7,8 @@ Everything a replicate (or ``subalign compute``) reports is a function of
 the 2m x 2m Gram matrix of the stacked centered data ``Zc = [Xc; Yc]``.
 Centering and the Gram product are written once, in
 :func:`center_gram_inplace`, which centers an array its caller owns (such
-as the fresh draw of ``mvn_gram`` or ``scientists_sample``) without a
-copy.  From S:
+as the fresh normal block of ``mvn_gram`` or the data ``compute`` reads)
+without a copy.  From S:
 
 * the PCA bases A and B are the top-k eigenvectors of Sxx and Syy (the
   trivial method uses e_1, ..., e_k);

@@ -1,19 +1,10 @@
-"""Data generators: paired noisy measurements of a common random process.
+"""Data generator: paired noisy measurements of a common random process.
 
-Two families are provided.
-
-* :func:`scientists_sample` draws the two-measurement-device setup: both
-  devices see the same signal Z with accuracy ``gamma``, contaminated by
-  independent noise Z' and Z''.  Either the mixture scenario (each entry is
-  Z with probability gamma, fresh noise otherwise) or the linear scenario
-  ``X = gamma Z + sqrt(1 - gamma^2) Z'``.  It returns X stacked on Y, one
-  ``(2m, n)`` array; either scenario gives it covariance ``identity_pair(m, gamma^2)``.
-
-* :func:`mvn_gram` draws zero-mean jointly Gaussian pairs with an
-  arbitrary :class:`JointCovariance` and returns the centered 2m x 2m Gram
-  matrix of the draw, without forming the pairs; preset constructors cover
-  the identity, spiked-diagonal, and coordinate-reversed covariance
-  structures used by the simulation experiments.
+:func:`mvn_gram` draws zero-mean jointly Gaussian pairs with an arbitrary
+:class:`JointCovariance` and returns the centered 2m x 2m Gram matrix of
+the draw, without forming the pairs; preset constructors cover the
+identity, spiked-diagonal, and coordinate-reversed covariance structures
+used by the simulation experiments.
 """
 
 from __future__ import annotations
@@ -26,8 +17,6 @@ from .kernel import center_gram_inplace
 
 __all__ = [
     "JointCovariance",
-    "ScientistParams",
-    "scientists_sample",
     "mvn_gram",
     "identity_pair",
     "spiked_diag_pair",
@@ -97,62 +86,6 @@ class JointCovariance:
     @property
     def m(self) -> int:
         return self.cov_x.shape[0]
-
-
-@dataclass(frozen=True)
-class ScientistParams:
-    """Parameters of the two-measurement-device generators.
-
-    gamma in [0, 1] is the measurement accuracy (1: both devices record the
-    signal exactly; 0: their outputs are independent).  ``base`` selects the
-    common distribution of the signal/noise variables: "normal" or
-    "uniform", each centered with unit variance (every output is scale-free).
-    """
-
-    m: int
-    gamma: float
-    scenario: str = "linear"
-    base: str = "normal"
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.scenario not in ("mixture", "linear"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.base not in ("normal", "uniform"):
-            raise ValueError(f"unknown base distribution {self.base!r}")
-
-    @property
-    def covariance(self) -> JointCovariance:
-        """The pair's block covariance, in either scenario: ``identity_pair(m, gamma^2)``."""
-        return identity_pair(self.m, self.gamma**2)
-
-
-def scientists_sample(params: ScientistParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n paired daily measurements: X stacked on Y, one ``(2m, n)`` array.
-
-    Draw order (fixed for reproducibility): signal Z, noises Z' and Z''
-    (each m x n, drawn as one ``(3, m, n)`` block), then for the mixture
-    scenario the two Bernoulli selector fields, independent per (feature, day).
-    Z' and Z'' become X and Y in place, and the result is a view of them.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    shape = (3, params.m, n)
-    if params.base == "normal":
-        draw = rng.standard_normal(shape)
-    else:
-        draw = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape)  # unit variance
-    z, halves = draw[0], draw[1:]
-    if params.scenario == "mixture":
-        np.copyto(halves, z, where=rng.random(halves.shape) < params.gamma)
-    else:
-        halves *= np.sqrt(1.0 - params.gamma**2)
-        z *= params.gamma
-        halves += z
-    return halves.reshape(2 * params.m, n)
 
 
 def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,9 +18,10 @@ A config's sweep is its models, (sweep_param, model, isometry-or-None)
 triples that the caller builds (the CLI, for illus1/2/3).  A run is a list
 of cells, one per (model, k), each built and validated once by
 :func:`make_cell` when a config's cells are first read
-(:attr:`ExperimentConfig.cells`): the draw is picked, rho computed, the
-weight prepared and the isometry checked there, and every replicate of
-the cell reads them.  The CLI's reference lines read the same cells.
+(:attr:`ExperimentConfig.cells`): the draw, ``partial(mvn_gram, model)``,
+is bound, rho computed, the weight prepared and the isometry checked
+there, and every replicate of the cell reads them.  The CLI's reference
+lines read the same cells.
 
 Seeding contract
 ----------------
@@ -50,13 +51,13 @@ from functools import cached_property, partial
 from itertools import product
 from math import isfinite, nan
 from operator import index
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .grassmann import Weight, check_isometry, weight
-from .kernel import center_gram_inplace, evaluate_grams
-from .model import JointCovariance, ScientistParams, mvn_gram, scientists_sample
+from .kernel import evaluate_grams
+from .model import JointCovariance, mvn_gram
 from .theory import predicted_fit_error_sq, rho
 
 __all__ = [
@@ -72,8 +73,6 @@ __all__ = [
 ]
 
 METHODS = ("pca", "trivial")
-
-Model = Union[JointCovariance, ScientistParams]
 
 _MASK64 = (1 << 64) - 1
 
@@ -107,7 +106,7 @@ class ExperimentConfig:
     here: the CLI labels its outputs with its subcommand.
     """
 
-    models: tuple[tuple[float, Model, Optional[np.ndarray]], ...]
+    models: tuple[tuple[float, JointCovariance, Optional[np.ndarray]], ...]
     k_values: tuple[int, ...]
     n_values: tuple[int, ...]
     replicates: int
@@ -211,23 +210,16 @@ class Cell(NamedTuple):
     weight: Weight
 
 
-def make_cell(model: Model, k: int, isometry: Optional[np.ndarray] = None,
+def make_cell(model: JointCovariance, k: int, isometry: Optional[np.ndarray] = None,
               sweep_param: float = nan) -> Cell:
-    """Build a cell: pick the draw, compute rho, prepare the weight and check the isometry, once.
+    """Build a cell: compute rho, prepare the weight and check the isometry, once.
 
-    The one place that maps a model to its covariance and its draw (the
-    two-device model is drawn as data).
+    The one place that maps a model to its draw, ``partial(mvn_gram, model)``.
     """
-    if isinstance(model, ScientistParams):
-        jc = model.covariance
-
-        def draw(n, rng):
-            return center_gram_inplace(scientists_sample(model, n, rng))
-    else:
-        jc, draw = model, partial(mvn_gram, model)
     if isometry is not None:
-        isometry = check_isometry(isometry, jc.m)
-    return Cell(sweep_param, draw, isometry, k, rho(jc, k), weight(jc.cov_xy, k))
+        isometry = check_isometry(isometry, model.m)
+    return Cell(sweep_param, partial(mvn_gram, model), isometry, k, rho(model, k),
+                weight(model.cov_xy, k))
 
 
 def _pool_size(workers: int, tasks: int) -> int:

@@ -280,6 +280,17 @@ def test_illus2_prints_theoretical_rho_and_n_sweep_groups(tmp_path, capsys):
     assert sorted(entry["n"] for entry in payload["summary"]) == [10, 100, 1000, 10000]
 
 
+def test_rho_lines_tell_close_sweep_values_apart(tmp_path, capsys):
+    # Sweep values equal to 6 significant digits print apart, to the summary's 12.
+    code = main(["illus2", "--lambda2", "0.7000001", "0.7000002", "--k", "1", "--n", "50",
+                 "--reps", "1", "--out", str(tmp_path / "r.csv"),
+                 "--summary", str(tmp_path / "s.json")])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("rho(")]
+    assert [line.split(",")[0] for line in lines] == [
+        "rho(sweep_param=0.7000001", "rho(sweep_param=0.7000002"]
+
+
 def write_matrix(path, mat):
     np.savetxt(path, mat, delimiter=",")
 

@@ -11,7 +11,6 @@ from subalign import (
     ExperimentConfig,
     JointCovariance,
     NormalizedProjection,
-    ScientistParams,
     Subspace,
     center,
     fit_error_sq,
@@ -26,7 +25,6 @@ from subalign import (
     rho,
     run_experiment,
     run_replicates,
-    scientists_sample,
     spiked_diag_pair,
     weighted_hausdorff_sq,
 )
@@ -428,53 +426,4 @@ class TestDrawBuffer:
             want = run_experiment(config())
         got = run_experiment(config(), workers=workers)
         assert len(calls) == len(got) == len(want) == 24
-        assert_tables_equal(got, want)
-
-
-def two_block_sample(params, n, rng):
-    """``scientists_sample`` as the formula it replaced: three draws, X and Y apart, then stacked."""
-    shape = (params.m, n)
-    if params.base == "normal":
-        z, z1, z2 = (rng.standard_normal(shape) for _ in range(3))
-    else:
-        z, z1, z2 = (rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape) for _ in range(3))
-    if params.scenario == "mixture":
-        keep_x = rng.random(shape) < params.gamma
-        keep_y = rng.random(shape) < params.gamma
-        x, y = np.where(keep_x, z, z1), np.where(keep_y, z, z2)
-    else:
-        noise_scale = np.sqrt(1.0 - params.gamma**2)
-        x = params.gamma * z + noise_scale * z1
-        y = params.gamma * z + noise_scale * z2
-    return np.vstack([x, y])
-
-
-SCIENTIST_MODELS = [ScientistParams(m=5, gamma=g, scenario=s, base=b)
-                    for g, s, b in ((0.7, "mixture", "normal"),
-                                    (0.4, "mixture", "uniform"),
-                                    (0.8, "linear", "normal"),
-                                    (1.0, "linear", "uniform"))]
-
-
-class TestScientistsDraw:
-    @pytest.mark.parametrize("params", SCIENTIST_MODELS, ids=lambda p: f"{p.scenario}-{p.base}")
-    def test_stacked_draw_matches_two_block_formula(self, params):
-        for n in (2, 37, 1000):
-            got = center_gram_inplace(scientists_sample(params, n, np.random.default_rng(n)))
-            want = center_gram_inplace(two_block_sample(params, n, np.random.default_rng(n)))
-            assert np.array_equal(got, want), n
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_experiment_records_match_two_block_formula(self, monkeypatch, workers):
-        models = tuple((float(i), p, None) for i, p in enumerate(SCIENTIST_MODELS))
-
-        def config():  # one per side, as in TestDrawBuffer
-            return ExperimentConfig(models, (1, 3), (40, 500), 2, base_seed=8)
-
-        calls = []
-        with monkeypatch.context() as patch:
-            patch.setattr(sim, "scientists_sample", counted(two_block_sample, calls))
-            want = run_experiment(config())
-        got = run_experiment(config(), workers=workers)
-        assert len(calls) == len(got) == len(want) == 32
         assert_tables_equal(got, want)

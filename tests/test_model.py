@@ -3,20 +3,13 @@ import pytest
 
 from subalign import (
     JointCovariance,
-    ScientistParams,
     identity_pair,
     mvn_gram,
     reversed_pair,
-    scientists_sample,
     spiked_diag_pair,
 )
 
 from conftest import joint_block
-
-
-def sample_block_cov(z):
-    centered = z - z.mean(axis=1, keepdims=True)
-    return centered @ centered.T / (z.shape[1] - 1)
 
 
 class TestJointCovariance:
@@ -71,55 +64,6 @@ class TestJointCovariance:
         for blocks, match in cases:
             with pytest.raises(ValueError, match=match):
                 JointCovariance(*(scale * b for b in blocks))
-
-
-class TestScientistParams:
-    def test_gamma_range(self):
-        with pytest.raises(ValueError, match="gamma"):
-            ScientistParams(m=4, gamma=1.2)
-
-    def test_scenario_names(self):
-        with pytest.raises(ValueError, match="scenario"):
-            ScientistParams(m=4, gamma=0.5, scenario="other")
-
-    def test_base_names(self):
-        with pytest.raises(ValueError, match="base"):
-            ScientistParams(m=4, gamma=0.5, base="cauchy")
-
-
-class TestScientistsSample:
-    @pytest.mark.parametrize("scenario", ["mixture", "linear"])
-    def test_perfect_accuracy_gives_equal_measurements(self, scenario, rng):
-        params = ScientistParams(m=5, gamma=1.0, scenario=scenario)
-        z = scientists_sample(params, 100, rng)
-        assert z.shape == (10, 100)
-        assert np.array_equal(z[:5], z[5:])
-
-    @pytest.mark.parametrize("scenario", ["mixture", "linear"])
-    def test_zero_accuracy_gives_uncorrelated_measurements(self, scenario):
-        params = ScientistParams(m=6, gamma=0.0, scenario=scenario)
-        z = scientists_sample(params, 100_000, np.random.default_rng(1))
-        cross = sample_block_cov(z)[:6, 6:]
-        assert np.max(np.abs(cross)) < 0.05
-
-    def test_linear_cross_covariance(self):
-        params = ScientistParams(m=6, gamma=0.8, scenario="linear")
-        z = scientists_sample(params, 100_000, np.random.default_rng(2))
-        cross_diag = np.diag(sample_block_cov(z)[:6, 6:])
-        assert np.allclose(cross_diag, 0.64, atol=0.02)
-
-    @pytest.mark.parametrize("scenario", ["mixture", "linear"])
-    @pytest.mark.parametrize("base", ["normal", "uniform"])
-    def test_sample_block_matches_analytic(self, scenario, base):
-        params = ScientistParams(m=4, gamma=0.6, scenario=scenario, base=base)
-        z = scientists_sample(params, 100_000, np.random.default_rng(3))
-        observed = sample_block_cov(z)
-        expected = joint_block(identity_pair(4, 0.36))
-        assert np.max(np.abs(observed - expected)) < 0.05
-
-    def test_requires_positive_n(self, rng):
-        with pytest.raises(ValueError, match="n must be"):
-            scientists_sample(ScientistParams(m=3, gamma=0.5), 0, rng)
 
 
 class TestMvnSample:

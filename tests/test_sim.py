@@ -13,7 +13,6 @@ from subalign import (
     ExperimentConfig,
     JointCovariance,
     Records,
-    ScientistParams,
     identity_pair,
     make_cell,
     mvn_gram,
@@ -22,13 +21,12 @@ from subalign import (
     rho,
     run_experiment,
     run_replicates,
-    scientists_sample,
     spiked_diag_pair,
     summarize,
 )
 from subalign import sim, theory
 from subalign.grassmann import weighted_sq
-from subalign.kernel import STATUSES, center_gram_inplace
+from subalign.kernel import STATUSES
 
 from conftest import assert_tables_equal
 
@@ -104,8 +102,8 @@ class TestRunReplicate:
             assert out.residual[0] == out.eps_sq[0] - out.predicted[0]
 
     def test_scientist_model(self):
-        params = ScientistParams(m=6, gamma=1.0)
-        out = run_one(make_cell(params, 2), 400, 9, "trivial")
+        # Two devices of perfect accuracy: X equals Y, so nothing is left to fit.
+        out = run_one(make_cell(identity_pair(6, 1.0), 2), 400, 9, "trivial")
         assert out.eps_sq[0] == pytest.approx(0.0, abs=1e-9)
         assert out.predicted[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -258,19 +256,6 @@ class TestMakeCell:
         basis = np.eye(8)[:, :2]
         assert weighted_sq(basis, w @ basis, cell.weight) == pytest.approx(0.0, abs=1e-12)
 
-    def test_scientists_model_resolves_to_its_covariance(self):
-        # The two-device model is the identity pair at beta = gamma^2, drawn as data.
-        for gamma in (0.4, 0.8, 1.0):
-            params = ScientistParams(m=6, gamma=gamma, scenario="mixture")
-            cell = make_cell(params, 2)
-            twin = make_cell(identity_pair(6, gamma**2), 2)
-            want = center_gram_inplace(scientists_sample(params, 50, np.random.default_rng(4)))
-            assert np.array_equal(cell.draw(50, np.random.default_rng(4)), want)
-            assert cell.rho == pytest.approx(gamma**2, abs=1e-15)
-            assert cell.weight.mass == twin.weight.mass
-            assert np.array_equal(cell.weight.scaled, twin.weight.scaled)
-            assert cell.isometry is None and np.isnan(cell.sweep_param)
-
     def test_rejects_non_orthogonal_isometry(self):
         with pytest.raises(ValueError, match="not orthogonal"):
             make_cell(identity_pair(3, 0.5), 1, isometry=2 * np.eye(3))
@@ -360,13 +345,13 @@ class TestRunExperiment:
             run_experiment(custom_cfg(), workers=2)
 
     def test_cells_survive_the_pool(self, monkeypatch):
-        # The pool threads share the cells read-only: a scientists model's draw,
-        # a Gaussian model's draw, an isometry and the weights.  Two n values put
+        # The pool threads share the cells read-only: the draws of two models,
+        # one with an isometry and one without, and the weights.  Two n values put
         # chunks of different n on one thread; four threads on a short switch
         # interval interleave the draws of different threads.
         jc, w = reversed_pair(8, 0.7, 0.5)
         cfg = ExperimentConfig(
-            models=((0.8, ScientistParams(m=8, gamma=0.8), None), (0.5, jc, w)),
+            models=((0.8, identity_pair(8, 0.64), None), (0.5, jc, w)),
             k_values=(1, 2), n_values=(100, 2000), replicates=3, base_seed=5,
         )
         serial = run_experiment(cfg, workers=1)

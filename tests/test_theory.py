@@ -3,7 +3,6 @@ import pytest
 
 from subalign import (
     JointCovariance,
-    ScientistParams,
     Subspace,
     center,
     hausdorff_sq,
@@ -34,10 +33,6 @@ class TestRho:
 
     def test_zero_cross_covariance(self):
         assert rho(identity_pair(6, 0.0), 2) == 0.0
-
-    def test_scientists_reduction(self):
-        for k in (1, 3, 5):
-            assert make_cell(ScientistParams(m=5, gamma=0.8), k).rho == pytest.approx(0.64, abs=1e-12)
 
     def test_bounds_fuzz(self, rng):
         for _ in range(300):
@@ -126,14 +121,13 @@ class TestPredictedFitErrorSq:
             predicted_fit_error_sq(np.array(rho_value), np.array(k), np.array(eth_sq))
 
 
-class TestGammaToRho:
-    """The two-device generators with accuracy gamma induce rho = gamma^2."""
+class TestIdentityPairRho:
+    """A cell of the identity pair at beta has rho = |beta|: devices of accuracy gamma give gamma^2."""
 
-    @pytest.mark.parametrize("gamma,expected", [(0.0, 0.0), (1.0, 1.0), (0.8, 0.64)])
-    def test_values(self, gamma, expected):
+    @pytest.mark.parametrize("beta", [0.0, 0.64, 1.0, -0.64])
+    def test_values(self, beta):
         for k in (1, 4):
-            cell = make_cell(ScientistParams(m=4, gamma=gamma), k)
-            assert cell.rho == pytest.approx(expected, abs=1e-15)
+            assert make_cell(identity_pair(4, beta), k).rho == pytest.approx(abs(beta), abs=1e-15)
 
 
 def test_weighted_prediction_matches_corrected_distance_prediction(rng):
