@@ -28,7 +28,7 @@ from .kernel import evaluate_grams
 from .model import (
     JointCovariance,
     identity_pair,
-    mvn_gram,
+    mvn_grams,
     reversed_pair,
     spiked_diag_pair,
 )
@@ -43,4 +43,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

@@ -22,7 +22,9 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 import warnings
 from itertools import repeat
 
@@ -121,11 +123,29 @@ def _summary_payload(experiment: str, cfg: ExperimentConfig, records: Records, l
     }
 
 
+def _temporary_beside(target: str, made: list) -> str | None:
+    """A new file in ``target``'s directory with ``target``'s permission bits, to be written
+    and then moved onto ``target``; its name is appended to ``made`` as soon as it exists.
+    None where ``target`` is not a regular file or its directory is not writable: such a
+    target (a device, a FIFO) is written directly."""
+    directory = os.path.dirname(target)
+    if not (os.path.isfile(target) and os.access(directory, os.W_OK)):
+        return None
+    handle, temporary = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=directory)
+    made.append(temporary)
+    os.close(handle)
+    os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
+    return temporary
+
+
 def _run_and_write(args, models, k_values, n_values, **params) -> int:
     """Build the run from the shared flags, the experiment's k and n values and ``models``,
     a lazy iterable of (sweep_param, model, isometry) triples consumed before any file is
     made; probe the output paths, run, and write.  ``params`` is the fixed beta or lambda2 to
-    echo.  A rejected, failed or interrupted run removes the files its probe created."""
+    echo.  A rejected, failed or interrupted run removes the files its probe created.  An
+    output that is a regular file (through any symlinks) is written to a temporary file
+    beside it, and both temporaries replace their targets only once both outputs are
+    written, so a failed write leaves an existing file as it was."""
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     cfg = ExperimentConfig(models, k_values, n_values, args.reps, base_seed=args.seed,
@@ -133,7 +153,7 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
     lines = _reference_lines(cfg.cells)
     out_path = args.out or f"{args.command}_records.csv"
     summary_path = args.summary or f"{args.command}_summary.json"
-    created = []
+    created, temporaries = [], []
     try:
         for path in (out_path, summary_path):
             if not os.path.exists(path):
@@ -146,12 +166,17 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
             print(f"rho(sweep_param={line['sweep_param']:.12g}, k={line['k']}) = {line['rho']:.12g}")
         records = run_experiment(cfg, workers=args.threads)
         payload = _summary_payload(args.command, cfg, records, lines, args.threads, params)
-        write_records_csv(records, out_path, args.command)
-        with open(summary_path, "w") as handle:
+        targets = [os.path.realpath(path) for path in (out_path, summary_path)]
+        staged = [_temporary_beside(target, temporaries) for target in targets]
+        write_records_csv(records, staged[0] or out_path, args.command)
+        with open(staged[1] or summary_path, "w") as handle:
             json.dump(payload, handle, indent=2, allow_nan=False)
             handle.write("\n")
+        for temporary, target in zip(staged, targets):
+            if temporary:
+                os.replace(temporary, target)
     except BaseException:
-        for path in created:
+        for path in created + temporaries:
             if os.path.exists(path):
                 os.remove(path)
         raise

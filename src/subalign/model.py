@@ -1,10 +1,11 @@
 """Data generator: paired noisy measurements of a common random process.
 
-:func:`mvn_gram` draws zero-mean jointly Gaussian pairs with an arbitrary
-:class:`JointCovariance` and returns the centered 2m x 2m Gram matrix of
-the draw, without forming the pairs; preset constructors cover the
-identity, spiked-diagonal, and coordinate-reversed covariance structures
-used by the simulation experiments.
+:func:`mvn_grams` turns each seed of a chunk into the centered 2m x 2m
+Gram matrix of n zero-mean jointly Gaussian pairs with an arbitrary
+:class:`JointCovariance`, without forming the pairs: this module owns the
+whole step from a replicate's seed to its Gram matrix.  Preset
+constructors cover the identity, spiked-diagonal, and coordinate-reversed
+covariance structures used by the simulation experiments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .kernel import center_gram_inplace
 
 __all__ = [
     "JointCovariance",
-    "mvn_gram",
+    "mvn_grams",
     "identity_pair",
     "spiked_diag_pair",
     "reversed_pair",
@@ -88,16 +89,25 @@ class JointCovariance:
         return self.cov_x.shape[0]
 
 
-def mvn_gram(jc: JointCovariance, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Centered 2m x 2m Gram matrix of n zero-mean Gaussian pairs with block covariance ``jc``.
+def mvn_grams(jc: JointCovariance, n: int, seeds: list[int]) -> np.ndarray:
+    """The (R, 2m, 2m) stack of centered Gram matrices of n Gaussian pairs, one per seed.
 
+    Matrix r is drawn from ``numpy.random.default_rng(seeds[r])`` (PCG64).
     The pairs are ``L G`` with ``L = jc.root`` and ``G`` one ``(2m, n)``
-    standard-normal block drawn from ``rng``, but the data is never formed:
-    centering commutes with ``L``, so the Gram matrix of the centered pairs
-    is ``L (Gc Gc^T) L^T`` with ``Gc`` the centered normal block.
+    standard-normal block, but the data is never formed: centering commutes
+    with ``L``, so the Gram matrix of the centered pairs is ``L (Gc Gc^T) L^T``
+    with ``Gc`` the centered normal block.  One block is allocated per call
+    and refilled for each seed, which draws the same numbers as a fresh
+    ``standard_normal((2m, n))``.  An overflow is not reported here: it
+    leaves a non-finite entry, which :func:`subalign.kernel.evaluate_grams`
+    rejects.
     """
-    root = jc.root
-    return root @ center_gram_inplace(rng.standard_normal((2 * jc.m, n))) @ root.T
+    root, block = jc.root, np.empty((2 * jc.m, n))
+    grams = np.empty((len(seeds), 2 * jc.m, 2 * jc.m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gram, rng in zip(grams, map(np.random.default_rng, seeds)):
+            gram[...] = root @ center_gram_inplace(rng.standard_normal(out=block)) @ root.T
+    return grams
 
 
 def identity_pair(m: int, beta: float) -> JointCovariance:

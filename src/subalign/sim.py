@@ -8,17 +8,19 @@ block), the square Procrustes fitting-error, the predicted limiting value,
 and the residual (see :mod:`subalign.kernel`).  Replicates run in chunks:
 a chunk is up to ``_MAX_CHUNK`` consecutive replicates of one (cell, n),
 fewer where the kernel's stacks would pass ``_MAX_CHUNK_BYTES``.  A chunk
-is one :func:`run_replicates` call: it draws its Gram matrices into one
-stack, evaluates them with one :func:`subalign.kernel.evaluate_grams` call
-and returns the kernel's columns with the predicted value and the residual
-added, computed once for the chunk.  The run is one :class:`Records` table,
-the chunks' columns in order; the summary and the CLI's records CSV read it,
-and the CLI labels them with its subcommand, the one name a run has.
+is one :func:`run_replicates` call, which has no per-replicate loop: one
+call of its cell's draw turns the chunk's seeds into its stack of Gram
+matrices, one :func:`subalign.kernel.evaluate_grams` call evaluates the
+stack, and the kernel's columns are returned with the predicted value and
+the residual added, computed once for the chunk.  The run is one
+:class:`Records` table, the chunks' columns in order; the summary and the
+CLI's records CSV read it, and the CLI labels them with its subcommand, the
+one name a run has.
 A config's sweep is its models, (sweep_param, model, isometry-or-None)
 triples that the caller builds (the CLI, for illus1/2/3).  A run is a list
 of cells, one per (model, k), each built and validated once by
 :func:`make_cell` when a config's cells are first read
-(:attr:`ExperimentConfig.cells`): the draw, ``partial(mvn_gram, model)``,
+(:attr:`ExperimentConfig.cells`): the draw, ``partial(mvn_grams, model)``,
 is bound, rho computed, the weight prepared and the isometry checked
 there, and every replicate of the cell reads them.  The CLI's reference
 lines read the same cells.
@@ -31,7 +33,8 @@ models x k_values x n_values, in that nesting order) uses the 64-bit seed
     splitmix64_mix(base_seed XOR (p * 2**32 + r))
 
 where 0 <= base_seed < 2**64 and splitmix64_mix is the standard splitmix64
-finalizer (see :func:`replicate_seed`).  The seed feeds numpy's
+finalizer (see :func:`replicate_seed`).  The draw,
+:func:`subalign.model.mvn_grams`, feeds each seed to numpy's
 ``default_rng`` (PCG64), so replicates are independent of execution order
 and of the number of workers; runs with equal configs are bit-identical.
 
@@ -57,7 +60,7 @@ import numpy as np
 
 from .grassmann import Weight, check_isometry, weight
 from .kernel import evaluate_grams
-from .model import JointCovariance, mvn_gram
+from .model import JointCovariance, mvn_grams
 from .theory import predicted_fit_error_sq, rho
 
 __all__ = [
@@ -196,14 +199,15 @@ _COLUMNS = tuple(f.name for f in fields(Records))[2:]  # the per-row fields
 class Cell(NamedTuple):
     """One (sweep value, k) cell of a sweep, as built by :func:`make_cell`.
 
-    Holds what every replicate of the cell shares: ``draw(n, rng)``, the
-    centered 2m x 2m Gram matrix of n fresh pairs from the model (it keeps
-    no state), the checked isometry (or None), the model's rho and the eth^2
-    weight, its cross-covariance block prepared by :func:`subalign.grassmann.weight`.
+    Holds what every replicate of the cell shares: ``draw(n, seeds)``, the
+    (R, 2m, 2m) stack of centered Gram matrices of n fresh pairs from the
+    model, one per seed (it keeps no state), the checked isometry (or None),
+    the model's rho and the eth^2 weight, its cross-covariance block prepared
+    by :func:`subalign.grassmann.weight`.
     """
 
     sweep_param: float
-    draw: Callable[[int, np.random.Generator], np.ndarray]
+    draw: Callable[[int, list[int]], np.ndarray]
     isometry: Optional[np.ndarray]
     k: int
     rho: float
@@ -214,11 +218,11 @@ def make_cell(model: JointCovariance, k: int, isometry: Optional[np.ndarray] = N
               sweep_param: float = nan) -> Cell:
     """Build a cell: compute rho, prepare the weight and check the isometry, once.
 
-    The one place that maps a model to its draw, ``partial(mvn_gram, model)``.
+    The one place that maps a model to its draw, ``partial(mvn_grams, model)``.
     """
     if isometry is not None:
         isometry = check_isometry(isometry, model.m)
-    return Cell(sweep_param, partial(mvn_gram, model), isometry, k, rho(model, k),
+    return Cell(sweep_param, partial(mvn_grams, model), isometry, k, rho(model, k),
                 weight(model.cov_xy, k))
 
 
@@ -250,17 +254,13 @@ def _chunk_size(m: int) -> int:
 
 def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *,
                    method: str) -> Records:
-    """Replicates ``first, first + 1, ...`` of (cell, n), one per seed, with one kernel call.
+    """Replicates ``first, first + 1, ...`` of (cell, n), one per seed: one draw, one kernel call.
 
     A rank-deficient PCA (certain at n <= k) or a degenerate (zero) projection
     gives a failed row with a reason code rather than raising.
     """
     m, k, r = cell.weight.m, cell.k, len(seeds)
-    stack = np.empty((r, 2 * m, 2 * m))
-    with np.errstate(over="ignore", invalid="ignore"):  # evaluate_grams reports an overflow
-        for gram, seed in zip(stack, seeds):
-            gram[...] = cell.draw(n, np.random.default_rng(seed))
-    out = evaluate_grams(stack, k, method, n, cell.weight, cell.isometry)
+    out = evaluate_grams(cell.draw(n, seeds), k, method, n, cell.weight, cell.isometry)
     ok = out.status == 0
     predicted = np.full(r, nan)
     predicted[ok] = predicted_fit_error_sq(cell.rho, k, out.eth_sq[ok])

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -550,8 +551,12 @@ class TestUsageErrors:
         pytest.param({}, "rec.csv", "/dev/full", [], marks=NEEDS_DEV_FULL),
         # A base seed outside [0, 2**64) would alias one inside it.
         ({"rec.csv": b"kept,1\n"}, "rec.csv", "s.json", ["--seed", "-1"]),
+        # The records are written before the summary: an existing file keeps its bytes
+        # whichever of the two writes fails.
+        pytest.param({"rec.csv": b"kept,1\n"}, "rec.csv", "/dev/full", [], marks=NEEDS_DEV_FULL),
+        pytest.param({"s.json": b"{}\n"}, "/dev/full", "s.json", [], marks=NEEDS_DEV_FULL),
     ], ids=["unwritable_summary", "existing_records", "full_records", "full_summary",
-            "negative_seed"])
+            "negative_seed", "full_summary_existing_records", "full_records_existing_summary"])
     def test_rejected_run_leaves_the_files_as_they_were(self, tmp_path, monkeypatch, capsys,
                                                         existing, out, summary, extra):
         # The output probe creates the files it opens; a rejection, or a failed final
@@ -564,7 +569,7 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == existing
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == existing  # no temporary
 
     @pytest.mark.parametrize("existing", [{}, {"rec.csv": b"kept,1\n"}], ids=["new", "existing"])
     def test_interrupted_run_removes_the_files_it_created(self, tmp_path, monkeypatch, existing):
@@ -578,6 +583,30 @@ class TestUsageErrors:
         with pytest.raises(KeyboardInterrupt):
             main(["illus1", "--reps", "1", "--n", "50", "--out", "rec.csv", "--summary", "s.json"])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == existing
+
+
+@pytest.mark.parametrize("writable_dir", [True, False], ids=["replaced", "in_place"])
+def test_outputs_keep_their_links_and_modes(tmp_path, monkeypatch, writable_dir):
+    # A symlinked --out updates its target and stays a link; an existing file keeps its
+    # permission bits, and a new one gets those open(path, "w") gives.  A regular file is
+    # replaced by a temporary written beside it, or written in place where its directory
+    # is not writable; either way no temporary is left.
+    if not writable_dir:
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rec.csv").write_text("kept,1\n")
+    (tmp_path / "rec.csv").chmod(0o640)
+    (tmp_path / "link.csv").symlink_to("rec.csv")
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert main(["illus1", "--reps", "1", "--n", "50", "--beta", "0.5", "--out", "link.csv",
+                 "--summary", "s.json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "rec.csv", "s.json"]
+    assert os.readlink(tmp_path / "link.csv") == "rec.csv"
+    assert read_rows(tmp_path / "rec.csv")[0]["experiment"] == "illus1"
+    assert stat.S_IMODE((tmp_path / "rec.csv").stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "s.json").stat().st_mode) == 0o666 & ~umask
+    assert json.loads((tmp_path / "s.json").read_text())["experiment"] == "illus1"
 
 
 def test_summary_json_is_strict_when_replicates_fail(tmp_path):

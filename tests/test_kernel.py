@@ -17,7 +17,7 @@ from subalign import (
     hausdorff_sq,
     identity_pair,
     make_cell,
-    mvn_gram,
+    mvn_grams,
     pca_subspace,
     predicted_fit_error_sq,
     projector,
@@ -104,7 +104,7 @@ class TestDifferential:
     def test_gram_matches_data_sampler(self):
         jc, _ = reversed_pair(8, 0.7, 0.6)
         want = center_gram_inplace(jc.root @ np.random.default_rng(11).standard_normal((16, 300)))
-        got = mvn_gram(jc, 300, np.random.default_rng(11))
+        got = mvn_grams(jc, 300, [11])[0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -321,7 +321,7 @@ class TestStack:
     def test_stack_of_draws_matches_each_draw_alone(self, cell):
         jc, w, k, n, method, seed = cell
         cell = make_cell(jc, k, w)
-        grams = np.stack([cell.draw(n, np.random.default_rng(seed + i)) for i in range(3)])
+        grams = cell.draw(n, [seed, seed + 1, seed + 2])
         rows = stack_rows(evaluate_grams(grams.copy(), k, method, n, cell.weight, cell.isometry))
         assert rows == [gram_alone(g, k, method, n, cell.weight, cell.isometry) for g in grams]
 
@@ -352,9 +352,17 @@ class TestStack:
             run_replicates(make_cell(jc, 2), 100_000, [1, 2], method=method)
 
 
-def fresh_draw_gram(jc, n, rng):
-    """``mvn_gram`` as the plain formula: a fresh (2m, n) normal draw, centered."""
-    return jc.root @ center_gram_inplace(rng.standard_normal((2 * jc.m, n))) @ jc.root.T
+def gram_of_seed(jc, n, seed):
+    """The draw's definition for one seed: a fresh (2m, n) normal block ``G`` from
+    ``default_rng(seed)``, centered into ``Gc``, as ``L (Gc Gc^T) L^T``."""
+    g = np.random.default_rng(seed).standard_normal((2 * jc.m, n))
+    gc = g - g.mean(axis=1, keepdims=True)
+    return jc.root @ (gc @ gc.T) @ jc.root.T
+
+
+def grams_of_seeds(jc, n, seeds):
+    """``mvn_grams`` by its definition: each seed's matrix alone, stacked."""
+    return np.stack([gram_of_seed(jc, n, seed) for seed in seeds])
 
 
 def counted(fn, calls):
@@ -366,23 +374,26 @@ def counted(fn, calls):
 
 
 class TestDrawBuffer:
-    """``mvn_gram`` against the fresh-draw formula, across shapes, calls and threads."""
+    """``mvn_grams``, which refills one (2m, n) block for every seed of a chunk, against
+    each seed's matrix drawn alone: bit for bit, across chunk lengths, shapes, calls and
+    threads."""
 
     def test_matches_fresh_draw_across_shape_changes(self):
         for m in (6, 20):
             jc = spiked_diag_pair(m, 0.7, 0.6)
             for n in (10, 10000, 10):
-                got = mvn_gram(jc, n, np.random.default_rng(m * n))
-                want = fresh_draw_gram(jc, n, np.random.default_rng(m * n))
-                assert np.array_equal(got, want), (m, n)
+                for length in (1, 3, 20):
+                    seeds = [sim.replicate_seed(m, n, r) for r in range(length)]
+                    got = mvn_grams(jc, n, seeds)
+                    assert got.shape == (length, 2 * m, 2 * m)
+                    assert np.array_equal(got, grams_of_seeds(jc, n, seeds)), (m, n, length)
 
     def test_returned_gram_survives_later_calls(self):
         jc = identity_pair(6, 0.5)
-        rng = np.random.default_rng(2)
-        first = mvn_gram(jc, 50, rng)
+        first = mvn_grams(jc, 50, [2, 3])
         kept = first.copy()
         for n in (50, 50, 80):
-            mvn_gram(jc, n, rng)
+            mvn_grams(jc, n, [4, 5, 6])
         assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("ns", [(40, 300, 120, 500), (300,) * 4], ids=["different", "same"])
@@ -391,26 +402,27 @@ class TestDrawBuffer:
         models = [identity_pair(6, 0.5), spiked_diag_pair(6, 0.7, 0.6)] * 2
         start = Barrier(len(ns))
 
-        def draws(i):
-            rng = np.random.default_rng(i)
+        def chunks(i):
             start.wait(timeout=30)
-            return [mvn_gram(models[i], ns[i], rng) for _ in range(40)]
+            return [mvn_grams(models[i], ns[i], [100 * i + c, 100 * i + c + 50, c])
+                    for c in range(20)]
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
         try:
             with ThreadPoolExecutor(max_workers=len(ns)) as pool:
-                results = list(pool.map(draws, range(len(ns)), timeout=60))
+                results = list(pool.map(chunks, range(len(ns)), timeout=60))
         finally:
             sys.setswitchinterval(switch)
-        for i, grams in enumerate(results):
-            rng = np.random.default_rng(i)
-            for got in grams:
-                assert np.array_equal(got, fresh_draw_gram(models[i], ns[i], rng))
+        for i, stacks in enumerate(results):
+            assert len(stacks) == 20
+            for c, got in enumerate(stacks):
+                want = grams_of_seeds(models[i], ns[i], [100 * i + c, 100 * i + c + 50, c])
+                assert np.array_equal(got, want), (i, c)
 
     def test_single_observation_is_rejected(self):
         with pytest.raises(ValueError, match="2 observations"):
-            mvn_gram(identity_pair(3, 0.5), 1, np.random.default_rng(0))
+            mvn_grams(identity_pair(3, 0.5), 1, [0])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_experiment_records_match_fresh_draws(self, monkeypatch, workers):
@@ -420,10 +432,14 @@ class TestDrawBuffer:
             models = tuple((lam, spiked_diag_pair(20, lam, 0.6), None) for lam in (0.7, 0.75))
             return ExperimentConfig(models, (1, 2), (50, 2000), 3, base_seed=5)
 
-        calls = []
+        draws, kernels = [], []
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "mvn_gram", counted(fresh_draw_gram, calls))
+            patch.setattr(sim, "mvn_grams", counted(grams_of_seeds, draws))
+            patch.setattr(sim, "evaluate_grams", counted(evaluate_grams, kernels))
             want = run_experiment(config())
         got = run_experiment(config(), workers=workers)
-        assert len(calls) == len(got) == len(want) == 24
+        # Serially each (cell, n) is one chunk: one draw and one kernel call per chunk.
+        assert len(draws) == len(kernels) == 8
+        assert [len(seeds) for _, _, seeds in draws] == [3] * 8
+        assert len(got) == len(want) == 24
         assert_tables_equal(got, want)

@@ -15,7 +15,7 @@ from subalign import (
     Records,
     identity_pair,
     make_cell,
-    mvn_gram,
+    mvn_grams,
     replicate_seed,
     reversed_pair,
     rho,
@@ -247,8 +247,7 @@ class TestMakeCell:
         jc, w = reversed_pair(8, 0.7, 0.5)
         cell = make_cell(jc, 2, w, sweep_param=0.5)
         assert (cell.sweep_param, cell.k) == (0.5, 2)
-        assert np.array_equal(cell.draw(50, np.random.default_rng(3)),
-                              mvn_gram(jc, 50, np.random.default_rng(3)))
+        assert np.array_equal(cell.draw(50, [3, 4]), mvn_grams(jc, 50, [3, 4]))
         assert cell.isometry is w
         assert cell.rho == rho(jc, 2)
         # The weight is Cov(X, Y) = 0.5 w, so eth^2(A, B) = d^2(A, w B): 0 at B = w A,
