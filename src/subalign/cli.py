@@ -64,6 +64,15 @@ def _round12(value: float):
 
 
 def write_records_csv(records: Records, path: str, experiment: str) -> None:
+    """Write ``records`` to ``path`` as a CSV: a :data:`CSV_COLUMNS` header, one row per replicate.
+
+    ``experiment`` fills the first column.  Floats have 12 significant digits, and NaN
+    (a failed replicate's value, or an absent one such as ``d2_corrected`` without an
+    isometry) is the empty field; ``status`` is the name in ``kernel.STATUSES`` and
+    ``correction_gap`` is ``|eth2 - d2_corrected|``.  ``path`` is opened with mode
+    ``"w"``, replacing what was there; for a regular-file output the CLI passes a
+    temporary file beside it and moves it into place once both outputs are written.
+    """
     gap = np.abs(records.eth_sq - records.d_sq_corrected)
     floats = (records.sweep_param, records.d_sq, records.eth_sq, records.eps_sq,
               records.predicted, records.residual, records.d_sq_corrected, gap)

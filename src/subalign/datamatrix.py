@@ -40,7 +40,7 @@ class CenteredData:
             raise ValueError(f"matrix must be 2-d, got shape {matrix.shape}")
         if matrix.size:
             worst = np.max(np.abs(matrix.sum(axis=1)))
-            if worst > _CENTER_TOL * matrix.shape[1] * np.max(np.abs(matrix)):
+            if not worst <= _CENTER_TOL * matrix.shape[1] * np.max(np.abs(matrix)):  # NaN fails
                 raise ValueError(f"rows are not centered (max |row sum| = {worst:.3e})")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -98,7 +98,7 @@ class NormalizedProjection:
             raise ValueError(f"scale_dim must be >= 1, got {self.scale_dim}")
         fro = np.linalg.norm(matrix)
         target = np.sqrt(self.scale_dim)
-        if abs(fro - target) > _NORM_TOL:
+        if not abs(fro - target) <= _NORM_TOL:  # NaN fails
             raise ValueError(f"Frobenius norm {fro!r} differs from sqrt(scale_dim) = {target!r}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)

@@ -17,8 +17,8 @@ two coincide; for the zero weight the weighted distance is defined to be
 the unweighted one.  Both are computed from k x k matrices (:func:`chordal_sq`,
 :func:`weighted_sq`), which :mod:`subalign.kernel` shares on stacks of them
 (any leading axes); no m x m projector is formed.  The weight is prepared
-once by :func:`weight`, which checks its shape and tests it for zero;
-:func:`weighted_sq` then reads it on every call.
+once by :func:`weight`, which checks its shape and entries and tests it for
+zero; :func:`weighted_sq` then reads it on every call.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class Subspace:
             raise ValueError(f"subspace dimension must satisfy 1 <= k <= m, got k={k}, m={m}")
         gram = basis.T @ basis
         err = np.max(np.abs(gram - np.eye(k)))
-        if err > ORTHONORMAL_TOL:
+        if not err <= ORTHONORMAL_TOL:  # NaN fails
             raise ValueError(f"basis columns not orthonormal (max deviation {err:.3e})")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -151,7 +151,7 @@ class Weight:
 def weight(cross_cov: np.ndarray, k: int) -> Weight:
     """Prepare the m x m weight C of :func:`weighted_sq` for k-dimensional subspaces.
 
-    Checks that C is a nonempty square matrix and ``1 <= k <= m``, and does
+    Checks that C is a nonempty, finite square matrix and ``1 <= k <= m``, and does
     the per-weight work once: :func:`unit_scale_inplace` on a copy of C keeps
     both SVDs of :func:`weighted_sq` in range at any scale; then the top-k
     singular-value mass.  The exactly zero weight (``not np.any(C)``) is kept.
@@ -162,6 +162,8 @@ def weight(cross_cov: np.ndarray, k: int) -> Weight:
         raise ValueError(f"cross_cov must be a square m x m matrix, got shape {c.shape}")
     if not 1 <= k <= m:
         raise ValueError(f"weight needs 1 <= k <= m, got k={k}, m={m}")
+    if not np.isfinite(c).all():
+        raise ValueError("cross_cov has non-finite entries (nan or inf)")
     if not np.any(c):
         return Weight(m, k, None, 0.0)
     c = unit_scale_inplace(c.copy())
@@ -242,7 +244,7 @@ def check_isometry(w: np.ndarray, m: int) -> np.ndarray:
     if w.shape != (m, m):
         raise ValueError(f"isometry must be {m} x {m}, got {w.shape}")
     err = np.max(np.abs(w.T @ w - np.eye(m)))
-    if err > ORTHONORMAL_TOL:
+    if not err <= ORTHONORMAL_TOL:  # NaN fails
         raise ValueError(f"matrix is not orthogonal (max deviation {err:.3e})")
     return w
 

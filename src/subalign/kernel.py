@@ -24,19 +24,21 @@ No m x m projector and no projected or rescaled m x n copy of the data is
 formed.  The distances use the same k x k formulas as
 :mod:`subalign.grassmann`: ``chordal_sq``, and ``weighted_sq``, which reads
 a weight prepared once by ``grassmann.weight``, the one place that checks
-the weight's shape, tests it for zero and removes its scale.  The paper's
-definition on the data matrix (:mod:`subalign.datamatrix`) computes the
-subspaces and eps^2 independently; the tests use it, with the projector
-forms of the distances, as this module's oracle.  Only subspace-level
-quantities leave this module, so the sign and order of the eigenvectors
-inside a basis do not matter.
+the weight's shape and entries, tests it for zero and removes its scale.
+The paper's definition on the data matrix (:mod:`subalign.datamatrix`)
+computes the subspaces and eps^2 independently; the tests use it, with the
+projector forms of the distances, as this module's oracle.  Only
+subspace-level quantities leave this module, so the sign and order of the
+eigenvectors inside a basis do not matter.
 
 Stacks.  :func:`evaluate_grams`, the one evaluating function, takes a
 stack of R Gram matrices of one (k, method, n, weight, isometry) at once:
 one stacked ``eigh`` per diagonal block, stacked k x k products and SVDs,
-and elementwise arithmetic on the columns.  Every matrix is evaluated exactly as it would
-be alone (its own scale, rank test, degenerate test and clamps), so a
-matrix gets the same row bit for bit in a stack of any length; ``compute``
+and elementwise arithmetic on the columns.  It has one path: every matrix,
+failed or not, goes through every step in its own place in the stack (its
+own scale, rank test, degenerate test and clamps), and the rows of failed
+matrices are set to NaN once, at the end.  So a matrix gets the same row
+bit for bit in a stack of any length and any mix of failures; ``compute``
 evaluates a stack of one.
 
 Scale.  The outputs are invariant to the scale of S, but products of its
@@ -148,7 +150,9 @@ def evaluate_grams(
         as :func:`subalign.sim.make_cell` does once per cell.
 
     Each matrix is evaluated as it would be alone: the stacked LAPACK and
-    matmul calls run matrix by matrix, and the rest is elementwise.
+    matmul calls run matrix by matrix, and the rest is elementwise.  Failed
+    matrices are not taken out of the stack: they go through every step,
+    and their float columns are set to NaN at the end.
     """
     if not isinstance(stack, np.ndarray) or stack.ndim != 3 or stack.dtype != np.float64:
         raise ValueError("need an (R, 2m, 2m) float64 stack of Gram matrices")
@@ -160,16 +164,13 @@ def evaluate_grams(
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     status = np.zeros(r, dtype=np.int8)
-    out = GramColumns(status, *(np.full(r, np.nan) for _ in range(4)))
     if method == "pca":
-        if n - 1 < k:  # centered data of n observations has rank at most n - 1
-            status[:] = _DEFICIENT_RANK
-            return out
         bases, variances = [], []
         for block in (sxx, syy):
             w, v = np.linalg.eigh(block)
             tol = w[:, -1] * max(m, n) * np.finfo(float).eps
-            status[~(w[:, -k] > tol)] = _DEFICIENT_RANK
+            # Centered data of n observations has rank at most n - 1.
+            status[(n - 1 < k) | ~(w[:, -k] > tol)] = _DEFICIENT_RANK
             bases.append(v)
             variances.append(w[:, -k:].sum(axis=1))
         (var_x, var_y), top = variances, slice(-k, None)
@@ -181,26 +182,18 @@ def evaluate_grams(
         raise ValueError(f"unknown method {method!r}")
     status[(status == 0) & ((var_x < _DEGENERATE_SQ) | (var_y < _DEGENERATE_SQ))] = (
         _DEGENERATE_PROJECTION)
-    ok = status == 0
-    if not ok.any():
-        return out
-    # Only the ok matrices go on.  A basis is taken from its full m x m matrix
-    # after that selection, so it keeps the layout it has alone, and the k x k
-    # products take the same BLAS route as for the matrix alone (at k = 1 a
-    # compacted m x 1 copy takes another, which moves the last bits).
-    members = slice(None) if ok.all() else ok
-    a, b = (basis[members][:, :, top] for basis in bases)
-    sxy, var_x, var_y = sxy[members], var_x[members], var_y[members]
-
+    a, b = (basis[:, :, top] for basis in bases)
     a_t = np.swapaxes(a, -1, -2)
     nuclear = np.linalg.svd(a_t @ sxy @ b, compute_uv=False).sum(axis=-1)
     # Two roots: for the trivial method, var_x * var_y underflows once the first k
-    # coordinates carry less than about 1e-154 of max |S|.
-    eps_sq = 2.0 * k - 2.0 * k * nuclear / (np.sqrt(var_x) * np.sqrt(var_y))
-    out.eps_sq[ok] = np.clip(eps_sq, 0.0, 2.0 * k)
-    out.d_sq[ok] = chordal_sq(a_t @ b)
-    if weight is not None:
-        out.eth_sq[ok] = weighted_sq(a, b, weight)
-    if isometry is not None:
-        out.d_sq_corrected[ok] = chordal_sq(a_t @ isometry @ b)
+    # coordinates carry less than about 1e-154 of max |S|.  A degenerate projection
+    # divides by zero here; its row is failed and set to NaN below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps_sq = 2.0 * k - 2.0 * k * nuclear / (np.sqrt(var_x) * np.sqrt(var_y))
+    out = GramColumns(status, chordal_sq(a_t @ b),
+                      np.full(r, np.nan) if weight is None else weighted_sq(a, b, weight),
+                      np.clip(eps_sq, 0.0, 2.0 * k),
+                      np.full(r, np.nan) if isometry is None else chordal_sq(a_t @ isometry @ b))
+    for column in out[1:]:
+        column[status != 0] = np.nan
     return out

@@ -241,9 +241,7 @@ def _pool_size(workers: int, tasks: int) -> int:
 # take ~3 s).
 _MAX_CHUNK = 256
 # Most bytes of a chunk's Gram stack and the two eigenvector stacks the kernel
-# makes from it, 48 m^2 bytes per replicate: chunks at m > 52 are shorter.  A
-# chunk with failed replicates takes up to half as much again, for the copies
-# of its ok members.
+# makes from it, 48 m^2 bytes per replicate: chunks at m > 52 are shorter.
 _MAX_CHUNK_BYTES = 32 * 2**20
 
 

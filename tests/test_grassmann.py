@@ -51,8 +51,9 @@ class TestSubspace:
         assert s.dim == 2
 
     def test_not_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            Subspace(np.ones((3, 2)))
+        for basis in (np.ones((3, 2)), np.full((3, 2), np.nan)):
+            with pytest.raises(ValueError, match="orthonormal"):
+                Subspace(basis)
 
     def test_k_exceeds_m(self):
         with pytest.raises(ValueError, match="1 <= k <= m"):
@@ -265,6 +266,16 @@ class TestPreparedWeight:
         with pytest.raises(ValueError, match="square"):
             weight(c, 1)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, bad):
+        # Unchecked, an inf weight reached LAPACK, which printed an error to stderr
+        # and returned a Weight; a NaN one raised LinAlgError at its first use.
+        for c in (np.full((4, 4), bad), np.where(np.eye(4) > 0, bad, 0.5)):
+            with pytest.raises(ValueError, match="non-finite"):
+                weight(c, 2)
+            with pytest.raises(ValueError, match="non-finite"):
+                weighted_hausdorff_sq(basis_of(0, m=4), basis_of(1, m=4), c)
+
     @pytest.mark.parametrize("k", [0, 4])
     def test_rejects_k_outside_1_to_m(self, k):
         with pytest.raises(ValueError, match="1 <= k <= m"):
@@ -317,8 +328,9 @@ class TestApplyIsometry:
         assert after == pytest.approx(before, abs=1e-10)
 
     def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError, match="not orthogonal"):
-            check_isometry(np.eye(5) * 2.0, 5)
+        for w in (np.eye(5) * 2.0, np.full((5, 5), np.nan)):
+            with pytest.raises(ValueError, match="not orthogonal"):
+                check_isometry(w, 5)
 
 
 def test_orthogonal_weight_matches_distance_to_moved_subspace(rng):

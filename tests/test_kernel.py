@@ -326,10 +326,23 @@ class TestStack:
         assert rows == [gram_alone(g, k, method, n, cell.weight, cell.isometry) for g in grams]
 
     def test_every_member_fails_together(self):
-        grams = self.mixed_stack(2)
-        out = evaluate_grams(grams.copy(), 3, "pca", 3)  # n - 1 < k: no eigensolver runs
-        assert out.status.tolist() == [1] * 4 and np.isnan(out.d_sq).all()
-        assert np.isnan(out.eth_sq).all() and np.isnan(out.d_sq_corrected).all()
+        reversal = np.fliplr(np.eye(4))
+        # n - 1 < k: every matrix is deficient, whatever its eigenvalues.
+        cases = [(self.mixed_stack(2), "pca", 3, "deficient_rank")]
+        # Every X zero: the trivial projection of X is degenerate (PCA finds it
+        # deficient first), and eps^2 divides 0 by 0 on every row, with no warning.
+        # X at 1e-160 of Y passes PCA's rank test and is degenerate there too.
+        def stack(scale):
+            return np.stack([center_gram_inplace(np.vstack([scale * x, y]))
+                             for x, y in (random_data(seed, 4, 50) for seed in range(3))])
+        cases += [(stack(0.0), "trivial", 50, "degenerate_projection"),
+                  (stack(0.0), "pca", 50, "deficient_rank"),
+                  (stack(1e-160), "pca", 50, "degenerate_projection")]
+        for grams, method, n, status in cases:
+            out = evaluate_grams(grams.copy(), 3, method, n, weight(0.6 * reversal, 3), reversal)
+            assert [STATUSES[s] for s in out.status] == [status] * len(grams)
+            for column in (out.d_sq, out.eth_sq, out.eps_sq, out.d_sq_corrected):
+                assert np.isnan(column).all()
 
     def test_rejects_a_stack_it_cannot_scale_in_place(self):
         for bad in (np.eye(4), np.ones((2, 4, 4), dtype=np.float32), [np.eye(4)]):

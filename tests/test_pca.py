@@ -36,8 +36,9 @@ class TestCenter:
     def test_centering_check_is_relative_to_the_data(self, rng, scale):
         c = center(scale * (rng.standard_normal((6, 10_000)) + 3.0))
         assert np.array_equal(CenteredData(c.matrix).matrix, c.matrix)
-        with pytest.raises(ValueError, match="not centered"):
-            CenteredData(scale * np.ones((2, 5)))
+        for bad in (scale * np.ones((2, 5)), np.full((2, 5), np.nan)):
+            with pytest.raises(ValueError, match="not centered"):
+                CenteredData(bad)
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -13,8 +13,9 @@ def random_normalized(rng, m, n, k) -> NormalizedProjection:
 
 class TestNormalizedProjection:
     def test_wrong_norm_rejected(self):
-        with pytest.raises(ValueError, match="Frobenius"):
-            NormalizedProjection(np.ones((2, 3)), 1)
+        for matrix in (np.ones((2, 3)), np.full((2, 3), np.nan)):
+            with pytest.raises(ValueError, match="Frobenius"):
+                NormalizedProjection(matrix, 1)
 
     def test_matrix_readonly(self, rng):
         x = random_normalized(rng, 3, 5, 2)

@@ -79,6 +79,8 @@ def run_one(cell, n, seed, method):
 
 
 class TestRunReplicate:
+    """``run_replicates`` on chunks of one and more replicates."""
+
     def test_trivial_method_zero_distance(self):
         out = run_one(make_cell(identity_pair(6, 0.5), 2), 500, 1, "trivial")
         assert out.d_sq[0] == 0.0
@@ -101,8 +103,8 @@ class TestRunReplicate:
                 assert 0.0 <= value <= 4.0
             assert out.residual[0] == out.eps_sq[0] - out.predicted[0]
 
-    def test_scientist_model(self):
-        # Two devices of perfect accuracy: X equals Y, so nothing is left to fit.
+    def test_identical_pair_leaves_nothing_to_fit(self):
+        # identity_pair at beta = 1: X equals Y, so nothing is left to fit.
         out = run_one(make_cell(identity_pair(6, 1.0), 2), 400, 9, "trivial")
         assert out.eps_sq[0] == pytest.approx(0.0, abs=1e-9)
         assert out.predicted[0] == pytest.approx(0.0, abs=1e-9)
@@ -256,8 +258,9 @@ class TestMakeCell:
         assert weighted_sq(basis, w @ basis, cell.weight) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_orthogonal_isometry(self):
-        with pytest.raises(ValueError, match="not orthogonal"):
-            make_cell(identity_pair(3, 0.5), 1, isometry=2 * np.eye(3))
+        for isometry in (2 * np.eye(3), np.full((3, 3), np.nan)):
+            with pytest.raises(ValueError, match="not orthogonal"):
+                make_cell(identity_pair(3, 0.5), 1, isometry=isometry)
 
 
 class TestRunExperiment:
