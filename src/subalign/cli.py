@@ -48,14 +48,12 @@ ILLUS1_BETAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 ILLUS2_LAMBDAS = (0.70, 0.71, 0.72, 0.73, 0.74, 0.75)
 ILLUS2_NSWEEP_NS = (10, 100, 1000, 10000)
 
-# Rows of the records CSV made into Python objects at once: the writer's memory
-# stays bounded however many replicates a run has.
-_CSV_BLOCK_ROWS = 256
 
-
-def _fmt(value: float) -> str:
-    """12 significant digits; the empty field for NaN (an absent or failed value)."""
-    return "" if math.isnan(value) else f"{value:.12g}"
+def _float_fields(column: np.ndarray):
+    """The column's CSV fields, one at a time: 12 significant digits, and the empty field
+    for NaN (an absent or failed value).  A memoryview yields Python floats, which format
+    faster than the numpy scalars an ndarray yields."""
+    return ("" if math.isnan(value) else f"{value:.12g}" for value in memoryview(column))
 
 
 def _round12(value: float):
@@ -72,24 +70,22 @@ def write_records_csv(records: Records, path: str, experiment: str) -> None:
     ``correction_gap`` is ``|eth2 - d2_corrected|``.  ``path`` is opened with mode
     ``"w"``, replacing what was there; for a regular-file output the CLI passes a
     temporary file beside it and moves it into place once both outputs are written.
+    Each row is made from the columns as it is written, so the writer's memory does not
+    grow with Python objects per replicate.
     """
     gap = np.abs(records.eth_sq - records.d_sq_corrected)
-    floats = (records.sweep_param, records.d_sq, records.eth_sq, records.eps_sq,
-              records.predicted, records.residual, records.d_sq_corrected, gap)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for lo in range(0, len(records), _CSV_BLOCK_ROWS):
-            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-            sweep, d2, eth2, eps2, predicted, residual, corrected, gap = (
-                map(_fmt, column[rows].tolist()) for column in floats)
-            status = [STATUSES[code] for code in records.status[rows].tolist()]
-            writer.writerows(zip(
-                repeat(experiment), repeat(records.method), repeat(records.m),
-                records.k[rows].tolist(), records.n[rows].tolist(), sweep,
-                records.replicate[rows].tolist(),
-                d2, eth2, eps2, predicted, residual, corrected, status, gap,
-            ))
+        writer.writerows(zip(
+            repeat(experiment), repeat(records.method), repeat(records.m),
+            memoryview(records.k), memoryview(records.n), _float_fields(records.sweep_param),
+            memoryview(records.replicate),
+            _float_fields(records.d_sq), _float_fields(records.eth_sq),
+            _float_fields(records.eps_sq), _float_fields(records.predicted),
+            _float_fields(records.residual), _float_fields(records.d_sq_corrected),
+            map(STATUSES.__getitem__, memoryview(records.status)), _float_fields(gap),
+        ))
 
 
 def _reference_lines(cells) -> list[dict]:

@@ -42,6 +42,8 @@ class CenteredData:
             worst = np.max(np.abs(matrix.sum(axis=1)))
             if not worst <= _CENTER_TOL * matrix.shape[1] * np.max(np.abs(matrix)):  # NaN fails
                 raise ValueError(f"rows are not centered (max |row sum| = {worst:.3e})")
+            if not np.all(np.isfinite(matrix)):  # the tolerance above is infinite too
+                raise ValueError("matrix has infinite entries")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -104,11 +105,31 @@ def test_outputs_match_the_golden_files(tmp_path, name, argv, code):
     assert summary.read_bytes() == (GOLDEN / f"{name}_summary.json").read_bytes()
 
 
-def test_records_csv_written_in_blocks_matches_the_golden_file(tmp_path, monkeypatch):
-    # 22 rows in blocks of 5: four full blocks and a partial one, the same bytes.
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 5)
-    test_outputs_match_the_golden_files(tmp_path, "illus1_pca",
-                                        ["illus1", "--n", "200", "--reps", "2"], 0)
+def test_records_csv_streams_in_bounded_memory(tmp_path):
+    # 200k rows, a third failed and none with a corrected distance: the writer takes
+    # its rows one at a time (a .tolist() of one float column alone is 6.1 MiB).
+    rows = 200_000
+    rng = np.random.default_rng(5)
+    status = np.where(np.arange(rows) % 3 == 0, 1, 0).astype(np.int8)
+    eps = np.where(status == 0, rng.uniform(0, 4, rows), np.nan)
+    absent = np.full(rows, np.nan)
+    records = sim.Records("pca", 20, np.full(rows, 2), np.full(rows, 10_000),
+                          np.full(rows, 0.7), np.arange(rows), status,
+                          eps, eps, eps, eps, eps - eps, absent)
+    out = tmp_path / "r.csv"
+    tracemalloc.start()
+    try:
+        cli.write_records_csv(records, str(out), "custom")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    lines = out.read_text().splitlines()
+    assert len(lines) == rows + 1
+    assert lines[1] == "custom,pca,20,2,10000,0.7,0,,,,,,,deficient_rank,"
+    for i in (1, rows - 1):
+        values = ",".join([f"{eps[i]:.12g}"] * 4)
+        assert lines[i + 1] == f"custom,pca,20,2,10000,0.7,{i},{values},0,,ok,"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -418,6 +439,22 @@ class TestCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot read matrix: {paths[empty]} contains no data\n"
+
+    @pytest.mark.parametrize("content", [
+        b"1,2,3\n4,5\n", b"1;2;3\n4;5;6\n", b"1,2,3,\n4,5,6,\n", b"1,2,3\n4,5,\xff\xfe\n", None,
+    ], ids=["ragged", "semicolons", "trailing_comma", "not_utf8", "directory"])
+    def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, content):
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        if content is None:
+            x.mkdir()
+        else:
+            x.write_bytes(content)
+        y.write_text("1,2,3\n4,5,7\n")
+        assert main(["compute", str(x), str(y), "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read matrix: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     @pytest.mark.parametrize("scaled, weight, scale", [
         pytest.param("x", None, 1e200, id="1e+200"),

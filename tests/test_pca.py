@@ -40,6 +40,16 @@ class TestCenter:
             with pytest.raises(ValueError, match="not centered"):
                 CenteredData(bad)
 
+    @pytest.mark.parametrize("rows", [
+        [[np.inf, 1.0, 2.0], [0.0, 1.0, -1.0]],
+        [[-np.inf, 1.0, 2.0], [0.0, 1.0, -1.0]],
+        [[np.inf, 1.0, 2.0], [-np.inf, 1.0, -1.0]],
+    ], ids=["inf", "-inf", "both"])
+    def test_infinite_entry_rejected(self, rows):
+        # An infinite row sum passes a centering tolerance that is itself infinite.
+        with pytest.raises(ValueError, match="infinite entries"):
+            CenteredData(np.array(rows))
+
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="at least 2"):
             center(np.ones((3, 1)))
