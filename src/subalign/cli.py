@@ -229,11 +229,12 @@ def cmd_illus3(args) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    # Headerless CSV, rows = features, columns = observations.  An empty or
-    # comment-only file is a usage error here, not a numpy warning.
+    # Headerless UTF-8 CSV, rows = features, columns = observations; a leading byte-order
+    # mark is skipped.  An empty or comment-only file is a usage error here, not a numpy
+    # warning.
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        mat = np.loadtxt(path, delimiter=",", ndmin=2)
+        mat = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     if mat.size == 0:
         raise ValueError(f"{path} contains no data")
     return mat
@@ -250,18 +251,17 @@ def cmd_compute(args) -> int:
     m, n = x.shape
     if not 1 <= args.k <= m:
         raise ValueError(f"k must satisfy 1 <= k <= m = {m}, got {args.k}")
-    if n < 2:
-        raise ValueError("need at least 2 observations")
     if cross is not None and cross.shape != (m, m):
         raise ValueError(f"cross covariance must be {m} x {m}, got {cross.shape}")
     for name, mat in (("X", x), ("Y", y), ("cross covariance", cross)):
         if mat is not None and not np.all(np.isfinite(mat)):
             raise ValueError(f"{name} has non-finite entries (nan or inf)")
     # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
-    # it: removing each one's scale exactly keeps it in range (weight() removes C's).
+    # it: removing each one's scale exactly keeps it in range (weight() removes C's).  The
+    # (2, m, n) view gives X and Y each their own power of two.  center_gram_inplace rejects
+    # fewer than 2 observations.
     stack = np.vstack([x, y])
-    for half in (stack[:m], stack[m:]):
-        unit_scale_inplace(half)
+    unit_scale_inplace(stack.reshape(2, m, n))
     gram = center_gram_inplace(stack)
     # A stack of one, on a copy: the kernel rescales its stack in place, and plugin_rho
     # reads the unscaled matrix (an odd power of two does not pass exactly through sqrt).

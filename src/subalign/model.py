@@ -28,12 +28,6 @@ _SYM_TOL = 1e-12
 _PSD_TOL = -1e-10
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class JointCovariance:
     """Block covariance of a stacked pair (X, Y) of m-dimensional vectors.
@@ -48,7 +42,8 @@ class JointCovariance:
     ``root`` is the symmetric PSD square root of the block matrix, from the
     eigendecomposition that validates it, with negative eigenvalues clamped
     to zero; singular blocks (e.g. perfectly correlated pairs) have one
-    where a Cholesky factor would fail.
+    where a Cholesky factor would fail.  All four arrays are read-only float64
+    copies that the instance owns; the arrays passed in are left as they were.
     """
 
     cov_x: np.ndarray
@@ -79,10 +74,9 @@ class JointCovariance:
                 f"block covariance not positive semidefinite (min eig {eigvals[0]:.3e})"
             )
         root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-        object.__setattr__(self, "cov_x", _readonly(cov_x))
-        object.__setattr__(self, "cov_y", _readonly(cov_y))
-        object.__setattr__(self, "cov_xy", _readonly(cov_xy))
-        object.__setattr__(self, "root", _readonly(root))
+        for name, mat in (("cov_x", cov_x), ("cov_y", cov_y), ("cov_xy", cov_xy), ("root", root)):
+            mat.setflags(write=False)  # each is this instance's own float64 copy
+            object.__setattr__(self, name, mat)
 
     @property
     def m(self) -> int:

@@ -456,6 +456,50 @@ class TestCompute:
         assert captured.err.startswith("error: cannot read matrix: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, rng, capsys):
+        # Some spreadsheet exports begin a UTF-8 file with the byte-order mark EF BB BF.
+        x = rng.standard_normal((4, 40))
+        x_path, bom_path, y_path = (tmp_path / f"{s}.csv" for s in ("x", "bom", "y"))
+        write_matrix(x_path, x)
+        write_matrix(y_path, 0.6 * x + rng.standard_normal((4, 40)))
+        bom_path.write_bytes(b"\xef\xbb\xbf" + x_path.read_bytes())
+        outputs = []
+        for path in (x_path, bom_path):
+            assert main(["compute", str(path), str(y_path), "--k", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("method", ["pca", "trivial"])
+    def test_swapping_x_and_y_transposes_the_cross_covariance(self, tmp_path, rng, capsys,
+                                                             method):
+        # eps^2, d^2, eth^2 and rho_hat are symmetric in X and Y once C becomes C^T.
+        x = rng.standard_normal((6, 80))
+        mats = {"x": x, "y": 0.6 * x + 0.8 * rng.standard_normal((6, 80)),
+                "c": rng.standard_normal((6, 6))}
+        mats["ct"] = mats["c"].T
+        for name, mat in mats.items():
+            write_matrix(tmp_path / f"{name}.csv", mat)
+        results = []
+        for first, second, cross in (("x", "y", "c"), ("y", "x", "ct")):
+            code = main(["compute", str(tmp_path / f"{first}.csv"),
+                         str(tmp_path / f"{second}.csv"), "--k", "2", "--method", method,
+                         "--cross-cov", str(tmp_path / f"{cross}.csv")])
+            assert code == 0
+            results.append(json.loads(capsys.readouterr().out))
+        forward, swapped = results
+        for key in ("eps_sq", "d_sq", "eth_sq", "rho_hat"):
+            assert swapped[key] == pytest.approx(forward[key], rel=0, abs=1e-12)
+
+    def test_one_observation_exits_2_with_one_line(self, tmp_path, capsys):
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        x_path.write_text("1\n2\n3\n")
+        y_path.write_text("4\n5\n7\n")
+        assert main(["compute", str(x_path), str(y_path), "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "2 observations" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     @pytest.mark.parametrize("scaled, weight, scale", [
         pytest.param("x", None, 1e200, id="1e+200"),
         pytest.param("x", None, 1e-200, id="1e-200"),

@@ -386,7 +386,7 @@ def counted(fn, calls):
     return wrapper
 
 
-class TestDrawBuffer:
+class TestMvnGrams:
     """``mvn_grams``, which refills one (2m, n) block for every seed of a chunk, against
     each seed's matrix drawn alone: bit for bit, across chunk lengths, shapes, calls and
     threads."""

@@ -42,6 +42,20 @@ class TestJointCovariance:
         with pytest.raises(ValueError, match="m x m"):
             JointCovariance(np.eye(3), np.eye(2), np.zeros((3, 3)))
 
+    def test_arrays_are_readonly_copies(self):
+        # The instance owns read-only copies; the caller's arrays stay its own and writeable.
+        given = [np.eye(3, dtype=np.float32), 2 * np.eye(3), 0.5 * np.eye(3)]
+        jc = JointCovariance(*given)
+        for mat in (jc.cov_x, jc.cov_y, jc.cov_xy, jc.root):
+            assert mat.dtype == np.float64
+            assert not mat.flags.writeable and mat.flags.owndata
+            assert not any(np.shares_memory(mat, g) for g in given)
+        with pytest.raises(ValueError, match="read-only"):
+            jc.root[0, 0] = 0.0
+        assert all(g.flags.writeable for g in given)
+        given[1][0, 0] = 5.0
+        assert jc.cov_y[0, 0] == 2.0
+
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
     def test_accepts_singular_model_at_any_scale(self, scale):
         # Rank 3 of 24, perfectly correlated: round-off in the zero

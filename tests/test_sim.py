@@ -78,7 +78,7 @@ def run_one(cell, n, seed, method):
     return run_replicates(cell, n, [seed], method=method)
 
 
-class TestRunReplicate:
+class TestRunReplicates:
     """``run_replicates`` on chunks of one and more replicates."""
 
     def test_trivial_method_zero_distance(self):
