@@ -246,20 +246,19 @@ def cmd_compute(args) -> int:
         cross = _load_matrix(args.cross_cov) if args.cross_cov else None
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read matrix: {exc}") from exc
+    # The two checks no callee makes: np.vstack would take a Y of another m, and the
+    # centering would warn on inf - inf before the kernel rejects it.  The callees own the
+    # rest: weight() checks k and C, weighted_sq() C's size, evaluate_grams() k, and
+    # center_gram_inplace() the 2 observations.
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     m, n = x.shape
-    if not 1 <= args.k <= m:
-        raise ValueError(f"k must satisfy 1 <= k <= m = {m}, got {args.k}")
-    if cross is not None and cross.shape != (m, m):
-        raise ValueError(f"cross covariance must be {m} x {m}, got {cross.shape}")
-    for name, mat in (("X", x), ("Y", y), ("cross covariance", cross)):
-        if mat is not None and not np.all(np.isfinite(mat)):
+    for name, mat in (("X", x), ("Y", y)):
+        if not np.isfinite(mat).all():
             raise ValueError(f"{name} has non-finite entries (nan or inf)")
     # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
     # it: removing each one's scale exactly keeps it in range (weight() removes C's).  The
-    # (2, m, n) view gives X and Y each their own power of two.  center_gram_inplace rejects
-    # fewer than 2 observations.
+    # (2, m, n) view gives X and Y each their own power of two.
     stack = np.vstack([x, y])
     unit_scale_inplace(stack.reshape(2, m, n))
     gram = center_gram_inplace(stack)

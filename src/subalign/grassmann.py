@@ -161,7 +161,7 @@ def weight(cross_cov: np.ndarray, k: int) -> Weight:
     if c.shape != (m, m) or m == 0:
         raise ValueError(f"cross_cov must be a square m x m matrix, got shape {c.shape}")
     if not 1 <= k <= m:
-        raise ValueError(f"weight needs 1 <= k <= m, got k={k}, m={m}")
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if not np.isfinite(c).all():
         raise ValueError("cross_cov has non-finite entries (nan or inf)")
     if not np.any(c):

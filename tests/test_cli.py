@@ -377,16 +377,53 @@ class TestCompute:
         result = json.loads(capsys.readouterr().out)
         assert result["eth_sq"] == pytest.approx(result["d_sq"], abs=1e-9)
 
-    def test_shape_mismatch_exits_2(self, tmp_path, rng):
+    def test_shape_mismatch_exits_2(self, tmp_path, rng, capsys):
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
         write_matrix(x_path, rng.standard_normal((4, 30)))
         write_matrix(y_path, rng.standard_normal((5, 30)))
         assert main(["compute", str(x_path), str(y_path), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: shape mismatch: (4, 30) vs (5, 30)\n"
 
-    def test_k_out_of_range_exits_2(self, tmp_path, rng):
+    def test_k_out_of_range_exits_2(self, tmp_path, rng, capsys):
         x_path = tmp_path / "x.csv"
         write_matrix(x_path, rng.standard_normal((4, 30)))
         assert main(["compute", str(x_path), str(x_path), "--k", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need 1 <= k <= m, got k=9, m=4\n"
+
+    @pytest.mark.parametrize("k, cross, message", [
+        (0, None, "need 1 <= k <= m, got k=0, m=4"),
+        (0, np.eye(4), "need 1 <= k <= m, got k=0, m=4"),
+        (5, None, "need 1 <= k <= m, got k=5, m=4"),
+        (5, np.eye(4), "need 1 <= k <= m, got k=5, m=4"),
+        (2, np.ones((4, 3)), "cross_cov must be a square m x m matrix, got shape (4, 3)"),
+        (2, np.eye(3), "weight is 3 x 3 at k = 2; these bases need 4 x 4 at k = 2"),
+        (2, np.where(np.eye(4) > 0, np.nan, 0.5), "cross_cov has non-finite entries"),
+    ], ids=["k0", "k0_cross", "k_above_m", "k_above_m_cross", "cross_not_square",
+            "cross_wrong_size", "cross_nan"])
+    @pytest.mark.parametrize("method", ["pca", "trivial"])
+    def test_rejected_by_the_owner_exits_2_with_one_line(self, tmp_path, rng, capsys, method,
+                                                         k, cross, message):
+        # compute checks only that X and Y share a shape and are finite; k and the cross
+        # covariance are checked by grassmann.weight, weighted_sq and evaluate_grams.
+        x = rng.standard_normal((4, 30))
+        x_path, y_path, c_path = (tmp_path / f"{s}.csv" for s in "xyc")
+        write_matrix(x_path, x)
+        write_matrix(y_path, 0.6 * x + rng.standard_normal((4, 30)))
+        argv = ["compute", str(x_path), str(y_path), "--k", str(k), "--method", method]
+        if cross is not None:
+            write_matrix(c_path, cross)
+            argv += ["--cross-cov", str(c_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_deficient_rank_exits_3(self, tmp_path, rng, capsys):
         v = rng.standard_normal(12)
