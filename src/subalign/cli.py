@@ -248,7 +248,7 @@ def cmd_compute(args) -> int:
         raise ValueError(f"cannot read matrix: {exc}") from exc
     # The two checks no callee makes: np.vstack would take a Y of another m, and the
     # centering would warn on inf - inf before the kernel rejects it.  The callees own the
-    # rest: weight() checks k and C, weighted_sq() C's size, evaluate_grams() k, and
+    # rest: weight() checks C, its size against m and k, evaluate_grams() k, and
     # center_gram_inplace() the 2 observations.
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
@@ -265,7 +265,7 @@ def cmd_compute(args) -> int:
     # A stack of one, on a copy: the kernel rescales its stack in place, and plugin_rho
     # reads the unscaled matrix (an odd power of two does not pass exactly through sqrt).
     out = evaluate_grams(gram[None].copy(), args.k, args.method, n,
-                         None if cross is None else weight(cross, args.k))
+                         None if cross is None else weight(cross, args.k, m))
     if out.status[0]:
         reason = STATUSES[out.status[0]].replace("_", " ")
         print(f"error: {reason} for requested dimension k = {args.k}", file=sys.stderr)

@@ -38,6 +38,7 @@ __all__ = [
     "chordal_sq",
     "Weight",
     "weight",
+    "check_weight",
     "weighted_sq",
     "check_isometry",
     "unit_scale_inplace",
@@ -148,27 +149,31 @@ class Weight:
     mass: float
 
 
-def weight(cross_cov: np.ndarray, k: int) -> Weight:
+def weight(cross_cov: np.ndarray, k: int, m: Optional[int] = None) -> Weight:
     """Prepare the m x m weight C of :func:`weighted_sq` for k-dimensional subspaces.
 
     Checks that C is a nonempty, finite square matrix and ``1 <= k <= m``, and does
     the per-weight work once: :func:`unit_scale_inplace` on a copy of C keeps
     both SVDs of :func:`weighted_sq` in range at any scale; then the top-k
     singular-value mass.  The exactly zero weight (``not np.any(C)``) is kept.
+    Given the bases' ``m``, a C of another size is refused first, as
+    :func:`check_weight` refuses it, so a k above C's size names C's size.
     """
     c = np.asarray(cross_cov, dtype=float)
-    m = c.shape[0] if c.ndim == 2 else 0
-    if c.shape != (m, m) or m == 0:
+    size = c.shape[0] if c.ndim == 2 else 0
+    if c.shape != (size, size) or size == 0:
         raise ValueError(f"cross_cov must be a square m x m matrix, got shape {c.shape}")
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    if m is not None:
+        _check_fit(size, k, m, k)
+    if not 1 <= k <= size:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={size}")
     if not np.isfinite(c).all():
         raise ValueError("cross_cov has non-finite entries (nan or inf)")
     if not np.any(c):
-        return Weight(m, k, None, 0.0)
+        return Weight(size, k, None, 0.0)
     c = unit_scale_inplace(c.copy())
     c.setflags(write=False)
-    return Weight(m, k, c, topk_mass(c, k) / k)
+    return Weight(size, k, c, topk_mass(c, k) / k)
 
 
 def unit_scale_inplace(a: np.ndarray) -> np.ndarray:
@@ -184,6 +189,23 @@ def unit_scale_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_fit(size: int, k: int, m: int, bases_k: int) -> None:
+    if (size, k) != (m, bases_k):
+        raise ValueError(f"weight is {size} x {size} at k = {k}; these bases need {m} x {m} "
+                         f"at k = {bases_k}")
+
+
+def check_weight(w: Weight, m: int, k: int) -> None:
+    """Refuse anything but a :class:`Weight` prepared for m x k bases.
+
+    :func:`weighted_sq` calls it, and so does ``kernel.evaluate_grams`` before its
+    first LAPACK call.
+    """
+    if not isinstance(w, Weight):
+        raise TypeError(f"weighted_sq needs a weight from grassmann.weight(C, k), got {type(w)}")
+    _check_fit(w.m, w.k, m, k)
+
+
 def weighted_sq(a: np.ndarray, b: np.ndarray, w: Weight) -> float | np.ndarray:
     """``sum_i 2 (1 - sigma_i(A^T C B) / mu)`` for m x k orthonormal bases, clamped to [0, 2k].
 
@@ -195,12 +217,8 @@ def weighted_sq(a: np.ndarray, b: np.ndarray, w: Weight) -> float | np.ndarray:
     chordal distance.  ``a`` and ``b`` may be stacks ``(..., m, k)``; the
     result then has their broadcast leading shape.
     """
-    if not isinstance(w, Weight):
-        raise TypeError(f"weighted_sq needs a weight from grassmann.weight(C, k), got {type(w)}")
     m, k = a.shape[-2:]
-    if (m, k) != (w.m, w.k):
-        raise ValueError(f"weight is {w.m} x {w.m} at k = {w.k}; these bases need {m} x {m} "
-                         f"at k = {k}")
+    check_weight(w, m, k)
     a_t = np.swapaxes(a, -1, -2)
     if w.scaled is None:
         return chordal_sq(a_t @ b)
@@ -235,7 +253,7 @@ def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> fl
         there to absorb float drift at the endpoints.
     """
     _check_compatible(a, b)
-    return float(weighted_sq(a.basis, b.basis, weight(cross_cov, a.dim)))
+    return float(weighted_sq(a.basis, b.basis, weight(cross_cov, a.dim, a.ambient_dim)))
 
 
 def check_isometry(w: np.ndarray, m: int) -> np.ndarray:

@@ -68,7 +68,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grassmann import Weight, chordal_sq, unit_scale_inplace, weighted_sq
+from .grassmann import Weight, check_weight, chordal_sq, unit_scale_inplace, weighted_sq
 
 __all__ = ["STATUSES", "GramColumns", "center_gram_inplace", "gram_blocks", "evaluate_grams"]
 
@@ -143,7 +143,9 @@ def evaluate_grams(
     weight : Weight, optional
         Weight of eth^2, typically Cov(X, Y) of the model at any scale, as
         prepared once by :func:`subalign.grassmann.weight` (which checks it
-        and tests it for zero).  The exactly zero weight gives eth^2 = d^2.
+        and tests it for zero) for these m and k, which
+        :func:`subalign.grassmann.check_weight` tests before any LAPACK call.
+        The exactly zero weight gives eth^2 = d^2.
     isometry : (m, m) orthogonal ndarray, optional
         W of the corrected distance ``d^2(A, W B)``.  Not checked here: it
         must already have passed :func:`subalign.grassmann.check_isometry`,
@@ -163,6 +165,8 @@ def evaluate_grams(
     r, m = len(stack), sxx.shape[-1]
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    if weight is not None:
+        check_weight(weight, m, k)
     status = np.zeros(r, dtype=np.int8)
     if method == "pca":
         bases, variances = [], []

@@ -401,14 +401,15 @@ class TestCompute:
         (5, np.eye(4), "need 1 <= k <= m, got k=5, m=4"),
         (2, np.ones((4, 3)), "cross_cov must be a square m x m matrix, got shape (4, 3)"),
         (2, np.eye(3), "weight is 3 x 3 at k = 2; these bases need 4 x 4 at k = 2"),
+        (4, np.eye(3), "weight is 3 x 3 at k = 4; these bases need 4 x 4 at k = 4"),
         (2, np.where(np.eye(4) > 0, np.nan, 0.5), "cross_cov has non-finite entries"),
     ], ids=["k0", "k0_cross", "k_above_m", "k_above_m_cross", "cross_not_square",
-            "cross_wrong_size", "cross_nan"])
+            "cross_wrong_size", "cross_smaller_than_k", "cross_nan"])
     @pytest.mark.parametrize("method", ["pca", "trivial"])
     def test_rejected_by_the_owner_exits_2_with_one_line(self, tmp_path, rng, capsys, method,
                                                          k, cross, message):
         # compute checks only that X and Y share a shape and are finite; k and the cross
-        # covariance are checked by grassmann.weight, weighted_sq and evaluate_grams.
+        # covariance are checked by grassmann.weight, given the data's m, and evaluate_grams.
         x = rng.standard_normal((4, 30))
         x_path, y_path, c_path = (tmp_path / f"{s}.csv" for s in "xyc")
         write_matrix(x_path, x)

@@ -281,6 +281,13 @@ class TestPreparedWeight:
         with pytest.raises(ValueError, match="1 <= k <= m"):
             weight(np.eye(3), k)
 
+    def test_given_the_bases_m_names_the_size_before_k(self):
+        # k = 4 is above C's size, but the fault is that C is not m x m.
+        with pytest.raises(ValueError) as raised:
+            weight(np.eye(3), 4, m=4)
+        assert str(raised.value) == "weight is 3 x 3 at k = 4; these bases need 4 x 4 at k = 4"
+        assert weight(np.eye(4), 4, m=4).m == 4
+
     def test_rejects_raw_matrix(self):
         a = np.eye(3)[:, :1]
         with pytest.raises(TypeError, match="grassmann.weight"):

@@ -349,6 +349,18 @@ class TestStack:
             with pytest.raises(ValueError, match="float64 stack"):
                 evaluate_grams(bad, 1, "pca", 10)
 
+    @pytest.mark.parametrize("method", ["pca", "trivial"])
+    def test_rejects_a_weight_of_another_size_before_any_lapack_call(self, monkeypatch,
+                                                                     method):
+        # The kernel and grassmann look eigh and svd up on np.linalg at each call.
+        w, calls = weight(np.eye(3), 2), []
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), calls))
+        with pytest.raises(ValueError) as raised:
+            evaluate_grams(np.eye(8)[None], 2, method, 100, w)
+        assert str(raised.value) == "weight is 3 x 3 at k = 2; these bases need 4 x 4 at k = 2"
+        assert calls == []
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_a_non_finite_entry(self, bad):
         grams = self.mixed_stack(2)
@@ -380,9 +392,9 @@ def grams_of_seeds(jc, n, seeds):
 
 def counted(fn, calls):
     """``fn``, appending its arguments to ``calls`` on every call."""
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
     return wrapper
 
 

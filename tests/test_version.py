@@ -17,9 +17,13 @@ def test_version_matches_pyproject():
     assert match.group(1) == subalign.__version__
 
 
-def test_readme_documents_this_version():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert f"## Changed in {subalign.__version__}\n" in readme
+def test_changes_has_an_entry_for_this_version():
+    # An entry opens with a bold lead that names its version, e.g. "- **... (0.23.0).**";
+    # a version named only inside another entry's text does not count.
+    changes = (Path(__file__).resolve().parents[1] / "CHANGES.md").read_text()
+    leads = re.findall(r"^- \*\*(.*?)\.\*\*", changes, re.MULTILINE)
+    version = re.compile(rf"(?<![\w.]){re.escape(subalign.__version__)}(?!\.?\d)")
+    assert any(version.search(lead) for lead in leads)
 
 
 # __main__ runs the CLI when imported.
