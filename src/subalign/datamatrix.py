@@ -28,7 +28,7 @@ _CENTER_TOL = 1e-8
 _NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenteredData:
     """An m x n data matrix (features x observations) with zero row means."""
 
@@ -85,7 +85,7 @@ def pca_subspace(c: CenteredData, k: int) -> Subspace:
     return Subspace(u[:, :k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedProjection:
     """An m x n projected data matrix with Frobenius norm sqrt(scale_dim)."""
 

@@ -51,7 +51,7 @@ ORTHONORMAL_TOL = 1e-10
 _COSINE_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A k-dimensional linear subspace of R^m.
 
@@ -257,12 +257,16 @@ def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> fl
 
 
 def check_isometry(w: np.ndarray, m: int) -> np.ndarray:
-    """``w`` as a float array, after checking it is an orthogonal m x m matrix."""
-    w = np.asarray(w, dtype=float)
+    """A read-only float64 copy of ``w``, after checking it is an orthogonal m x m matrix.
+
+    Later changes to ``w`` do not reach the copy.
+    """
+    w = np.array(w, dtype=float)
     if w.shape != (m, m):
         raise ValueError(f"isometry must be {m} x {m}, got {w.shape}")
     err = np.max(np.abs(w.T @ w - np.eye(m)))
     if not err <= ORTHONORMAL_TOL:  # NaN fails
         raise ValueError(f"matrix is not orthogonal (max deviation {err:.3e})")
+    w.setflags(write=False)
     return w
 

@@ -28,7 +28,7 @@ _SYM_TOL = 1e-12
 _PSD_TOL = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointCovariance:
     """Block covariance of a stacked pair (X, Y) of m-dimensional vectors.
 
@@ -49,7 +49,7 @@ class JointCovariance:
     cov_x: np.ndarray
     cov_y: np.ndarray
     cov_xy: np.ndarray
-    root: np.ndarray = field(init=False, repr=False, compare=False)
+    root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cov_x = np.array(self.cov_x, dtype=float)

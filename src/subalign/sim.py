@@ -99,7 +99,7 @@ def replicate_seed(base_seed: int, param_index: int, replicate_index: int) -> in
     return _mix64(base_seed ^ ((param_index << 32) | replicate_index))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Declarative description of one Monte Carlo sweep.
 
@@ -163,7 +163,7 @@ class ExperimentConfig:
                 for sweep_param, model, w in self.models for k in self.k_values]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Records:
     """A run's replicates as one table: the config's scalars and one column per field.
 

@@ -432,7 +432,10 @@ class TestCompute:
         write_matrix(x_path, np.vstack([v, 2 * v, -v]))
         code = main(["compute", str(x_path), str(x_path), "--k", "2"])
         assert code == 3
-        assert "deficient rank" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "deficient rank" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     @pytest.mark.parametrize("bad", ["x", "y", "cross"])
     def test_non_finite_input_exits_2(self, tmp_path, rng, capsys, bad):
@@ -523,7 +526,7 @@ class TestCompute:
                          str(tmp_path / f"{second}.csv"), "--k", "2", "--method", method,
                          "--cross-cov", str(tmp_path / f"{cross}.csv")])
             assert code == 0
-            results.append(json.loads(capsys.readouterr().out))
+            results.append(json.loads(capsys.readouterr().out, parse_constant=_reject_constant))
         forward, swapped = results
         for key in ("eps_sq", "d_sq", "eth_sq", "rho_hat"):
             assert swapped[key] == pytest.approx(forward[key], rel=0, abs=1e-12)
@@ -755,6 +758,29 @@ def test_summary_counts_failures_by_reason():
     json.dumps(payload, allow_nan=False)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["illus1", "--method", "trivial", "--n", "2000", "--reps", "4"], ""),
+    (["illus2", "--k", "1", "2", "--n", "500", "--reps", "6"], ""),
+    (["illus3", "--n", "500", "--reps", "6"], ""),
+    (["illus2", "--n-sweep", "--reps", "6"], ""),
+    (["illus1", "--n", "2", "--k", "2", "--reps", "2", "--beta", "0.5"],
+     "warning: 2 replicates failed\n"),
+], ids=["illus1_trivial", "illus2", "illus3", "illus2_nsweep", "illus1_failed"])
+def test_outputs_do_not_depend_on_threads(tmp_path, capsys, argv, err):
+    # --threads 1 runs serially and 2 on the pool: the records CSV is the same bytes, and
+    # the summaries differ only in the config.threads they echo.
+    outputs = []
+    for threads in (1, 2):
+        out, summary = tmp_path / f"r{threads}.csv", tmp_path / f"s{threads}.json"
+        code = main([*argv, "--threads", str(threads), "--out", str(out),
+                     "--summary", str(summary)])
+        assert (code, capsys.readouterr().err) == (1 if err else 0, err)
+        payload = json.loads(summary.read_text(), parse_constant=_reject_constant)
+        assert payload["config"].pop("threads") == threads
+        outputs.append((out.read_bytes(), payload))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["illus3", "--k", "2", "--n", "200", "--reps", "3"], 0),
     (["illus1", "--n", "2", "--k", "2", "--reps", "2", "--beta", "0.5"], 1),
@@ -762,19 +788,25 @@ def test_summary_counts_failures_by_reason():
     (["compute", "constant.csv", "constant.csv", "--k", "2", "--method", "trivial"], 3),
 ], ids=["exit0", "exit1", "exit2", "exit3"])
 def test_installed_entry_path_exit_codes(tmp_path, argv, code):
-    # python -m subalign runs cli.entry, which turns main's return value into the exit code.
+    # python -m subalign runs cli.entry, which turns main's return value into the exit code;
+    # a numpy RuntimeWarning is an error, so it cannot pass as a line of stderr.
     (tmp_path / "empty.csv").write_text("")
     constant = np.random.default_rng(3).standard_normal((4, 30))
     constant[:2] = 1.0
     write_matrix(tmp_path / "constant.csv", constant)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = os.environ | {"PYTHONPATH": path}
+    env = os.environ | {"PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run([sys.executable, "-m", "subalign", *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == code, proc.stderr
-    if code >= 2:
-        assert proc.stdout == "" and proc.stderr.startswith("error: ")
-        assert proc.stderr.count("\n") == 1
+    if code == 0:
+        assert proc.stderr == ""
     else:
-        assert (tmp_path / f"{argv[0]}_summary.json").exists()
+        assert proc.stderr.startswith("warning: " if code == 1 else "error: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    if code >= 2:
+        assert proc.stdout == ""
+    else:
+        summary = (tmp_path / f"{argv[0]}_summary.json").read_text()
+        json.loads(summary, parse_constant=_reject_constant)

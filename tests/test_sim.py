@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from subalign import (
+    CenteredData,
     ExperimentConfig,
     JointCovariance,
+    NormalizedProjection,
     Records,
+    Subspace,
     identity_pair,
     make_cell,
     mvn_grams,
@@ -250,12 +253,21 @@ class TestMakeCell:
         cell = make_cell(jc, 2, w, sweep_param=0.5)
         assert (cell.sweep_param, cell.k) == (0.5, 2)
         assert np.array_equal(cell.draw(50, [3, 4]), mvn_grams(jc, 50, [3, 4]))
-        assert cell.isometry is w
+        # The cell holds its own read-only float64 copy of the isometry.
+        assert np.array_equal(cell.isometry, w) and not np.shares_memory(cell.isometry, w)
+        assert cell.isometry.dtype == np.float64 and not cell.isometry.flags.writeable
         assert cell.rho == rho(jc, 2)
         # The weight is Cov(X, Y) = 0.5 w, so eth^2(A, B) = d^2(A, w B): 0 at B = w A,
         # whose span is orthogonal to A's (d^2 = 4).
         basis = np.eye(8)[:, :2]
         assert weighted_sq(basis, w @ basis, cell.weight) == pytest.approx(0.0, abs=1e-12)
+
+    def test_changing_the_isometry_after_the_cells_changes_no_record(self):
+        jc, w = reversed_pair(8, 0.7, 0.5)
+        cfg = ExperimentConfig(((0.5, jc, w),), (2,), (300,), 3, base_seed=2)
+        want = run_experiment(cfg)
+        w *= 0.5
+        assert_tables_equal(run_experiment(cfg), want)
 
     def test_rejects_non_orthogonal_isometry(self):
         for isometry in (2 * np.eye(3), np.full((3, 3), np.nan)):
@@ -610,3 +622,19 @@ class TestPoolSize:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         cfg = ExperimentConfig(identity_models(6, 0.5), (2,), (200,), 3, base_seed=7)
         assert_tables_equal(run_experiment(cfg, workers=8), run_experiment(cfg, workers=1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: identity_pair(4, 0.5),
+    lambda: Subspace(np.eye(4)[:, :2]),
+    lambda: CenteredData(np.array([[1.0, -1.0], [2.0, -2.0]])),
+    lambda: NormalizedProjection(np.eye(2), 2),
+    lambda: run_experiment(ExperimentConfig(identity_models(4, 0.5), (1,), (20,), 2)),
+    lambda: ExperimentConfig(((0.5, *reversed_pair(4, 0.7, 0.5)),), (1,), (20,), 2),
+], ids=["JointCovariance", "Subspace", "CenteredData", "NormalizedProjection", "Records",
+        "ExperimentConfig"])
+def test_instances_compare_and_hash_by_identity(make):
+    # A field-wise == over arrays has no truth value, and an array has no hash.
+    x, y = make(), make()
+    assert x == x and x != y and not x == y
+    assert len({x, x, y}) == 2
