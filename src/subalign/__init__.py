@@ -43,4 +43,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"

@@ -146,15 +146,23 @@ def _temporary_beside(target: str, made: list) -> str | None:
 def _run_and_write(args, models, k_values, n_values, **params) -> int:
     """Build the run from the shared flags, the experiment's k and n values and ``models``,
     a lazy iterable of (sweep_param, model, isometry) triples consumed before any file is
-    made; probe the output paths, run, and write.  ``params`` is the fixed beta or lambda2 to
-    echo.  A rejected, failed or interrupted run removes the files its probe created.  An
-    output that is a regular file (through any symlinks) is written to a temporary file
-    beside it, and both temporaries replace their targets only once both outputs are
-    written, so a failed write leaves an existing file as it was."""
+    made; refuse sweep values that print alike; probe the output paths, run, and write.
+    ``params`` is the fixed beta or lambda2 to echo.  A rejected, failed or interrupted
+    run removes the files its probe created.  An output that is a regular file (through
+    any symlinks) is written to a temporary file beside it, and both temporaries replace
+    their targets only once both outputs are written, so a failed write leaves an
+    existing file as it was."""
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     cfg = ExperimentConfig(models, k_values, n_values, args.reps, base_seed=args.seed,
                            method=args.method)
+    printed = {}
+    for sweep_param, _, _ in cfg.models:  # the outputs would merge what prints alike
+        label = f"{sweep_param:.12g}"
+        if label in printed:
+            raise ValueError(f"sweep values {printed[label]!r} and {sweep_param!r} both print "
+                             f"as {label} at 12 significant digits")
+        printed[label] = sweep_param
     lines = _reference_lines(cfg.cells)
     out_path = args.out or f"{args.command}_records.csv"
     summary_path = args.summary or f"{args.command}_summary.json"

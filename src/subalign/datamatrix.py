@@ -63,6 +63,8 @@ def center(data: np.ndarray) -> CenteredData:
         raise ValueError(f"data must be 2-d, got shape {data.shape}")
     if data.shape[1] < 2:
         raise ValueError("need at least 2 observations to center")
+    if not np.isfinite(data).all():  # the subtraction would warn on inf - inf
+        raise ValueError("data has non-finite entries (nan or inf)")
     return CenteredData(data - data.mean(axis=1, keepdims=True))
 
 

@@ -17,9 +17,9 @@ the residual added, computed once for the chunk.  The run is one
 CLI's records CSV read it, and the CLI labels them with its subcommand, the
 one name a run has.
 A config's sweep is its models, (sweep_param, model, isometry-or-None)
-triples that the caller builds (the CLI, for illus1/2/3).  A run is a list
+triples that the caller builds (the CLI, for illus1/2/3).  A run is a tuple
 of cells, one per (model, k), each built and validated once by
-:func:`make_cell` when a config's cells are first read
+:func:`make_cell` when its config is constructed
 (:attr:`ExperimentConfig.cells`): the draw, ``partial(mvn_grams, model)``,
 is bound, rho computed, the weight prepared and the isometry checked
 there, and every replicate of the cell reads them.  The CLI's reference
@@ -49,8 +49,8 @@ overlap there.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import product
 from math import isfinite, nan
 from operator import index
@@ -106,7 +106,10 @@ class ExperimentConfig:
     ``models`` holds the sweep as (sweep_param, model, isometry-or-None)
     triples, in sweep order: their sweep params must be finite and distinct,
     and the models share one dimension, :attr:`m`.  The run has no name
-    here: the CLI labels its outputs with its subcommand.
+    here: the CLI labels its outputs with its subcommand.  Construction
+    checks them, keeps each isometry as its checked read-only copy, and
+    builds :attr:`cells`, the (model, k) cells in parameter order (see
+    :func:`make_cell`) that a run reads.
     """
 
     models: tuple[tuple[float, JointCovariance, Optional[np.ndarray]], ...]
@@ -115,6 +118,7 @@ class ExperimentConfig:
     replicates: int
     base_seed: int = 42
     method: str = "pca"
+    cells: tuple[Cell, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("k_values", "n_values", "replicates", "base_seed"):
@@ -145,22 +149,16 @@ class ExperimentConfig:
                              ("n_values", self.n_values)):  # a repeat would merge summary groups
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
+        models = tuple((p, model, None if w is None else check_isometry(w, self.m))
+                       for p, model, w in models)
+        object.__setattr__(self, "models", models)
+        cells = tuple(make_cell(model, k, w, p) for p, model, w in models for k in self.k_values)
+        object.__setattr__(self, "cells", cells)
 
     @property
     def m(self) -> int:
         """The models' common dimension."""
         return self.models[0][1].m
-
-    @cached_property
-    def cells(self) -> list[Cell]:
-        """The (model, k) cells in parameter order (see :func:`make_cell`).
-
-        Built on first use, which checks the isometries are orthogonal before
-        any work; and kept: the config is immutable, so a run builds each cell
-        once.
-        """
-        return [make_cell(model, k, w, sweep_param)
-                for sweep_param, model, w in self.models for k in self.k_values]
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,7 +84,9 @@ def plugin_rho(gram: np.ndarray, k: int) -> float:
     matrix gives the same estimate.  Diagnostic only: the limit theory is
     stated for the true covariance blocks, not their estimates.  The sample
     block covariance is PSD by construction, so the estimate also lies in
-    [0, 1].
+    [0, 1].  A matrix with a non-finite entry raises ValueError.
     """
     sxx, syy, sxy = gram_blocks(gram)
+    if not np.isfinite(gram).all():
+        raise ValueError("Gram matrix has non-finite entries (nan or inf)")
     return _rho(sxx, syy, sxy, k)

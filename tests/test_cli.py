@@ -618,6 +618,18 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and "repeats" in err
         assert not out.exists()
 
+    def test_sweep_values_that_print_alike_exit_2(self, tmp_path, monkeypatch, capsys):
+        # Every output prints sweep values at 12 significant digits, so both cells would
+        # read as 0.1: in the rho lines, the records' keys and the summary groups.
+        monkeypatch.chdir(tmp_path)
+        assert main(["illus1", "--beta", "0.1", "0.1000000000001", "--n", "50",
+                     "--reps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: sweep values 0.1 and 0.1000000000001 both print as 0.1 at 12 significant "
+            "digits\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         [cmd, flag, value] for cmd, flag in (("illus1", "--beta"), ("illus2", "--beta"),
                                              ("illus3", "--beta"), ("illus2", "--lambda2"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ class TestCenter:
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="at least 2"):
             center(np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_data_rejected_without_a_warning(self, bad):
+        # Subtracting the row means would warn on inf - inf, and the centering check
+        # would then report a NaN row sum as "not centered".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                center(np.array([[1.0, 2.0], [3.0, bad]]))
 
 
 class TestPcaSubspace:

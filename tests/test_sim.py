@@ -240,6 +240,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="sweep_param must be finite"):
             ExperimentConfig(((sweep_param, identity_pair(6, 0.5), None),), (2,), (100,), 3)
 
+    def test_cells_are_built_at_construction(self):
+        # The cells are a tuple made once, so a caller cannot empty the run.
+        cfg = ExperimentConfig(identity_models(6, 0.2, 0.5), (1, 2), (100,), 2)
+        assert type(cfg.cells) is tuple
+        assert [(cell.sweep_param, cell.k) for cell in cfg.cells] == [
+            (0.2, 1), (0.2, 2), (0.5, 1), (0.5, 2)]
+        with pytest.raises(AttributeError):
+            cfg.cells.clear()
+
     def test_custom_sweep_param_must_be_distinct(self):
         # Both models would be summarized as one group, its mean between theirs.
         models = ((0.5, identity_pair(6, 0.0), None), (0.5, identity_pair(6, 0.99), None))
@@ -268,6 +277,10 @@ class TestMakeCell:
         want = run_experiment(cfg)
         w *= 0.5
         assert_tables_equal(run_experiment(cfg), want)
+        # The config reports the read-only copy its cells use, not the caller's array.
+        kept = cfg.models[0][2]
+        assert not kept.flags.writeable and np.array_equal(kept, 2 * w)
+        assert np.array_equal(cfg.cells[0].isometry, kept)
 
     def test_rejects_non_orthogonal_isometry(self):
         for isometry in (2 * np.eye(3), np.full((3, 3), np.nan)):
@@ -348,7 +361,7 @@ class TestRunExperiment:
             return ExperimentConfig(((0.5, jc, bad(w)),), (2,), (100,), 3)
 
         with pytest.raises(ValueError, match=match):
-            custom_cfg().cells
+            custom_cfg()
 
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started before the cells were checked")

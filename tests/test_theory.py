@@ -167,6 +167,12 @@ class TestPluginRho:
         with pytest.raises(ValueError, match="shape mismatch"):
             plugin_rho(gram, 2)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_gram_rejected(self, bad):
+        # Its SVDs gave rho = NaN for an infinite matrix, and failed to converge on a NaN one.
+        with pytest.raises(ValueError, match="non-finite entries"):
+            plugin_rho(np.full((4, 4), bad), 1)
+
     def test_matches_sample_covariance_definition(self, rng):
         # Oracle: rho of the sample covariance blocks, with their 1 / (n - 1).
         x, y = rng.standard_normal((2, 6, 80))
