@@ -35,7 +35,6 @@ from .model import (
 from .sim import (
     ExperimentConfig,
     Records,
-    make_cell,
     replicate_seed,
     run_experiment,
     run_replicates,
@@ -43,4 +42,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"

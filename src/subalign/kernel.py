@@ -149,7 +149,7 @@ def evaluate_grams(
     isometry : (m, m) orthogonal ndarray, optional
         W of the corrected distance ``d^2(A, W B)``.  Not checked here: it
         must already have passed :func:`subalign.grassmann.check_isometry`,
-        as :func:`subalign.sim.make_cell` does once per cell.
+        as :class:`subalign.sim.ExperimentConfig` does once per model.
 
     Each matrix is evaluated as it would be alone: the stacked LAPACK and
     matmul calls run matrix by matrix, and the rest is elementwise.  Failed

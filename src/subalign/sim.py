@@ -18,12 +18,12 @@ CLI's records CSV read it, and the CLI labels them with its subcommand, the
 one name a run has.
 A config's sweep is its models, (sweep_param, model, isometry-or-None)
 triples that the caller builds (the CLI, for illus1/2/3).  A run is a tuple
-of cells, one per (model, k), each built and validated once by
-:func:`make_cell` when its config is constructed
-(:attr:`ExperimentConfig.cells`): the draw, ``partial(mvn_grams, model)``,
-is bound, rho computed, the weight prepared and the isometry checked
-there, and every replicate of the cell reads them.  The CLI's reference
-lines read the same cells.
+of cells, one per (model, k), each built once when its config is
+constructed (:attr:`ExperimentConfig.cells`): the draw,
+``partial(mvn_grams, model)``, is bound, rho computed and the weight
+prepared there, beside the isometry the config checked once per model, and
+every replicate of the cell reads them.  The CLI's reference lines read the
+same cells.
 
 Seeding contract
 ----------------
@@ -69,7 +69,6 @@ __all__ = [
     "Records",
     "Cell",
     "replicate_seed",
-    "make_cell",
     "run_replicates",
     "run_experiment",
     "summarize",
@@ -90,6 +89,8 @@ def _mix64(x: int) -> int:
 
 def replicate_seed(base_seed: int, param_index: int, replicate_index: int) -> int:
     """The documented per-replicate seed; see the module docstring."""
+    # Python ints, as in ExperimentConfig: a numpy integer overflows in _mix64.
+    base_seed, param_index, replicate_index = map(index, (base_seed, param_index, replicate_index))
     if not 0 <= base_seed < 2**64:  # as in ExperimentConfig: no two seeds alias
         raise ValueError(f"base_seed must lie in [0, 2**64), got {base_seed}")
     if not 0 <= param_index < 2**32:
@@ -108,8 +109,9 @@ class ExperimentConfig:
     and the models share one dimension, :attr:`m`.  The run has no name
     here: the CLI labels its outputs with its subcommand.  Construction
     checks them, keeps each isometry as its checked read-only copy, and
-    builds :attr:`cells`, the (model, k) cells in parameter order (see
-    :func:`make_cell`) that a run reads.
+    builds :attr:`cells`, the (model, k) cells in parameter order that a run
+    reads: the one place a model is bound to its draw, and where rho and the
+    weight refuse a k outside ``1 <= k <= m``.
     """
 
     models: tuple[tuple[float, JointCovariance, Optional[np.ndarray]], ...]
@@ -138,8 +140,8 @@ class ExperimentConfig:
             raise ValueError(f"replicates must lie in [1, 2**32], got {self.replicates}")
         if not 0 <= self.base_seed < 2**64:  # the contract reads 64 bits: no two seeds alias
             raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
-        if not self.k_values or any(not 1 <= k <= self.m for k in self.k_values):
-            raise ValueError(f"k values must satisfy 1 <= k <= m = {self.m}: {self.k_values}")
+        if not self.k_values:
+            raise ValueError("k_values must be nonempty")
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError(f"n values must be >= 2: {self.n_values}")
         sweep = tuple(p for p, _, _ in models)
@@ -152,7 +154,9 @@ class ExperimentConfig:
         models = tuple((p, model, None if w is None else check_isometry(w, self.m))
                        for p, model, w in models)
         object.__setattr__(self, "models", models)
-        cells = tuple(make_cell(model, k, w, p) for p, model, w in models for k in self.k_values)
+        cells = tuple(Cell(p, partial(mvn_grams, model), w, k, rho(model, k),
+                           weight(model.cov_xy, k))
+                      for p, model, w in models for k in self.k_values)
         object.__setattr__(self, "cells", cells)
 
     @property
@@ -195,13 +199,13 @@ _COLUMNS = tuple(f.name for f in fields(Records))[2:]  # the per-row fields
 
 
 class Cell(NamedTuple):
-    """One (sweep value, k) cell of a sweep, as built by :func:`make_cell`.
+    """One (sweep value, k) cell of a sweep, as :class:`ExperimentConfig` builds it.
 
     Holds what every replicate of the cell shares: ``draw(n, seeds)``, the
     (R, 2m, 2m) stack of centered Gram matrices of n fresh pairs from the
-    model, one per seed (it keeps no state), the checked isometry (or None),
-    the model's rho and the eth^2 weight, its cross-covariance block prepared
-    by :func:`subalign.grassmann.weight`.
+    model, one per seed (it keeps no state), the config's checked isometry
+    (or None), the model's rho and the eth^2 weight, its cross-covariance
+    block prepared by :func:`subalign.grassmann.weight`.
     """
 
     sweep_param: float
@@ -210,18 +214,6 @@ class Cell(NamedTuple):
     k: int
     rho: float
     weight: Weight
-
-
-def make_cell(model: JointCovariance, k: int, isometry: Optional[np.ndarray] = None,
-              sweep_param: float = nan) -> Cell:
-    """Build a cell: compute rho, prepare the weight and check the isometry, once.
-
-    The one place that maps a model to its draw, ``partial(mvn_grams, model)``.
-    """
-    if isometry is not None:
-        isometry = check_isometry(isometry, model.m)
-    return Cell(sweep_param, partial(mvn_grams, model), isometry, k, rho(model, k),
-                weight(model.cov_xy, k))
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -334,17 +326,15 @@ def _mean_stdev(values: np.ndarray) -> tuple[float, float]:
 def summarize(records: Records) -> list[dict]:
     """Mean/stdev of eps^2, eps^2 / 2k and residuals over the ok rows, one dict per group.
 
-    A group is a run of rows with equal ``(k, n, sweep_param)``, NaN equal
-    to NaN (make_cell's default sweep value): one per (cell, n), since a
-    config rejects repeated values.  Standard deviations use the n - 1
-    denominator; a group of one ok row reports 0 with ``single_sample`` set,
-    and a group without one reports NaN.
+    A group is a run of rows with equal ``(k, n, sweep_param)``: one per
+    (cell, n), since a config rejects repeated values.  Standard deviations
+    use the n - 1 denominator; a group of one ok row reports 0 with
+    ``single_sample`` set, and a group without one reports NaN.
     """
     if not len(records):
         raise ValueError("no records to summarize")
     axes = (records.k, records.n, records.sweep_param)
-    starts = np.flatnonzero(np.any([(a[1:] != a[:-1]) & ~(np.isnan(a[1:]) & np.isnan(a[:-1]))
-                                    for a in axes], axis=0)) + 1
+    starts = np.flatnonzero(np.any([a[1:] != a[:-1] for a in axes], axis=0)) + 1
     bounds = [0, *starts.tolist(), len(records)]
     ratio = records.eps_sq / (2.0 * records.k)
     out = []

@@ -4,7 +4,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
-from subalign import JointCovariance, Subspace, evaluate_grams
+from subalign import ExperimentConfig, JointCovariance, Subspace, evaluate_grams
 from subalign.kernel import STATUSES
 
 
@@ -29,6 +29,11 @@ def random_joint_covariance(rng, m) -> JointCovariance:
     mat = rng.standard_normal((2 * m, 2 * m))
     block = mat.T @ mat / (2 * m)
     return JointCovariance(block[:m, :m], block[m:, m:], block[:m, m:])
+
+
+def cell_of(model, k, isometry=None, sweep_param=0.0):
+    """The one cell of a config of one model and one k, as a run reads it."""
+    return ExperimentConfig(((sweep_param, model, isometry),), (k,), (2,), 1).cells[0]
 
 
 class Row(NamedTuple):

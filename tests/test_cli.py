@@ -618,6 +618,19 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and "repeats" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, k, m", [(["illus1", "--k", "2", "7"], 7, 6),
+                                            (["illus2", "--k", "0"], 0, 20),
+                                            (["illus3", "--k", "21"], 21, 20)],
+                             ids=["illus1", "illus2", "illus3"])
+    def test_k_outside_1_to_m_exits_2(self, tmp_path, monkeypatch, capsys, argv, k, m):
+        # rho refuses it as the cells are built, in the text `compute --k` prints.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--n", "50", "--reps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need 1 <= k <= m, got k={k}, m={m}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_values_that_print_alike_exit_2(self, tmp_path, monkeypatch, capsys):
         # Every output prints sweep values at 12 significant digits, so both cells would
         # read as 0.1: in the rho lines, the records' keys and the summary groups.

@@ -16,7 +16,6 @@ from subalign import (
     fit_error_sq,
     hausdorff_sq,
     identity_pair,
-    make_cell,
     mvn_grams,
     pca_subspace,
     predicted_fit_error_sq,
@@ -32,7 +31,8 @@ from subalign import sim
 from subalign.grassmann import weight
 from subalign.kernel import STATUSES, center_gram_inplace, evaluate_grams
 
-from conftest import Row, assert_tables_equal, evaluate_one, random_joint_covariance, stack_rows
+from conftest import (Row, assert_tables_equal, cell_of, evaluate_one, random_joint_covariance,
+                      stack_rows)
 
 FIELDS = ("d_sq", "eth_sq", "eps_sq", "predicted", "residual", "d_sq_corrected")
 
@@ -91,7 +91,7 @@ class TestDifferential:
     def test_kernel_matches_data_path(self, cell):
         jc, w, k, n, method, seed = cell
         want = data_path_record(jc, k, n, method, seed, w)
-        got = run_replicates(make_cell(jc, k, w), n, [seed], method=method)
+        got = run_replicates(cell_of(jc, k, w), n, [seed], method=method)
         assert STATUSES[got.status[0]] == want["status"]
         if want["status"] == "ok":
             for field in FIELDS:
@@ -116,7 +116,7 @@ class TestRankTolerance:
             k = int(rng.integers(2, m + 1))
             n = int(rng.integers(2, k + 1))
             jc = random_joint_covariance(rng, m)
-            out = run_replicates(make_cell(jc, k), n, [seed], method="pca")
+            out = run_replicates(cell_of(jc, k), n, [seed], method="pca")
             assert STATUSES[out.status[0]] == "deficient_rank", (k, n)
 
     @pytest.mark.parametrize("m", [2, 3, 6, 12])
@@ -125,7 +125,7 @@ class TestRankTolerance:
             rng = np.random.default_rng(seed)
             k = int(rng.integers(1, m + 1))
             jc = random_joint_covariance(rng, m)
-            assert run_replicates(make_cell(jc, k), k + 1, [seed], method="pca").status[0] == 0
+            assert run_replicates(cell_of(jc, k), k + 1, [seed], method="pca").status[0] == 0
 
     def test_exactly_collinear_rows_are_deficient(self):
         # Rank 1 data with many observations: the zero eigenvalues are
@@ -147,7 +147,7 @@ class TestRankTolerance:
             assert evaluate_one(gram, 2, "pca", 400).status == status
 
     def test_trivial_method_has_no_rank_check(self):
-        out = run_replicates(make_cell(identity_pair(6, 0.5), 4), 3, [1], method="trivial")
+        out = run_replicates(cell_of(identity_pair(6, 0.5), 4), 3, [1], method="trivial")
         assert STATUSES[out.status[0]] == "ok"
 
 
@@ -320,7 +320,7 @@ class TestStack:
     @given(cells())
     def test_stack_of_draws_matches_each_draw_alone(self, cell):
         jc, w, k, n, method, seed = cell
-        cell = make_cell(jc, k, w)
+        cell = cell_of(jc, k, w)
         grams = cell.draw(n, [seed, seed + 1, seed + 2])
         rows = stack_rows(evaluate_grams(grams.copy(), k, method, n, cell.weight, cell.isometry))
         assert rows == [gram_alone(g, k, method, n, cell.weight, cell.isometry) for g in grams]
@@ -374,7 +374,7 @@ class TestStack:
         # pca replicates were recorded as deficient_rank and trivial raised LinAlgError.
         jc = JointCovariance(1e305 * np.eye(6), 1e305 * np.eye(6), 0.5e305 * np.eye(6))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            run_replicates(make_cell(jc, 2), 100_000, [1, 2], method=method)
+            run_replicates(cell_of(jc, 2), 100_000, [1, 2], method=method)
 
 
 def gram_of_seed(jc, n, seed):

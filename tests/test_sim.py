@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -17,7 +18,6 @@ from subalign import (
     Records,
     Subspace,
     identity_pair,
-    make_cell,
     mvn_grams,
     replicate_seed,
     reversed_pair,
@@ -31,7 +31,7 @@ from subalign import sim, theory
 from subalign.grassmann import weighted_sq
 from subalign.kernel import STATUSES
 
-from conftest import assert_tables_equal
+from conftest import assert_tables_equal, cell_of
 
 
 def identity_models(m, *betas):
@@ -75,6 +75,17 @@ class TestReplicateSeed:
         with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\*\*64\)"):
             replicate_seed(base_seed, 0, 0)
 
+    @pytest.mark.parametrize("kind, args", [
+        (np.int64, (5, 3, 4)), (np.uint64, (5, 3, 4)),
+        (np.uint64, (2**64 - 1, 2**32 - 1, 2**32 - 1)),
+    ], ids=["int64", "uint64", "uint64_max"])
+    def test_numpy_integers_give_the_same_python_int(self, kind, args):
+        # An int64 overflowed in _mix64's mask, and a uint64 warned in its multiplies.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = replicate_seed(*map(kind, args))
+        assert type(got) is int and got == replicate_seed(*args)
+
 
 def run_one(cell, n, seed, method):
     """The chunk of one replicate, as a table of one row."""
@@ -85,22 +96,22 @@ class TestRunReplicates:
     """``run_replicates`` on chunks of one and more replicates."""
 
     def test_trivial_method_zero_distance(self):
-        out = run_one(make_cell(identity_pair(6, 0.5), 2), 500, 1, "trivial")
+        out = run_one(cell_of(identity_pair(6, 0.5), 2), 500, 1, "trivial")
         assert out.d_sq[0] == 0.0
         assert STATUSES[out.status[0]] == "ok"
 
     def test_identity_model_weighted_equals_unweighted(self):
-        out = run_one(make_cell(identity_pair(6, 0.5), 2), 500, 2, "pca")
+        out = run_one(cell_of(identity_pair(6, 0.5), 2), 500, 2, "pca")
         assert abs(out.eth_sq[0] - out.d_sq[0]) < 1e-12
 
     def test_reversed_model_correction_is_exact(self):
         jc, w = reversed_pair(20, 0.7, 0.6)
-        out = run_one(make_cell(jc, 2, w), 500, 3, "pca")
+        out = run_one(cell_of(jc, 2, w), 500, 3, "pca")
         assert abs(out.eth_sq[0] - out.d_sq_corrected[0]) < 1e-9
 
     def test_record_ranges_and_residual_identity(self):
         for seed in range(5):
-            cell = make_cell(spiked_diag_pair(20, 0.7, 0.6), 2)
+            cell = cell_of(spiked_diag_pair(20, 0.7, 0.6), 2)
             out = run_one(cell, 300, seed, "pca")
             for value in (out.d_sq[0], out.eth_sq[0], out.eps_sq[0]):
                 assert 0.0 <= value <= 4.0
@@ -108,12 +119,12 @@ class TestRunReplicates:
 
     def test_identical_pair_leaves_nothing_to_fit(self):
         # identity_pair at beta = 1: X equals Y, so nothing is left to fit.
-        out = run_one(make_cell(identity_pair(6, 1.0), 2), 400, 9, "trivial")
+        out = run_one(cell_of(identity_pair(6, 1.0), 2), 400, 9, "trivial")
         assert out.eps_sq[0] == pytest.approx(0.0, abs=1e-9)
         assert out.predicted[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_rank_deficiency_marks_failure(self):
-        out = run_one(make_cell(identity_pair(6, 0.5), 5), 4, 1, "pca")
+        out = run_one(cell_of(identity_pair(6, 0.5), 5), 4, 1, "pca")
         assert STATUSES[out.status[0]] == "deficient_rank"
         for column in (out.d_sq, out.eth_sq, out.eps_sq, out.predicted, out.residual):
             assert np.isnan(column[0])
@@ -121,7 +132,7 @@ class TestRunReplicates:
     def test_degenerate_projection_marks_failure(self):
         diag = np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
         jc = JointCovariance(diag, diag, np.zeros((6, 6)))
-        out = run_one(make_cell(jc, 2), 50, 99, "trivial")
+        out = run_one(cell_of(jc, 2), 50, 99, "trivial")
         assert STATUSES[out.status[0]] == "degenerate_projection"
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-250])
@@ -130,7 +141,7 @@ class TestRunReplicates:
         # underflows, but eps^2 does not depend on the scale of the first k coordinates.
         def eps_sq(s):
             d = np.diag([s, s, 1.0, 1.0])
-            out = run_one(make_cell(JointCovariance(d, d, 0.5 * d), 2), 200, 1, "trivial")
+            out = run_one(cell_of(JointCovariance(d, d, 0.5 * d), 2), 200, 1, "trivial")
             assert STATUSES[out.status[0]] == "ok"
             return out.eps_sq[0]
 
@@ -139,7 +150,7 @@ class TestRunReplicates:
     def test_chunk_columns_and_axes(self):
         # A chunk of replicates 5..7: its axes echo the cell, n and the replicate
         # indices, and the model without an isometry has NaN corrected distances.
-        cell = make_cell(identity_pair(6, 0.5), 2, sweep_param=0.5)
+        cell = cell_of(identity_pair(6, 0.5), 2, sweep_param=0.5)
         out = run_replicates(cell, 300, [11, 12, 13], 5, method="pca")
         assert (out.method, out.m, len(out)) == ("pca", 6, 3)
         assert out.k.tolist() == [2] * 3 and out.n.tolist() == [300] * 3
@@ -159,7 +170,7 @@ class TestRunReplicates:
             return theory.predicted_fit_error_sq(rho_value, k, eth_sq)
 
         monkeypatch.setattr(sim, "predicted_fit_error_sq", counted)
-        cell = make_cell(identity_pair(6, 0.5), 2)
+        cell = cell_of(identity_pair(6, 0.5), 2)
         out = run_replicates(cell, 400, [1, 2, 3, 4], method="pca")
         assert calls == [4]
         assert out.predicted.tolist() == [
@@ -176,8 +187,13 @@ class TestExperimentConfig:
             ExperimentConfig(identity_models(6, 0.5), (2,), (100,), 3, method="svd")
 
     def test_rejects_k_above_m(self):
-        with pytest.raises(ValueError, match="k values"):
+        # rho, the first to read k when the cells are built, refuses it.
+        with pytest.raises(ValueError, match=r"^need 1 <= k <= m, got k=7, m=6$"):
             ExperimentConfig(identity_models(6, 0.5), (7,), (100,), 3)
+
+    def test_rejects_empty_k_values(self):
+        with pytest.raises(ValueError, match="^k_values must be nonempty$"):
+            ExperimentConfig(identity_models(6, 0.5), (), (100,), 3)
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError, match="replicates"):
@@ -257,12 +273,14 @@ class TestExperimentConfig:
 
 
 class TestMakeCell:
+    """The cells a config builds, one per (model, k)."""
+
     def test_per_cell_values(self):
         jc, w = reversed_pair(8, 0.7, 0.5)
-        cell = make_cell(jc, 2, w, sweep_param=0.5)
+        cell = cell_of(jc, 2, w, sweep_param=0.5)
         assert (cell.sweep_param, cell.k) == (0.5, 2)
         assert np.array_equal(cell.draw(50, [3, 4]), mvn_grams(jc, 50, [3, 4]))
-        # The cell holds its own read-only float64 copy of the isometry.
+        # The cell holds the config's read-only float64 copy of the isometry.
         assert np.array_equal(cell.isometry, w) and not np.shares_memory(cell.isometry, w)
         assert cell.isometry.dtype == np.float64 and not cell.isometry.flags.writeable
         assert cell.rho == rho(jc, 2)
@@ -273,19 +291,20 @@ class TestMakeCell:
 
     def test_changing_the_isometry_after_the_cells_changes_no_record(self):
         jc, w = reversed_pair(8, 0.7, 0.5)
-        cfg = ExperimentConfig(((0.5, jc, w),), (2,), (300,), 3, base_seed=2)
+        cfg = ExperimentConfig(((0.5, jc, w),), (1, 2), (300,), 3, base_seed=2)
         want = run_experiment(cfg)
         w *= 0.5
         assert_tables_equal(run_experiment(cfg), want)
-        # The config reports the read-only copy its cells use, not the caller's array.
+        # The config reports the read-only copy its cells use, not the caller's array,
+        # and checked it once: every cell of the model holds that one copy.
         kept = cfg.models[0][2]
         assert not kept.flags.writeable and np.array_equal(kept, 2 * w)
-        assert np.array_equal(cfg.cells[0].isometry, kept)
+        assert [cell.isometry is kept for cell in cfg.cells] == [True, True]
 
     def test_rejects_non_orthogonal_isometry(self):
         for isometry in (2 * np.eye(3), np.full((3, 3), np.nan)):
             with pytest.raises(ValueError, match="not orthogonal"):
-                make_cell(identity_pair(3, 0.5), 1, isometry=isometry)
+                cell_of(identity_pair(3, 0.5), 1, isometry=isometry)
 
 
 class TestRunExperiment:
@@ -356,20 +375,16 @@ class TestRunExperiment:
     ], ids=["non_orthogonal", "wrong_shape"])
     def test_bad_isometry_fails_before_any_replicate(self, monkeypatch, bad, match):
         jc, w = reversed_pair(8, 0.7, 0.5)
-
-        def custom_cfg():
-            return ExperimentConfig(((0.5, jc, bad(w)),), (2,), (100,), 3)
-
         with pytest.raises(ValueError, match=match):
-            custom_cfg()
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started before the cells were checked")
-
-        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+            ExperimentConfig(((0.5, jc, bad(w)),), (2,), (100,), 3)
+        # Every isometry is checked before the first cell is built: the first model
+        # has none, so a check made cell by cell would build its cell first.
+        calls = []
+        monkeypatch.setattr(sim, "rho", lambda model, k: calls.append(k) or rho(model, k))
+        models = ((0.4, identity_pair(8, 0.5), None), (0.5, jc, bad(w)))
         with pytest.raises(ValueError, match=match):
-            run_experiment(custom_cfg(), workers=2)
+            ExperimentConfig(models, (2,), (100,), 3)
+        assert calls == []
 
     def test_cells_survive_the_pool(self, monkeypatch):
         # The pool threads share the cells read-only: the draws of two models,
@@ -520,14 +535,6 @@ class TestSummarize:
         return Records("pca", 6, np.array(k or [2] * rows, dtype=np.int64),
                        np.full(rows, 100), np.full(rows, 0.5), np.arange(rows), codes,
                        zero, zero, eps, two, eps - two, np.full(rows, np.nan))
-
-    def test_nan_sweep_rows_form_one_group(self):
-        # make_cell's default sweep value is NaN; NaN != NaN used to start a
-        # new group at every row, each a single sample.
-        stats = summarize(run_replicates(make_cell(identity_pair(6, .5), 2), 200, [1, 2, 3, 4],
-                                         method="pca"))
-        assert [(s["count"], s["single_sample"]) for s in stats] == [(4, False)]
-        assert np.isnan(stats[0]["sweep_param"])
 
     def test_mean_and_sample_stdev(self):
         stats = summarize(self.table([1.0, 3.0]))

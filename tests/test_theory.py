@@ -7,7 +7,6 @@ from subalign import (
     center,
     hausdorff_sq,
     identity_pair,
-    make_cell,
     plugin_rho,
     predicted_fit_error_sq,
     reversed_pair,
@@ -17,7 +16,7 @@ from subalign import (
 )
 from subalign.kernel import center_gram_inplace
 
-from conftest import random_joint_covariance, random_subspace
+from conftest import cell_of, random_joint_covariance, random_subspace
 
 
 class TestRho:
@@ -127,7 +126,7 @@ class TestIdentityPairRho:
     @pytest.mark.parametrize("beta", [0.0, 0.64, 1.0, -0.64])
     def test_values(self, beta):
         for k in (1, 4):
-            assert make_cell(identity_pair(4, beta), k).rho == pytest.approx(abs(beta), abs=1e-15)
+            assert cell_of(identity_pair(4, beta), k).rho == pytest.approx(abs(beta), abs=1e-15)
 
 
 def test_weighted_prediction_matches_corrected_distance_prediction(rng):

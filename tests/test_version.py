@@ -42,3 +42,27 @@ def test_every_exported_name_resolves(name):
     assert set(MERGED.get(name, [])) <= set(module.__all__)
     # A deleted definition must not be left listed in its module's __all__.
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def _resolves(module, dotted: str) -> bool:
+    """``dotted`` names an attribute path from ``module``, a submodule's attributes included."""
+    target = module
+    for part in dotted.split("."):
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
+def test_docstring_references_resolve():
+    # A reference left to a deleted name reads as the program's API.  :attr: is left
+    # out: a dataclass field with no default is not an attribute of its class.
+    reference = re.compile(r":(?:func|class|data|mod):`~?([\w.]+)`")
+    stale = []
+    for name in MODULES:
+        module = importlib.import_module(f"subalign.{name}")
+        for target in reference.findall(Path(module.__file__).read_text()):
+            relative = target.removeprefix("subalign.")
+            if not (_resolves(module, relative) or _resolves(subalign, relative)):
+                stale.append(f"{name}: {target}")
+    assert stale == []
