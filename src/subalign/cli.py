@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grassmann import unit_scale_inplace, weight
+from .grassmann import unit_scale_inplace
 from .kernel import STATUSES, center_gram_inplace, evaluate_grams
 from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .sim import METHODS, ExperimentConfig, Records, run_experiment, summarize
@@ -256,8 +256,8 @@ def cmd_compute(args) -> int:
         raise ValueError(f"cannot read matrix: {exc}") from exc
     # The two checks no callee makes: np.vstack would take a Y of another m, and the
     # centering would warn on inf - inf before the kernel rejects it.  The callees own the
-    # rest: weight() checks C, its size against m and k, evaluate_grams() k, and
-    # center_gram_inplace() the 2 observations.
+    # rest: evaluate_grams() checks k, then C against the data's m (through
+    # grassmann.check_weight), and center_gram_inplace() the 2 observations.
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     m, n = x.shape
@@ -265,15 +265,14 @@ def cmd_compute(args) -> int:
         if not np.isfinite(mat).all():
             raise ValueError(f"{name} has non-finite entries (nan or inf)")
     # Every output is invariant to the scale of X and of Y, but the Gram matrix squares
-    # it: removing each one's scale exactly keeps it in range (weight() removes C's).  The
-    # (2, m, n) view gives X and Y each their own power of two.
+    # it: removing each one's scale exactly keeps it in range (weighted_sq() removes C's).
+    # The (2, m, n) view gives X and Y each their own power of two.
     stack = np.vstack([x, y])
     unit_scale_inplace(stack.reshape(2, m, n))
     gram = center_gram_inplace(stack)
     # A stack of one, on a copy: the kernel rescales its stack in place, and plugin_rho
     # reads the unscaled matrix (an odd power of two does not pass exactly through sqrt).
-    out = evaluate_grams(gram[None].copy(), args.k, args.method, n,
-                         None if cross is None else weight(cross, args.k, m))
+    out = evaluate_grams(gram[None].copy(), args.k, args.method, n, cross)
     if out.status[0]:
         reason = STATUSES[out.status[0]].replace("_", " ")
         print(f"error: {reason} for requested dimension k = {args.k}", file=sys.stderr)

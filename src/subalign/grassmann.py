@@ -16,15 +16,15 @@ scale cancels.  When the weight is a nonzero multiple of the identity the
 two coincide; for the zero weight the weighted distance is defined to be
 the unweighted one.  Both are computed from k x k matrices (:func:`chordal_sq`,
 :func:`weighted_sq`), which :mod:`subalign.kernel` shares on stacks of them
-(any leading axes); no m x m projector is formed.  The weight is prepared
-once by :func:`weight`, which checks its shape and entries and tests it for
-zero; :func:`weighted_sq` then reads it on every call.
+(any leading axes); no m x m projector is formed.  The weight is the raw
+m x m matrix C, checked by :func:`check_weight`; :func:`weighted_sq` tests it
+for zero, removes its scale and takes its top-k mass on each call, with k
+read from the bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +36,6 @@ __all__ = [
     "weighted_hausdorff_sq",
     "topk_mass",
     "chordal_sq",
-    "Weight",
-    "weight",
     "check_weight",
     "weighted_sq",
     "check_isometry",
@@ -135,47 +133,6 @@ def chordal_sq(inner: np.ndarray) -> float | np.ndarray:
     return 2.0 * np.sum(1.0 - _cosines(inner), axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class Weight:
-    """An eth^2 weight prepared by :func:`weight`; read only by :func:`weighted_sq`.
-
-    ``scaled`` is the m x m weight after :func:`unit_scale_inplace` (None for
-    the exactly zero weight) and ``mass`` the mean of its k largest singular values.
-    """
-
-    m: int
-    k: int
-    scaled: Optional[np.ndarray]
-    mass: float
-
-
-def weight(cross_cov: np.ndarray, k: int, m: Optional[int] = None) -> Weight:
-    """Prepare the m x m weight C of :func:`weighted_sq` for k-dimensional subspaces.
-
-    Checks that C is a nonempty, finite square matrix and ``1 <= k <= m``, and does
-    the per-weight work once: :func:`unit_scale_inplace` on a copy of C keeps
-    both SVDs of :func:`weighted_sq` in range at any scale; then the top-k
-    singular-value mass.  The exactly zero weight (``not np.any(C)``) is kept.
-    Given the bases' ``m``, a C of another size is refused first, as
-    :func:`check_weight` refuses it, so a k above C's size names C's size.
-    """
-    c = np.asarray(cross_cov, dtype=float)
-    size = c.shape[0] if c.ndim == 2 else 0
-    if c.shape != (size, size) or size == 0:
-        raise ValueError(f"cross_cov must be a square m x m matrix, got shape {c.shape}")
-    if m is not None:
-        _check_fit(size, k, m, k)
-    if not 1 <= k <= size:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={size}")
-    if not np.isfinite(c).all():
-        raise ValueError("cross_cov has non-finite entries (nan or inf)")
-    if not np.any(c):
-        return Weight(size, k, None, 0.0)
-    c = unit_scale_inplace(c.copy())
-    c.setflags(write=False)
-    return Weight(size, k, c, topk_mass(c, k) / k)
-
-
 def unit_scale_inplace(a: np.ndarray) -> np.ndarray:
     """Divide each matrix of ``a`` in place by the power of two just above its largest |entry|.
 
@@ -189,41 +146,40 @@ def unit_scale_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_fit(size: int, k: int, m: int, bases_k: int) -> None:
-    if (size, k) != (m, bases_k):
-        raise ValueError(f"weight is {size} x {size} at k = {k}; these bases need {m} x {m} "
-                         f"at k = {bases_k}")
-
-
-def check_weight(w: Weight, m: int, k: int) -> None:
-    """Refuse anything but a :class:`Weight` prepared for m x k bases.
+def check_weight(cross_cov: np.ndarray, m: int) -> np.ndarray:
+    """``cross_cov`` as float64, after checking that it is a finite m x m matrix.
 
     :func:`weighted_sq` calls it, and so does ``kernel.evaluate_grams`` before its
     first LAPACK call.
     """
-    if not isinstance(w, Weight):
-        raise TypeError(f"weighted_sq needs a weight from grassmann.weight(C, k), got {type(w)}")
-    _check_fit(w.m, w.k, m, k)
+    c = np.asarray(cross_cov, dtype=float)
+    if c.shape != (m, m):
+        raise ValueError(f"cross_cov must be {m} x {m}, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("cross_cov has non-finite entries (nan or inf)")
+    return c
 
 
-def weighted_sq(a: np.ndarray, b: np.ndarray, w: Weight) -> float | np.ndarray:
+def weighted_sq(a: np.ndarray, b: np.ndarray, cross_cov: np.ndarray) -> float | np.ndarray:
     """``sum_i 2 (1 - sigma_i(A^T C B) / mu)`` for m x k orthonormal bases, clamped to [0, 2k].
 
     ``mu`` is the mean of the k largest singular values of the m x m weight
-    C, and ``w`` is C as prepared once by :func:`weight`.  The nonzero
-    singular values of ``P_a C P_b = A (A^T C B) B^T`` are those of the
-    k x k core, so no projector is needed.  The value does not change when
-    C is multiplied by a nonzero number.  The exactly zero weight gives the
-    chordal distance.  ``a`` and ``b`` may be stacks ``(..., m, k)``; the
-    result then has their broadcast leading shape.
+    C, ``cross_cov``.  The nonzero singular values of ``P_a C P_b = A (A^T C B) B^T``
+    are those of the k x k core, so no projector is needed.  The value does
+    not change when C is multiplied by a nonzero number:
+    :func:`unit_scale_inplace` on a copy of C keeps both SVDs in range at any
+    scale.  The exactly zero weight (``not np.any(C)``) gives the chordal
+    distance.  ``a`` and ``b`` may be stacks ``(..., m, k)``; the result then
+    has their broadcast leading shape.
     """
     m, k = a.shape[-2:]
-    check_weight(w, m, k)
+    c = check_weight(cross_cov, m)
     a_t = np.swapaxes(a, -1, -2)
-    if w.scaled is None:
+    if not np.any(c):
         return chordal_sq(a_t @ b)
-    sigma = np.linalg.svd(a_t @ w.scaled @ b, compute_uv=False)
-    return np.clip(2.0 * np.sum(1.0 - sigma / w.mass, axis=-1), 0.0, 2.0 * k)
+    c = unit_scale_inplace(c.copy())
+    sigma = np.linalg.svd(a_t @ c @ b, compute_uv=False)
+    return np.clip(2.0 * np.sum(1.0 - sigma / (topk_mass(c, k) / k), axis=-1), 0.0, 2.0 * k)
 
 
 def hausdorff_sq(a: Subspace, b: Subspace) -> float:
@@ -253,20 +209,16 @@ def weighted_hausdorff_sq(a: Subspace, b: Subspace, cross_cov: np.ndarray) -> fl
         there to absorb float drift at the endpoints.
     """
     _check_compatible(a, b)
-    return float(weighted_sq(a.basis, b.basis, weight(cross_cov, a.dim, a.ambient_dim)))
+    return float(weighted_sq(a.basis, b.basis, cross_cov))
 
 
 def check_isometry(w: np.ndarray, m: int) -> np.ndarray:
     """A read-only float64 copy of ``w``, after checking it is an orthogonal m x m matrix.
 
-    Later changes to ``w`` do not reach the copy.
+    The orthogonality check is :class:`Subspace`'s, whose basis is the copy, so
+    later changes to ``w`` do not reach it.
     """
-    w = np.array(w, dtype=float)
+    w = np.asarray(w, dtype=float)
     if w.shape != (m, m):
         raise ValueError(f"isometry must be {m} x {m}, got {w.shape}")
-    err = np.max(np.abs(w.T @ w - np.eye(m)))
-    if not err <= ORTHONORMAL_TOL:  # NaN fails
-        raise ValueError(f"matrix is not orthogonal (max deviation {err:.3e})")
-    w.setflags(write=False)
-    return w
-
+    return Subspace(w).basis

@@ -22,9 +22,9 @@ chunk, or the data ``compute`` reads) without a copy.  From S:
 
 No m x m projector and no projected or rescaled m x n copy of the data is
 formed.  The distances use the same k x k formulas as
-:mod:`subalign.grassmann`: ``chordal_sq``, and ``weighted_sq``, which reads
-a weight prepared once by ``grassmann.weight``, the one place that checks
-the weight's shape and entries, tests it for zero and removes its scale.
+:mod:`subalign.grassmann`: ``chordal_sq``, and ``weighted_sq``, which takes
+the raw m x m weight C, tests it for zero and removes its scale;
+``grassmann.check_weight`` is the one place that checks C's shape and entries.
 The paper's definition on the data matrix (:mod:`subalign.datamatrix`)
 computes the subspaces and eps^2 independently; the tests use it, with the
 projector forms of the distances, as this module's oracle.  Only
@@ -68,7 +68,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grassmann import Weight, check_weight, chordal_sq, unit_scale_inplace, weighted_sq
+from .grassmann import check_weight, chordal_sq, unit_scale_inplace, weighted_sq
 
 __all__ = ["STATUSES", "GramColumns", "center_gram_inplace", "gram_blocks", "evaluate_grams"]
 
@@ -125,7 +125,7 @@ def evaluate_grams(
     k: int,
     method: str,
     n: int,
-    weight: Optional[Weight] = None,
+    weight: Optional[np.ndarray] = None,
     isometry: Optional[np.ndarray] = None,
 ) -> GramColumns:
     """d^2, eth^2, eps^2 (and the corrected distance) for each matrix of a Gram stack.
@@ -140,12 +140,10 @@ def evaluate_grams(
         of two.
     k, method, n
         Projection dimension, "pca" or "trivial", and the observation count.
-    weight : Weight, optional
-        Weight of eth^2, typically Cov(X, Y) of the model at any scale, as
-        prepared once by :func:`subalign.grassmann.weight` (which checks it
-        and tests it for zero) for these m and k, which
-        :func:`subalign.grassmann.check_weight` tests before any LAPACK call.
-        The exactly zero weight gives eth^2 = d^2.
+    weight : (m, m) ndarray, optional
+        The weight C of eth^2, typically Cov(X, Y) of the model at any scale,
+        which :func:`subalign.grassmann.check_weight` checks before any LAPACK
+        call.  The exactly zero weight gives eth^2 = d^2.
     isometry : (m, m) orthogonal ndarray, optional
         W of the corrected distance ``d^2(A, W B)``.  Not checked here: it
         must already have passed :func:`subalign.grassmann.check_isometry`,
@@ -166,7 +164,7 @@ def evaluate_grams(
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if weight is not None:
-        check_weight(weight, m, k)
+        check_weight(weight, m)
     status = np.zeros(r, dtype=np.int8)
     if method == "pca":
         bases, variances = [], []

@@ -108,7 +108,7 @@ def identity_pair(m: int, beta: float) -> JointCovariance:
     """Cov(X) = Cov(Y) = I_m with Cov(X, Y) = beta I_m; needs |beta| <= 1."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if abs(beta) > 1.0:
+    if not abs(beta) <= 1.0:  # NaN fails
         raise ValueError(f"|beta| <= 1 required for positive semidefiniteness, got {beta}")
     eye = np.eye(m)
     return JointCovariance(eye, eye, beta * eye)

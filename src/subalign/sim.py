@@ -20,10 +20,10 @@ A config's sweep is its models, (sweep_param, model, isometry-or-None)
 triples that the caller builds (the CLI, for illus1/2/3).  A run is a tuple
 of cells, one per (model, k), each built once when its config is
 constructed (:attr:`ExperimentConfig.cells`): the draw,
-``partial(mvn_grams, model)``, is bound, rho computed and the weight
-prepared there, beside the isometry the config checked once per model, and
-every replicate of the cell reads them.  The CLI's reference lines read the
-same cells.
+``partial(mvn_grams, model)``, is bound and rho computed there, beside the
+isometry the config checked once per model and the model's cross
+covariance, and every replicate of the cell reads them.  The CLI's
+reference lines read the same cells.
 
 Seeding contract
 ----------------
@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grassmann import Weight, check_isometry, weight
+from .grassmann import check_isometry
 from .kernel import evaluate_grams
 from .model import JointCovariance, mvn_grams
 from .theory import predicted_fit_error_sq, rho
@@ -110,8 +110,8 @@ class ExperimentConfig:
     here: the CLI labels its outputs with its subcommand.  Construction
     checks them, keeps each isometry as its checked read-only copy, and
     builds :attr:`cells`, the (model, k) cells in parameter order that a run
-    reads: the one place a model is bound to its draw, and where rho and the
-    weight refuse a k outside ``1 <= k <= m``.
+    reads: the one place a model is bound to its draw, and where rho refuses
+    a k outside ``1 <= k <= m``.
     """
 
     models: tuple[tuple[float, JointCovariance, Optional[np.ndarray]], ...]
@@ -154,8 +154,7 @@ class ExperimentConfig:
         models = tuple((p, model, None if w is None else check_isometry(w, self.m))
                        for p, model, w in models)
         object.__setattr__(self, "models", models)
-        cells = tuple(Cell(p, partial(mvn_grams, model), w, k, rho(model, k),
-                           weight(model.cov_xy, k))
+        cells = tuple(Cell(p, partial(mvn_grams, model), w, k, rho(model, k), model.cov_xy)
                       for p, model, w in models for k in self.k_values)
         object.__setattr__(self, "cells", cells)
 
@@ -204,8 +203,8 @@ class Cell(NamedTuple):
     Holds what every replicate of the cell shares: ``draw(n, seeds)``, the
     (R, 2m, 2m) stack of centered Gram matrices of n fresh pairs from the
     model, one per seed (it keeps no state), the config's checked isometry
-    (or None), the model's rho and the eth^2 weight, its cross-covariance
-    block prepared by :func:`subalign.grassmann.weight`.
+    (or None), the model's rho and the eth^2 weight ``cross_cov``, the model's
+    read-only ``cov_xy``, which every k-cell of the model shares.
     """
 
     sweep_param: float
@@ -213,7 +212,7 @@ class Cell(NamedTuple):
     isometry: Optional[np.ndarray]
     k: int
     rho: float
-    weight: Weight
+    cross_cov: np.ndarray
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -247,8 +246,8 @@ def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *,
     A rank-deficient PCA (certain at n <= k) or a degenerate (zero) projection
     gives a failed row with a reason code rather than raising.
     """
-    m, k, r = cell.weight.m, cell.k, len(seeds)
-    out = evaluate_grams(cell.draw(n, seeds), k, method, n, cell.weight, cell.isometry)
+    m, k, r = len(cell.cross_cov), cell.k, len(seeds)
+    out = evaluate_grams(cell.draw(n, seeds), k, method, n, cell.cross_cov, cell.isometry)
     ok = out.status == 0
     predicted = np.full(r, nan)
     predicted[ok] = predicted_fit_error_sq(cell.rho, k, out.eth_sq[ok])

@@ -11,7 +11,8 @@ from subalign import (
     weighted_hausdorff_sq,
 )
 from subalign.grassmann import (
-    _clamp_cosines, check_isometry, chordal_sq, topk_mass, weight, weighted_sq,
+    _clamp_cosines, check_isometry, check_weight, chordal_sq, topk_mass, unit_scale_inplace,
+    weighted_sq,
 )
 
 from conftest import random_orthogonal, random_subspace
@@ -252,60 +253,84 @@ def weighted_sq_per_call(a, b, c):
     return min(max(float(2.0 * np.sum(1.0 - sigma / (topk_mass(c, k) / k))), 0.0), 2.0 * k)
 
 
+def prepared_weight(c, k):
+    """The weight as ``grassmann.weight(C, k)`` prepared it once per (C, k) up to 0.27.0:
+    C at unit scale, or None for the exactly zero weight, and its top-k mass over k."""
+    c = np.asarray(c, dtype=float)
+    if not np.any(c):
+        return None, 0.0
+    c = unit_scale_inplace(c.copy())
+    return c, topk_mass(c, k) / k
+
+
+def weighted_sq_prepared(a, b, scaled, mass):
+    """``weighted_sq`` as it read a prepared weight up to 0.27.0; ``a`` and ``b`` may be stacks."""
+    k = a.shape[-1]
+    a_t = np.swapaxes(a, -1, -2)
+    if scaled is None:
+        return chordal_sq(a_t @ b)
+    sigma = np.linalg.svd(a_t @ scaled @ b, compute_uv=False)
+    return np.clip(2.0 * np.sum(1.0 - sigma / mass, axis=-1), 0.0, 2.0 * k)
+
+
 class TestPreparedWeight:
+    """``weighted_sq`` takes the raw C; it does the old per-(C, k) preparation on each call."""
+
     def test_bitwise_equal_to_per_call_preparation(self, rng):
-        for m in rng.integers(2, 10, size=40):
-            k = int(rng.integers(1, m + 1))
-            a, b = (random_subspace(rng, int(m), k).basis for _ in range(2))
-            for c in (rng.standard_normal((m, m)) * 10.0 ** rng.integers(-300, 300),
-                      np.zeros((m, m)), np.eye(m)):
-                assert weighted_sq(a, b, weight(c, k)) == weighted_sq_per_call(a, b, c)
+        # One raw C serves every k in 1..m, as one model's cov_xy serves its k-cells.
+        for m in map(int, rng.integers(2, 10, size=40)):
+            scale = 10.0 ** rng.integers(-300, 300)
+            for c in (rng.standard_normal((m, m)) * scale, np.zeros((m, m)), np.eye(m)):
+                kept = c.copy()
+                for k in range(1, m + 1):
+                    a, b = (random_subspace(rng, m, k).basis for _ in range(2))
+                    want = weighted_sq_prepared(a, b, *prepared_weight(c, k))
+                    assert weighted_sq(a, b, c) == want == weighted_sq_per_call(a, b, c)
+                    stack_a, stack_b = (np.stack([random_subspace(rng, m, k).basis
+                                                  for _ in range(3)]) for _ in range(2))
+                    assert np.array_equal(
+                        weighted_sq(stack_a, stack_b, c),
+                        weighted_sq_prepared(stack_a, stack_b, *prepared_weight(c, k)))
+                assert np.array_equal(c, kept)
 
     @pytest.mark.parametrize("c", [np.ones((3, 4)), np.ones(3), np.ones((0, 0))])
     def test_rejects_non_square_weight(self, c):
-        with pytest.raises(ValueError, match="square"):
-            weight(c, 1)
+        with pytest.raises(ValueError, match=r"cross_cov must be 3 x 3, got shape"):
+            check_weight(c, 3)
+        with pytest.raises(ValueError, match=r"cross_cov must be 3 x 3, got shape"):
+            weighted_sq(np.eye(3)[:, :1], np.eye(3)[:, :1], c)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_weight(self, bad):
-        # Unchecked, an inf weight reached LAPACK, which printed an error to stderr
-        # and returned a Weight; a NaN one raised LinAlgError at its first use.
+        # Unchecked, an inf weight reached LAPACK, which printed an error to stderr;
+        # a NaN one raised LinAlgError.
         for c in (np.full((4, 4), bad), np.where(np.eye(4) > 0, bad, 0.5)):
             with pytest.raises(ValueError, match="non-finite"):
-                weight(c, 2)
+                check_weight(c, 4)
             with pytest.raises(ValueError, match="non-finite"):
                 weighted_hausdorff_sq(basis_of(0, m=4), basis_of(1, m=4), c)
-
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_rejects_k_outside_1_to_m(self, k):
-        with pytest.raises(ValueError, match="1 <= k <= m"):
-            weight(np.eye(3), k)
 
     def test_given_the_bases_m_names_the_size_before_k(self):
         # k = 4 is above C's size, but the fault is that C is not m x m.
         with pytest.raises(ValueError) as raised:
-            weight(np.eye(3), 4, m=4)
-        assert str(raised.value) == "weight is 3 x 3 at k = 4; these bases need 4 x 4 at k = 4"
-        assert weight(np.eye(4), 4, m=4).m == 4
-
-    def test_rejects_raw_matrix(self):
-        a = np.eye(3)[:, :1]
-        with pytest.raises(TypeError, match="grassmann.weight"):
-            weighted_sq(a, a, np.eye(3))
+            weighted_sq(np.eye(4), np.eye(4), np.eye(3))
+        assert str(raised.value) == "cross_cov must be 4 x 4, got shape (3, 3)"
+        assert weighted_sq(np.eye(4), np.eye(4), np.eye(4)) == 0.0
 
     def test_rejects_bases_of_another_shape(self):
         a = np.eye(4)[:, :2]
-        for w in (weight(np.eye(4), 1), weight(np.eye(5), 2)):
-            with pytest.raises(ValueError, match="4 x 4 at k = 2"):
-                weighted_sq(a, a, w)
+        for c in (np.eye(3), np.eye(5)):
+            with pytest.raises(ValueError, match="cross_cov must be 4 x 4"):
+                weighted_sq(a, a, c)
 
     def test_weight_is_read_only(self):
-        c = np.eye(3)
-        w = weight(c, 2)
-        c[0, 0] = 5.0
-        assert weighted_sq(np.eye(3)[:, :2], np.eye(3)[:, :2], w) == 0.0
-        with pytest.raises(ValueError):
-            w.scaled[0, 0] = 1.0
+        # A read-only C, such as a model's cov_xy that its k-cells share, is read and
+        # never written: the scale is removed from a copy.
+        c = 8.0 * np.eye(3)
+        c.setflags(write=False)
+        assert check_weight(c, 3) is c
+        assert weighted_sq(np.eye(3)[:, :2], np.eye(3)[:, :2], c) == 0.0
+        assert np.array_equal(c, 8.0 * np.eye(3))
 
 
 class TestApplyIsometry:
@@ -336,7 +361,7 @@ class TestApplyIsometry:
 
     def test_rejects_non_orthogonal(self):
         for w in (np.eye(5) * 2.0, np.full((5, 5), np.nan)):
-            with pytest.raises(ValueError, match="not orthogonal"):
+            with pytest.raises(ValueError, match="basis columns not orthonormal"):
                 check_isometry(w, 5)
 
 

@@ -28,7 +28,6 @@ from subalign import (
     weighted_hausdorff_sq,
 )
 from subalign import sim
-from subalign.grassmann import weight
 from subalign.kernel import STATUSES, center_gram_inplace, evaluate_grams
 
 from conftest import (Row, assert_tables_equal, cell_of, evaluate_one, random_joint_covariance,
@@ -190,7 +189,7 @@ class TestProperties:
         w, r = np.linalg.qr(rng.standard_normal((m, m)))
         x, y = random_data(seed, m, 40)
         out = evaluate_one(center_gram_inplace(np.vstack([x, y])), k, "pca", 40,
-                           weight(beta * w, k), isometry=w)
+                           beta * w, isometry=w)
         assert out.eth_sq == pytest.approx(out.d_sq_corrected, abs=1e-9)
         for value in (out.d_sq, out.eth_sq, out.eps_sq):
             assert 0.0 <= value <= 2.0 * k
@@ -200,13 +199,13 @@ class TestEvaluateGram:
     def test_scale_of_gram_does_not_matter(self):
         x, y = random_data(5, 6, 50)
         gram = center_gram_inplace(np.vstack([x, y]))
-        a = evaluate_one(gram, 2, "pca", 50, weight(np.eye(6), 2))
-        b = evaluate_one(gram / 49.0, 2, "pca", 50, weight(np.eye(6), 2))
+        a = evaluate_one(gram, 2, "pca", 50, np.eye(6))
+        b = evaluate_one(gram / 49.0, 2, "pca", 50, np.eye(6))
         for field in ("d_sq", "eth_sq", "eps_sq"):
             assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-12)
         # A power of two is removed exactly, down to 1e-271 and up to 1e271.
         for e in (-900, -600, 600, 900):
-            assert evaluate_one(np.ldexp(gram, e), 2, "pca", 50, weight(np.eye(6), 2)) == a, e
+            assert evaluate_one(np.ldexp(gram, e), 2, "pca", 50, np.eye(6)) == a, e
 
     def test_degenerate_projection(self):
         x = np.vstack([np.zeros((2, 30)), np.random.default_rng(1).standard_normal((3, 30))])
@@ -240,8 +239,11 @@ def test_gram_product_is_the_matmul_of_the_centered_data(shape):
     assert np.array_equal(z, zc)
 
 
-def gram_alone(s, k, method, n, weight=None, isometry=None) -> Row:
-    """The kernel as it was before stacks (0.10.0): one Gram matrix, in 2-d numpy calls."""
+def gram_alone(s, k, method, n, cross_cov=None, isometry=None) -> Row:
+    """The kernel as it was before stacks (0.10.0): one Gram matrix, in 2-d numpy calls.
+
+    The weight ``cross_cov`` is prepared here for k as ``grassmann.weight`` did up to 0.27.0.
+    """
     s = np.array(s, dtype=float)
     m = s.shape[0] // 2
     np.ldexp(s, -np.frexp(np.max(np.abs(s)))[1], out=s)
@@ -269,11 +271,13 @@ def gram_alone(s, k, method, n, weight=None, isometry=None) -> Row:
     nuclear = np.linalg.svd(a.T @ sxy @ b, compute_uv=False).sum()
     eps_sq = 2.0 * k - 2.0 * k * nuclear / (np.sqrt(var_x) * np.sqrt(var_y))
     eth_sq = None
-    if weight is not None and weight.scaled is None:
+    if cross_cov is not None and not np.any(cross_cov):
         eth_sq = chordal(a.T @ b)
-    elif weight is not None:
-        sigma = np.linalg.svd(a.T @ weight.scaled @ b, compute_uv=False)
-        eth_sq = min(max(float(2.0 * np.sum(1.0 - sigma / weight.mass)), 0.0), 2.0 * k)
+    elif cross_cov is not None:
+        c = np.ldexp(cross_cov, -np.frexp(np.max(np.abs(cross_cov)))[1])
+        mass = np.linalg.svd(c, compute_uv=False)[:k].sum() / k
+        sigma = np.linalg.svd(a.T @ c @ b, compute_uv=False)
+        eth_sq = min(max(float(2.0 * np.sum(1.0 - sigma / mass)), 0.0), 2.0 * k)
     corrected = None if isometry is None else chordal(a.T @ isometry @ b)
     return Row("ok", chordal(a.T @ b), eth_sq, min(max(float(eps_sq), 0.0), 2.0 * k), corrected)
 
@@ -303,8 +307,7 @@ class TestStack:
         if method == "trivial" and k == 2:  # the rank-1 X still spans the first two axes
             statuses = ["ok", "ok", "degenerate_projection", "ok"]
         reversal = np.fliplr(np.eye(4))
-        w = {None: None, "zero": weight(np.zeros((4, 4)), k),
-             "reversal": weight(0.6 * reversal, k)}[cross]
+        w = {None: None, "zero": np.zeros((4, 4)), "reversal": 0.6 * reversal}[cross]
         isometry = reversal if with_isometry else None
         # The whole stack, and its ok members alone, which take the path without failures.
         for members in (grams, grams[[0, 3]]):
@@ -322,8 +325,10 @@ class TestStack:
         jc, w, k, n, method, seed = cell
         cell = cell_of(jc, k, w)
         grams = cell.draw(n, [seed, seed + 1, seed + 2])
-        rows = stack_rows(evaluate_grams(grams.copy(), k, method, n, cell.weight, cell.isometry))
-        assert rows == [gram_alone(g, k, method, n, cell.weight, cell.isometry) for g in grams]
+        rows = stack_rows(evaluate_grams(grams.copy(), k, method, n, cell.cross_cov,
+                                         cell.isometry))
+        assert rows == [gram_alone(g, k, method, n, cell.cross_cov, cell.isometry)
+                        for g in grams]
 
     def test_every_member_fails_together(self):
         reversal = np.fliplr(np.eye(4))
@@ -339,7 +344,7 @@ class TestStack:
                   (stack(0.0), "pca", 50, "deficient_rank"),
                   (stack(1e-160), "pca", 50, "degenerate_projection")]
         for grams, method, n, status in cases:
-            out = evaluate_grams(grams.copy(), 3, method, n, weight(0.6 * reversal, 3), reversal)
+            out = evaluate_grams(grams.copy(), 3, method, n, 0.6 * reversal, reversal)
             assert [STATUSES[s] for s in out.status] == [status] * len(grams)
             for column in (out.d_sq, out.eth_sq, out.eps_sq, out.d_sq_corrected):
                 assert np.isnan(column).all()
@@ -353,12 +358,12 @@ class TestStack:
     def test_rejects_a_weight_of_another_size_before_any_lapack_call(self, monkeypatch,
                                                                      method):
         # The kernel and grassmann look eigh and svd up on np.linalg at each call.
-        w, calls = weight(np.eye(3), 2), []
+        w, calls = np.eye(3), []
         for name in ("eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), calls))
         with pytest.raises(ValueError) as raised:
             evaluate_grams(np.eye(8)[None], 2, method, 100, w)
-        assert str(raised.value) == "weight is 3 x 3 at k = 2; these bases need 4 x 4 at k = 2"
+        assert str(raised.value) == "cross_cov must be 4 x 4, got shape (3, 3)"
         assert calls == []
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -287,7 +287,16 @@ class TestMakeCell:
         # The weight is Cov(X, Y) = 0.5 w, so eth^2(A, B) = d^2(A, w B): 0 at B = w A,
         # whose span is orthogonal to A's (d^2 = 4).
         basis = np.eye(8)[:, :2]
-        assert weighted_sq(basis, w @ basis, cell.weight) == pytest.approx(0.0, abs=1e-12)
+        assert weighted_sq(basis, w @ basis, cell.cross_cov) == pytest.approx(0.0, abs=1e-12)
+
+    def test_the_cells_of_a_model_share_its_cross_covariance(self):
+        # The weight is the model's own read-only cov_xy, for every k: no cell copies it.
+        jc, w = reversed_pair(20, 0.7, 0.5)
+        cfg = ExperimentConfig(((0.5, jc, w), (0.6, identity_pair(20, 0.6), None)),
+                               (1, 2, 10), (2,), 1)
+        models = [model for _, model, _ in cfg.models]
+        assert [cfg.cells[i].cross_cov is models[i // 3].cov_xy for i in range(6)] == [True] * 6
+        assert not jc.cov_xy.flags.writeable
 
     def test_changing_the_isometry_after_the_cells_changes_no_record(self):
         jc, w = reversed_pair(8, 0.7, 0.5)
@@ -303,7 +312,7 @@ class TestMakeCell:
 
     def test_rejects_non_orthogonal_isometry(self):
         for isometry in (2 * np.eye(3), np.full((3, 3), np.nan)):
-            with pytest.raises(ValueError, match="not orthogonal"):
+            with pytest.raises(ValueError, match="basis columns not orthonormal"):
                 cell_of(identity_pair(3, 0.5), 1, isometry=isometry)
 
 
@@ -370,7 +379,7 @@ class TestRunExperiment:
         assert (np.abs(records.eth_sq - records.d_sq_corrected) < 1e-9).all()
 
     @pytest.mark.parametrize("bad, match", [
-        (lambda w: 2 * w, "not orthogonal"),
+        (lambda w: 2 * w, "basis columns not orthonormal"),
         (lambda w: np.eye(6), "isometry must be 8 x 8"),
     ], ids=["non_orthogonal", "wrong_shape"])
     def test_bad_isometry_fails_before_any_replicate(self, monkeypatch, bad, match):
