@@ -42,4 +42,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"

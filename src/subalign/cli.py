@@ -34,7 +34,7 @@ from .grassmann import unit_scale_inplace
 from .kernel import STATUSES, center_gram_inplace, evaluate_grams
 from .model import identity_pair, reversed_pair, spiked_diag_pair
 from .sim import METHODS, ExperimentConfig, Records, run_experiment, summarize
-from .theory import plugin_rho
+from .theory import plugin_rho, predicted_fit_error_sq
 
 __all__ = ["main", "entry", "CSV_COLUMNS", "write_records_csv"]
 
@@ -95,7 +95,7 @@ def _reference_lines(cells) -> list[dict]:
         r = cell.rho
         lines.append({
             "sweep_param": _round12(cell.sweep_param), "k": cell.k, "rho": _round12(r),
-            "intercept": _round12((1.0 - r) * 2.0 * cell.k), "slope": _round12(r),
+            "intercept": _round12(predicted_fit_error_sq(r, cell.k, 0.0)), "slope": _round12(r),
         })
     return lines
 
@@ -173,7 +173,9 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
                 created.append(os.path.realpath(path))  # through a dangling link: its target
             with open(path, "a"):  # an unwritable path fails here, before any replicate runs
                 pass
-        if os.path.samefile(out_path, summary_path):  # the summary would overwrite the records
+        # The summary would overwrite the records in one regular file; a device such as
+        # /dev/null, or one terminal behind /dev/stdout and /dev/stderr, takes both.
+        if os.path.isfile(out_path) and os.path.samefile(out_path, summary_path):
             raise ValueError(f"--out and --summary name the same file: {out_path}")
         for line in lines:
             print(f"rho(sweep_param={line['sweep_param']:.12g}, k={line['k']}) = {line['rho']:.12g}")

@@ -22,7 +22,6 @@ from .model import JointCovariance
 
 __all__ = ["rho", "predicted_fit_error_sq", "plugin_rho"]
 
-_RHO_SLACK = 1e-10
 _RANGE_SLACK = 1e-9
 
 
@@ -34,21 +33,16 @@ def _rho(cov_x: np.ndarray, cov_y: np.ndarray, cov_xy: np.ndarray, k: int) -> fl
     den = np.sqrt(topk_mass(cov_x, k)) * np.sqrt(topk_mass(cov_y, k))
     if den <= 0.0:
         raise ValueError("zero top-k spectrum")
-    value = topk_mass(cov_xy, k) / den
-    if value > 1.0:
-        if value > 1.0 + _RHO_SLACK:
-            raise ValueError(f"rho {value!r} exceeds 1; the block covariance is not PSD")
-        value = 1.0
-    return float(value)
+    return float(min(topk_mass(cov_xy, k) / den, 1.0))
 
 
 def rho(jc: JointCovariance, k: int) -> float:
     """Correlation parameter of the limiting relationship; always in [0, 1].
 
-    Computed from the model's true covariance blocks.  Overshoots above 1
-    within 1e-10 (float drift at the Cauchy-Schwarz equality case) are
-    clamped; anything larger indicates an invalid (non-PSD) input and
-    raises.
+    Computed from the model's true covariance blocks.  :class:`JointCovariance`
+    has checked that the block covariance is PSD, which bounds the ratio by 1
+    (Cauchy-Schwarz); a value above 1 is the round-off that check lets
+    through, and is clamped to 1.
     """
     return _rho(jc.cov_x, jc.cov_y, jc.cov_xy, k)
 
@@ -82,9 +76,11 @@ def plugin_rho(gram: np.ndarray, k: int) -> float:
     The sample covariance blocks are the Gram blocks over n - 1; rho is
     scale-free, so the factor cancels and any positive multiple of the Gram
     matrix gives the same estimate.  Diagnostic only: the limit theory is
-    stated for the true covariance blocks, not their estimates.  The sample
-    block covariance is PSD by construction, so the estimate also lies in
-    [0, 1].  A matrix with a non-finite entry raises ValueError.
+    stated for the true covariance blocks, not their estimates.  ``gram``
+    must be PSD, as a Gram matrix is by construction; this is not checked.
+    The estimate is clamped to 1, so it lies in [0, 1].  A matrix with a
+    non-finite entry, or a zero top-k spectrum in Sxx or Syy, raises
+    ValueError.
     """
     sxx, syy, sxy = gram_blocks(gram)
     if not np.isfinite(gram).all():

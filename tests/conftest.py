@@ -18,6 +18,14 @@ def random_orthogonal(rng, m) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def near_orthonormal(size, dev) -> np.ndarray:
+    """The symmetric square root of ``I + dev (J - I)`` (J all ones): a size x size matrix
+    whose Gram matrix is off the identity by ``dev`` in every off-diagonal entry, so its
+    largest singular value is about ``1 + (size - 1) dev / 2``."""
+    c_all, c_rest = np.sqrt(1.0 + (size - 1) * dev), np.sqrt(1.0 - dev)
+    return c_rest * np.eye(size) + (c_all - c_rest) / size * np.ones((size, size))
+
+
 def joint_block(jc: JointCovariance) -> np.ndarray:
     """The 2m x 2m covariance of the stacked vector (X, Y)."""
     return np.block([[jc.cov_x, jc.cov_xy], [jc.cov_xy.T, jc.cov_y]])

@@ -377,6 +377,22 @@ class TestCompute:
         result = json.loads(capsys.readouterr().out)
         assert result["eth_sq"] == pytest.approx(result["d_sq"], abs=1e-9)
 
+    def test_sample_cross_covariance_makes_the_law_exact(self, tmp_path, rng, capsys):
+        # With the sample Cov(X, Y) as the weight, the PCA eps^2 is the plug-in law's
+        # (1 - rho_hat) 2k + rho_hat eth^2 on the data itself.
+        x = rng.standard_normal((5, 80))
+        y = 0.6 * x + rng.standard_normal((5, 80))
+        x_path, y_path, c_path = (tmp_path / f"{s}.csv" for s in "xyc")
+        write_matrix(x_path, x)
+        write_matrix(y_path, y)
+        centered = [v - v.mean(axis=1, keepdims=True) for v in (x, y)]
+        np.savetxt(c_path, centered[0] @ centered[1].T / 79, delimiter=",", fmt="%.17g")
+        assert main(["compute", str(x_path), str(y_path), "--k", "2",
+                     "--cross-cov", str(c_path)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        r = result["rho_hat"]
+        assert abs(result["eps_sq"] - ((1 - r) * 4 + r * result["eth_sq"])) <= 1e-10
+
     def test_shape_mismatch_exits_2(self, tmp_path, rng, capsys):
         x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
         write_matrix(x_path, rng.standard_normal((4, 30)))
@@ -631,6 +647,15 @@ class TestUsageErrors:
         assert captured.err == f"error: need 1 <= k <= m, got k={k}, m={m}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_n_below_2_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The config refuses it before any file is made: centering needs two observations.
+        monkeypatch.chdir(tmp_path)
+        assert main(["illus1", "--n", "1", "--reps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n values must be >= 2: (1,)\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_values_that_print_alike_exit_2(self, tmp_path, monkeypatch, capsys):
         # Every output prints sweep values at 12 significant digits, so both cells would
         # read as 0.1: in the rho lines, the records' keys and the summary groups.
@@ -676,6 +701,12 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "same file" in err
         assert not (tmp_path / "same.out").exists()
+
+    def test_out_and_summary_on_one_device_exit_0(self, capsys):
+        # Only a regular file would be overwritten: a device takes both outputs.
+        assert main(["illus1", "--n", "200", "--reps", "2", "--beta", "0.5",
+                     "--out", os.devnull, "--summary", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("size", [("--m", "100000000", "--n", "10"),
                                       ("--n", "10000000000000")], ids=["m", "n"])
@@ -816,6 +847,16 @@ def test_outputs_do_not_depend_on_threads(tmp_path, capsys, argv, err):
     assert outputs[0] == outputs[1]
 
 
+def run_module(argv, cwd, **kwargs):
+    """``python -m subalign *argv`` in ``cwd`` on this checkout's package, with a numpy
+    RuntimeWarning made an error, so that it cannot pass as a line of stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = os.environ | {"PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    return subprocess.run([sys.executable, "-m", "subalign", *argv], cwd=cwd, env=env,
+                          text=True, timeout=300, **kwargs)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["illus3", "--k", "2", "--n", "200", "--reps", "3"], 0),
     (["illus1", "--n", "2", "--k", "2", "--reps", "2", "--beta", "0.5"], 1),
@@ -823,17 +864,12 @@ def test_outputs_do_not_depend_on_threads(tmp_path, capsys, argv, err):
     (["compute", "constant.csv", "constant.csv", "--k", "2", "--method", "trivial"], 3),
 ], ids=["exit0", "exit1", "exit2", "exit3"])
 def test_installed_entry_path_exit_codes(tmp_path, argv, code):
-    # python -m subalign runs cli.entry, which turns main's return value into the exit code;
-    # a numpy RuntimeWarning is an error, so it cannot pass as a line of stderr.
+    # python -m subalign runs cli.entry, which turns main's return value into the exit code.
     (tmp_path / "empty.csv").write_text("")
     constant = np.random.default_rng(3).standard_normal((4, 30))
     constant[:2] = 1.0
     write_matrix(tmp_path / "constant.csv", constant)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = os.environ | {"PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
-    proc = subprocess.run([sys.executable, "-m", "subalign", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_module(argv, tmp_path, capture_output=True)
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert proc.stderr == ""
@@ -845,3 +881,16 @@ def test_installed_entry_path_exit_codes(tmp_path, argv, code):
     else:
         summary = (tmp_path / f"{argv[0]}_summary.json").read_text()
         json.loads(summary, parse_constant=_reject_constant)
+
+
+def test_records_to_stdout_and_summary_to_stderr_on_one_pipe(tmp_path):
+    # With stderr merged into stdout, /dev/stdout and /dev/stderr are one pipe; only a
+    # regular file would have the summary overwrite the records.
+    proc = run_module(["illus1", "--n", "200", "--reps", "2", "--beta", "0.5",
+                       "--out", "/dev/stdout", "--summary", "/dev/stderr"], tmp_path,
+                      stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    assert proc.returncode == 0, proc.stdout
+    assert ",".join(CSV_COLUMNS) in proc.stdout.splitlines()
+    summary, _ = json.JSONDecoder().raw_decode(proc.stdout, proc.stdout.index('{\n  "experiment"'))
+    assert summary["experiment"] == "illus1" and summary["failed_replicates"] == 0
+    assert list(tmp_path.iterdir()) == []

@@ -11,17 +11,16 @@ from subalign import (
     weighted_hausdorff_sq,
 )
 from subalign.grassmann import (
-    _clamp_cosines, check_isometry, check_weight, chordal_sq, topk_mass, unit_scale_inplace,
-    weighted_sq,
+    check_isometry, check_weight, chordal_sq, topk_mass, unit_scale_inplace, weighted_sq,
 )
 
-from conftest import random_orthogonal, random_subspace
+from conftest import near_orthonormal, random_orthogonal, random_subspace
 
 
 def principal_angles_from_projectors(a, b):
     """Oracle: principal angles via the singular values of ``P_a @ P_b`` (O(m^3))."""
     sigma = np.linalg.svd(projector(a) @ projector(b), compute_uv=False)[: a.dim]
-    return np.arccos(_clamp_cosines(sigma))
+    return np.arccos(np.clip(sigma, 0.0, 1.0))
 
 
 def weighted_hausdorff_sq_from_projectors(a, b, c):
@@ -59,6 +58,11 @@ class TestSubspace:
     def test_k_exceeds_m(self):
         with pytest.raises(ValueError, match="1 <= k <= m"):
             Subspace(np.vstack([np.eye(2), np.eye(2)]).T)  # 2x4
+
+    def test_not_a_matrix(self):
+        for basis in (np.ones(3), np.ones((2, 3, 1))):
+            with pytest.raises(ValueError, match="^basis must be 2-d, got shape"):
+                Subspace(basis)
 
     def test_basis_is_readonly(self):
         s = basis_of(0, m=3)
@@ -127,12 +131,19 @@ class TestPrincipalAngles:
                 principal_angles(a, b), principal_angles_from_projectors(a, b), atol=1e-7
             )
 
-    def test_cosine_clamp_rejects_gross_values(self):
-        assert np.all(_clamp_cosines(np.array([1.0 + 5e-11])) == 1.0)
-        with pytest.raises(ValueError, match="escape"):
-            _clamp_cosines(np.array([1.001]))
-        with pytest.raises(ValueError, match="escape"):
-            _clamp_cosines(np.array([-0.1]))
+    def test_cosines_above_one_clamp_to_one(self):
+        # The bases' orthonormality is Subspace's to judge; the formula only clamps.
+        assert chordal_sq(np.array([[1.0 + 5e-11]])) == 0.0
+        assert chordal_sq(np.array([[1.001]])) == 0.0
+
+    def test_basis_at_the_orthonormality_tolerance(self):
+        # max |A^T A - I| = 9e-11 passes Subspace's 1e-10, but the entry errors add up
+        # along a row: the cosines of the basis with itself reach 1 + 8.1e-10.  A second
+        # cosine check refused this basis its own distances.
+        s = Subspace(np.vstack([near_orthonormal(10, 9e-11), np.zeros((10, 10))]))
+        assert np.linalg.svd(s.basis.T @ s.basis, compute_uv=False)[0] > 1.0 + 5e-10
+        assert 0.0 <= hausdorff_sq(s, s) <= 1e-8
+        assert np.all(principal_angles(s, s) <= 1e-4)
 
 
 class TestHausdorffSq:

@@ -227,6 +227,8 @@ class TestEvaluateGram:
             evaluate_one(gram, 1, "svd", 10)
         with pytest.raises(ValueError, match="2 observations"):
             center_gram_inplace(np.ones((3, 1)))
+        with pytest.raises(ValueError, match=r"^data must be 2-d, got shape \(3,\)$"):
+            center_gram_inplace(np.ones(3))
 
 
 @pytest.mark.parametrize("shape", [(12, 10000), (40, 10000), (40, 10), (2, 3)])

@@ -42,6 +42,14 @@ class TestJointCovariance:
         with pytest.raises(ValueError, match="m x m"):
             JointCovariance(np.eye(3), np.eye(2), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["cov_x", "cov_y", "cov_xy"])
+    def test_rejects_non_finite_entries(self, name, bad):
+        blocks = {"cov_x": np.eye(3), "cov_y": np.eye(3), "cov_xy": np.zeros((3, 3))}
+        blocks[name][2, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            JointCovariance(**blocks)
+
     def test_arrays_are_readonly_copies(self):
         # The instance owns read-only copies; the caller's arrays stay its own and writeable.
         given = [np.eye(3, dtype=np.float32), 2 * np.eye(3), 0.5 * np.eye(3)]
@@ -123,6 +131,14 @@ class TestPresets:
     def test_identity_pair_infeasible(self):
         with pytest.raises(ValueError, match="beta"):
             identity_pair(6, 1.5)
+
+    @pytest.mark.parametrize("make, m, least", [
+        (identity_pair, 0, 1), (spiked_diag_pair, 1, 2), (reversed_pair, 1, 2),
+    ], ids=["identity", "spiked", "reversed"])
+    def test_dimension_below_the_preset_minimum(self, make, m, least):
+        args = (0.5,) if make is identity_pair else (0.7, 0.6)
+        with pytest.raises(ValueError, match=f"^m must be >= {least}, got {m}$"):
+            make(m, *args)
 
     def test_spiked_diag_base_case(self):
         jc = spiked_diag_pair(20, 0.7, 0.6)

@@ -56,6 +56,12 @@ class TestCenter:
         with pytest.raises(ValueError, match="at least 2"):
             center(np.ones((3, 1)))
 
+    @pytest.mark.parametrize("make, name", [(center, "data"), (CenteredData, "matrix")])
+    def test_rejects_arrays_that_are_not_matrices(self, make, name):
+        for data in (np.zeros(3), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match=f"^{name} must be 2-d, got shape"):
+                make(data)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_data_rejected_without_a_warning(self, bad):
         # Subtracting the row means would warn on inf - inf, and the centering check

@@ -17,6 +17,12 @@ class TestNormalizedProjection:
             with pytest.raises(ValueError, match="Frobenius"):
                 NormalizedProjection(matrix, 1)
 
+    def test_rejects_non_matrix_and_scale_dim_below_one(self):
+        with pytest.raises(ValueError, match=r"^matrix must be 2-d, got shape \(3,\)$"):
+            NormalizedProjection(np.ones(3), 1)
+        with pytest.raises(ValueError, match="^scale_dim must be >= 1, got 0$"):
+            NormalizedProjection(np.zeros((2, 3)), 0)
+
     def test_matrix_readonly(self, rng):
         x = random_normalized(rng, 3, 5, 2)
         with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ from subalign import sim, theory
 from subalign.grassmann import weighted_sq
 from subalign.kernel import STATUSES
 
-from conftest import assert_tables_equal, cell_of
+from conftest import assert_tables_equal, cell_of, near_orthonormal
 
 
 def identity_models(m, *betas):
@@ -190,6 +190,12 @@ class TestExperimentConfig:
         # rho, the first to read k when the cells are built, refuses it.
         with pytest.raises(ValueError, match=r"^need 1 <= k <= m, got k=7, m=6$"):
             ExperimentConfig(identity_models(6, 0.5), (7,), (100,), 3)
+
+    @pytest.mark.parametrize("n_values", [(1,), (100, 0), ()])
+    def test_rejects_n_below_2(self, n_values):
+        # Centering needs two observations, and an empty list would run nothing.
+        with pytest.raises(ValueError, match=r"^n values must be >= 2: \("):
+            ExperimentConfig(identity_models(6, 0.5), (2,), n_values, 3)
 
     def test_rejects_empty_k_values(self):
         with pytest.raises(ValueError, match="^k_values must be nonempty$"):
@@ -394,6 +400,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(models, (2,), (100,), 3)
         assert calls == []
+
+    def test_isometry_at_the_orthonormality_tolerance_runs(self):
+        # max |W^T W - I| = 9e-11 passes the config's check; the trivial bases read
+        # the cosines of W's leading 10 x 10 block, which reach 1 + 4e-10.  A second
+        # cosine check in the kernel stopped this run after it had started.
+        w = near_orthonormal(20, 9e-11)
+        cfg = ExperimentConfig(((0.7, spiked_diag_pair(20, 0.7, 0.6), w),), (10,), (1000,), 3,
+                               method="trivial")
+        records = run_experiment(cfg)
+        assert records.status.tolist() == [0, 0, 0]
+        assert np.all((0.0 <= records.d_sq_corrected) & (records.d_sq_corrected <= 1e-8))
 
     def test_cells_survive_the_pool(self, monkeypatch):
         # The pool threads share the cells read-only: the draws of two models,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subalign import (
     JointCovariance,
@@ -7,6 +9,7 @@ from subalign import (
     center,
     hausdorff_sq,
     identity_pair,
+    mvn_grams,
     plugin_rho,
     predicted_fit_error_sq,
     reversed_pair,
@@ -16,7 +19,7 @@ from subalign import (
 )
 from subalign.kernel import center_gram_inplace
 
-from conftest import cell_of, random_joint_covariance, random_subspace
+from conftest import cell_of, evaluate_one, random_joint_covariance, random_subspace
 
 
 class TestRho:
@@ -46,6 +49,13 @@ class TestRho:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="1 <= k <= m"):
             rho(identity_pair(4, 0.5), 5)
+
+    def test_model_at_the_psd_tolerance_gives_one(self):
+        # The block's smallest eigenvalue, -1.5e-10, is within JointCovariance's
+        # -1e-10 of the largest, so the model is accepted; its ratio, 1 + 1.5e-10,
+        # is that round-off and is clamped, not judged a second time.
+        jc = JointCovariance(np.eye(6), np.eye(6), (1 + 1.5e-10) * np.eye(6))
+        assert rho(jc, 2) == 1.0
 
     def test_scale_invariance(self):
         jc = spiked_diag_pair(12, 0.7, 0.4)
@@ -166,6 +176,11 @@ class TestPluginRho:
         with pytest.raises(ValueError, match="shape mismatch"):
             plugin_rho(gram, 2)
 
+    def test_zero_block_rejected(self):
+        # rho would divide by the zero top-k spectrum of Sxx and Syy.
+        with pytest.raises(ValueError, match="^zero top-k spectrum$"):
+            plugin_rho(np.zeros((4, 4)), 1)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_non_finite_gram_rejected(self, bad):
         # Its SVDs gave rho = NaN for an infinite matrix, and failed to converge on a NaN one.
@@ -195,3 +210,17 @@ class TestPluginRho:
             jc = JointCovariance(cov[:m, :m], cov[m:, m:], cov[:m, m:])
             for k in range(1, m + 1):
                 assert plugin_rho(gram, k) == pytest.approx(rho(jc, k), abs=1e-12)
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(m=st.integers(2, 11), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_law_is_exact_for_pca_with_the_sample_weight(self, m, data, seed):
+        # With the PCA bases and S's own Sxy as the weight, the plug-in law is an
+        # identity: rho_hat * ||A^T Sxy B||_* / topk(Sxy) is the eps^2 term, so
+        # (1 - rho_hat) 2k + rho_hat eth^2 = eps^2 on every sample, not only in the limit.
+        k = data.draw(st.integers(1, m), label="k")
+        n = data.draw(st.sampled_from([k + 2, 50, 500]), label="n")
+        gram = mvn_grams(random_joint_covariance(np.random.default_rng(seed), m), n, [seed])[0]
+        row = evaluate_one(gram, k, "pca", n, gram[:m, m:])  # the kernel scales a copy
+        assume(row.status == "ok")
+        law = predicted_fit_error_sq(plugin_rho(gram, k), k, row.eth_sq)
+        assert abs(row.eps_sq - law) <= 1e-10
