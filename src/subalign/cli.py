@@ -154,6 +154,9 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
     existing file as it was."""
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    for flag, path in (("--out", args.out), ("--summary", args.summary)):
+        if path == "":  # no file: not the default name, and realpath("") is the working directory
+            raise ValueError(f"{flag} must name a file, got an empty path")
     cfg = ExperimentConfig(models, k_values, n_values, args.reps, base_seed=args.seed,
                            method=args.method)
     printed = {}
@@ -253,7 +256,7 @@ def _load_matrix(path: str) -> np.ndarray:
 def cmd_compute(args) -> int:
     try:
         x, y = _load_matrix(args.x), _load_matrix(args.y)
-        cross = _load_matrix(args.cross_cov) if args.cross_cov else None
+        cross = None if args.cross_cov is None else _load_matrix(args.cross_cov)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read matrix: {exc}") from exc
     # The two checks no callee makes: np.vstack would take a Y of another m, and the

@@ -19,11 +19,11 @@ one name a run has.
 A config's sweep is its models, (sweep_param, model, isometry-or-None)
 triples that the caller builds (the CLI, for illus1/2/3).  A run is a tuple
 of cells, one per (model, k), each built once when its config is
-constructed (:attr:`ExperimentConfig.cells`): the draw,
-``partial(mvn_grams, model)``, is bound and rho computed there, beside the
-isometry the config checked once per model and the model's cross
-covariance, and every replicate of the cell reads them.  The CLI's
-reference lines read the same cells.
+constructed (:attr:`ExperimentConfig.cells`).  Each cell holds its model,
+the isometry the config checked once per model, and rho, computed there;
+its draw, :meth:`Cell.draw`, and the kernel's weight, the model's
+``cov_xy``, both come from that one model, and every replicate of the cell
+reads them.  The CLI's reference lines read the same cells.
 
 Seeding contract
 ----------------
@@ -50,11 +50,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import product
 from math import isfinite, nan
 from operator import index
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -110,8 +109,8 @@ class ExperimentConfig:
     here: the CLI labels its outputs with its subcommand.  Construction
     checks them, keeps each isometry as its checked read-only copy, and
     builds :attr:`cells`, the (model, k) cells in parameter order that a run
-    reads: the one place a model is bound to its draw, and where rho refuses
-    a k outside ``1 <= k <= m``.
+    reads, each holding its model; building them, rho refuses a k outside
+    ``1 <= k <= m``.
     """
 
     models: tuple[tuple[float, JointCovariance, Optional[np.ndarray]], ...]
@@ -154,7 +153,7 @@ class ExperimentConfig:
         models = tuple((p, model, None if w is None else check_isometry(w, self.m))
                        for p, model, w in models)
         object.__setattr__(self, "models", models)
-        cells = tuple(Cell(p, partial(mvn_grams, model), w, k, rho(model, k), model.cov_xy)
+        cells = tuple(Cell(p, model, w, k, rho(model, k))
                       for p, model, w in models for k in self.k_values)
         object.__setattr__(self, "cells", cells)
 
@@ -200,19 +199,23 @@ _COLUMNS = tuple(f.name for f in fields(Records))[2:]  # the per-row fields
 class Cell(NamedTuple):
     """One (sweep value, k) cell of a sweep, as :class:`ExperimentConfig` builds it.
 
-    Holds what every replicate of the cell shares: ``draw(n, seeds)``, the
-    (R, 2m, 2m) stack of centered Gram matrices of n fresh pairs from the
-    model, one per seed (it keeps no state), the config's checked isometry
-    (or None), the model's rho and the eth^2 weight ``cross_cov``, the model's
-    read-only ``cov_xy``, which every k-cell of the model shares.
+    Holds what every replicate of the cell shares: its model, which every
+    k-cell of the model holds, the config's checked isometry (or None) and
+    the model's rho at k.  The model gives the rest: :meth:`draw`, the one
+    place a draw is chosen, and the eth^2 weight, the model's read-only
+    ``cov_xy``.
     """
 
     sweep_param: float
-    draw: Callable[[int, list[int]], np.ndarray]
+    model: JointCovariance
     isometry: Optional[np.ndarray]
     k: int
     rho: float
-    cross_cov: np.ndarray
+
+    def draw(self, n: int, seeds: list[int]) -> np.ndarray:
+        """The (R, 2m, 2m) stack of centered Gram matrices of n fresh pairs from the model,
+        one per seed; it keeps no state."""
+        return mvn_grams(self.model, n, seeds)
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -246,8 +249,8 @@ def run_replicates(cell: Cell, n: int, seeds: list[int], first: int = 0, *,
     A rank-deficient PCA (certain at n <= k) or a degenerate (zero) projection
     gives a failed row with a reason code rather than raising.
     """
-    m, k, r = len(cell.cross_cov), cell.k, len(seeds)
-    out = evaluate_grams(cell.draw(n, seeds), k, method, n, cell.cross_cov, cell.isometry)
+    m, k, r = cell.model.m, cell.k, len(seeds)
+    out = evaluate_grams(cell.draw(n, seeds), k, method, n, cell.model.cov_xy, cell.isometry)
     ok = out.status == 0
     predicted = np.full(r, nan)
     predicted[ok] = predicted_fit_error_sq(cell.rho, k, out.eth_sq[ok])
@@ -299,15 +302,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> Records:
         for param_index, (cell, n) in enumerate(groups)
         for first in range(0, cfg.replicates, size)
     ]
-    chunk = partial(run_replicates, method=cfg.method)
     if workers == 1:
-        return _concatenate([chunk(*task) for task in tasks])
+        return _concatenate([run_replicates(*task, method=cfg.method) for task in tasks])
     # Imported here: the pool machinery costs every serial run 10-14 ms of start-up.
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        futures = [pool.submit(chunk, *task) for task in tasks]
+        futures = [pool.submit(run_replicates, *task, method=cfg.method) for task in tasks]
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)

@@ -51,7 +51,10 @@ def predicted_fit_error_sq(rho_value, k, eth_sq):
     """The limiting square fitting-error ``(1 - rho) * 2k + rho * eth_sq``.
 
     Lies in [eth_sq, 2k].  Inputs may drift past their ranges by at most
-    1e-9 (they are typically computed quantities); worse violations raise.
+    1e-9; worse violations raise.  This is the argument check of a public
+    function that callers feed their own numbers: the program's own rho
+    (from :func:`rho`) and eth_sq (from the distances) are already clamped
+    to their ranges, so for them it never fires.
     Arrays are taken elementwise, with numpy broadcasting, and give an
     array; scalars give a float.
     """

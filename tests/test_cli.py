@@ -105,6 +105,24 @@ def test_outputs_match_the_golden_files(tmp_path, name, argv, code):
     assert summary.read_bytes() == (GOLDEN / f"{name}_summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("cross_cov", [False, True], ids=["no_cross_cov", "cross_cov"])
+@pytest.mark.parametrize("method", ["pca", "trivial"])
+def test_compute_stdout_matches_the_golden_files(capsys, method, cross_cov):
+    # tests/data holds a correlated 6 x 40 pair X, Y at 17 significant digits, which read
+    # back exactly; their cross covariance 0.6 diag(1, 0.7, 0.5, 0.4, 0.3, 0.2); and what
+    # compute --k 2 printed for them at 0.29.0.
+    name = f"compute_{method}"
+    argv = ["compute", str(GOLDEN / "compute_x.csv"), str(GOLDEN / "compute_y.csv"),
+            "--k", "2", "--method", method]
+    if cross_cov:
+        name += "_cross_cov"
+        argv += ["--cross-cov", str(GOLDEN / "compute_cross_cov.csv")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / f"{name}_stdout.json").read_bytes()
+
+
 def test_records_csv_streams_in_bounded_memory(tmp_path):
     # 200k rows, a third failed and none with a corrected distance: the writer takes
     # its rows one at a time (a .tolist() of one float column alone is 6.1 MiB).
@@ -691,16 +709,43 @@ class TestUsageErrors:
             "error: |beta| <= 1 required for positive semidefiniteness, got nan\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("summary", ["same.out", "link.out"])
+    @pytest.mark.parametrize("summary", ["same.out", "link.out", "hard.out"])
     def test_out_and_summary_on_one_file_exits_2(self, tmp_path, capsys, summary):
-        # The summary would overwrite the records; a symlink to the records is the same file.
+        # The summary would overwrite the records; a symlink or a hard link to the records
+        # is the same file.  A hard link needs an existing file, which keeps its bytes.
         (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+        if summary == "hard.out":
+            (tmp_path / "same.out").write_bytes(b"kept\n")
+            os.link(tmp_path / "same.out", tmp_path / "hard.out")
         code = main(["illus1", "--n", "200", "--reps", "2", "--beta", "0.5",
                      "--out", str(tmp_path / "same.out"), "--summary", str(tmp_path / summary)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "same file" in err
-        assert not (tmp_path / "same.out").exists()
+        if summary == "hard.out":
+            assert (tmp_path / "same.out").read_bytes() == b"kept\n"
+        else:
+            assert not (tmp_path / "same.out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["illus1", "--n", "50", "--reps", "1", "--out", ""],
+        ["illus1", "--n", "50", "--reps", "1", "--summary", ""],
+        ["compute", "x.csv", "y.csv", "--k", "2", "--cross-cov", ""],
+    ], ids=["out", "summary", "cross_cov"])
+    def test_empty_path_exits_2(self, tmp_path, monkeypatch, capsys, rng, argv):
+        # An empty path names no file: it is not the default name (an existing
+        # illus1_records.csv keeps its bytes), not the working directory, and for
+        # --cross-cov not a run without a weight.
+        monkeypatch.chdir(tmp_path)
+        write_matrix(tmp_path / "x.csv", rng.standard_normal((4, 30)))
+        write_matrix(tmp_path / "y.csv", rng.standard_normal((4, 30)))
+        (tmp_path / "illus1_records.csv").write_bytes(b"kept\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_out_and_summary_on_one_device_exit_0(self, capsys):
         # Only a regular file would be overwritten: a device takes both outputs.
@@ -847,14 +892,39 @@ def test_outputs_do_not_depend_on_threads(tmp_path, capsys, argv, err):
     assert outputs[0] == outputs[1]
 
 
-def run_module(argv, cwd, **kwargs):
-    """``python -m subalign *argv`` in ``cwd`` on this checkout's package, with a numpy
-    RuntimeWarning made an error, so that it cannot pass as a line of stderr."""
+def run_python(args, cwd, **kwargs):
+    """``python *args`` in ``cwd`` on this checkout's package, with a numpy RuntimeWarning
+    made an error, so that it cannot pass as a line of stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = os.environ | {"PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
-    return subprocess.run([sys.executable, "-m", "subalign", *argv], cwd=cwd, env=env,
-                          text=True, timeout=300, **kwargs)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, text=True, timeout=300,
+                          **kwargs)
+
+
+def run_module(argv, cwd, **kwargs):
+    """``python -m subalign *argv`` in ``cwd``, as :func:`run_python` runs it."""
+    return run_python(["-m", "subalign", *argv], cwd, **kwargs)
+
+
+def test_serial_runs_do_not_import_the_pool(tmp_path):
+    # run_experiment imports concurrent.futures only when it starts a pool: the import
+    # costs every serial run about 10 ms of start-up.  A fresh interpreter, since this
+    # suite imports it.
+    write_matrix(tmp_path / "x.csv", np.random.default_rng(4).standard_normal((4, 30)))
+    script = """if True:
+        import sys
+        from subalign.cli import main
+        loaded = ["concurrent.futures" in sys.modules]
+        assert main(["illus1", "--n", "50", "--reps", "2", "--beta", "0.5"]) == 0
+        loaded.append("concurrent.futures" in sys.modules)
+        assert main(["compute", "x.csv", "x.csv", "--k", "2"]) == 0
+        loaded.append("concurrent.futures" in sys.modules)
+        print(loaded)
+    """
+    proc = run_python(["-c", script], tmp_path, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -327,10 +327,9 @@ class TestStack:
         jc, w, k, n, method, seed = cell
         cell = cell_of(jc, k, w)
         grams = cell.draw(n, [seed, seed + 1, seed + 2])
-        rows = stack_rows(evaluate_grams(grams.copy(), k, method, n, cell.cross_cov,
-                                         cell.isometry))
-        assert rows == [gram_alone(g, k, method, n, cell.cross_cov, cell.isometry)
-                        for g in grams]
+        weight = cell.model.cov_xy
+        rows = stack_rows(evaluate_grams(grams.copy(), k, method, n, weight, cell.isometry))
+        assert rows == [gram_alone(g, k, method, n, weight, cell.isometry) for g in grams]
 
     def test_every_member_fails_together(self):
         reversal = np.fliplr(np.eye(4))

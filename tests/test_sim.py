@@ -284,7 +284,8 @@ class TestMakeCell:
     def test_per_cell_values(self):
         jc, w = reversed_pair(8, 0.7, 0.5)
         cell = cell_of(jc, 2, w, sweep_param=0.5)
-        assert (cell.sweep_param, cell.k) == (0.5, 2)
+        assert (cell.sweep_param, cell.k) == (0.5, 2) and cell.model is jc
+        assert sim.Cell._fields == ("sweep_param", "model", "isometry", "k", "rho")
         assert np.array_equal(cell.draw(50, [3, 4]), mvn_grams(jc, 50, [3, 4]))
         # The cell holds the config's read-only float64 copy of the isometry.
         assert np.array_equal(cell.isometry, w) and not np.shares_memory(cell.isometry, w)
@@ -293,15 +294,16 @@ class TestMakeCell:
         # The weight is Cov(X, Y) = 0.5 w, so eth^2(A, B) = d^2(A, w B): 0 at B = w A,
         # whose span is orthogonal to A's (d^2 = 4).
         basis = np.eye(8)[:, :2]
-        assert weighted_sq(basis, w @ basis, cell.cross_cov) == pytest.approx(0.0, abs=1e-12)
+        assert weighted_sq(basis, w @ basis, cell.model.cov_xy) == pytest.approx(0.0, abs=1e-12)
 
-    def test_the_cells_of_a_model_share_its_cross_covariance(self):
-        # The weight is the model's own read-only cov_xy, for every k: no cell copies it.
+    def test_the_cells_of_a_model_hold_that_model(self):
+        # Every k-cell holds the model itself, so its draw and its weight, the model's own
+        # read-only cov_xy, come from one model: no cell copies either.
         jc, w = reversed_pair(20, 0.7, 0.5)
         cfg = ExperimentConfig(((0.5, jc, w), (0.6, identity_pair(20, 0.6), None)),
                                (1, 2, 10), (2,), 1)
         models = [model for _, model, _ in cfg.models]
-        assert [cfg.cells[i].cross_cov is models[i // 3].cov_xy for i in range(6)] == [True] * 6
+        assert [cfg.cells[i].model is models[i // 3] for i in range(6)] == [True] * 6
         assert not jc.cov_xy.flags.writeable
 
     def test_changing_the_isometry_after_the_cells_changes_no_record(self):
