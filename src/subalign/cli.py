@@ -241,24 +241,27 @@ def cmd_illus3(args) -> int:
                           beta=args.beta, lambda2=args.lambda2)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(role: str, path: str) -> np.ndarray:
     # Headerless UTF-8 CSV, rows = features, columns = observations; a leading byte-order
     # mark is skipped.  An empty or comment-only file is a usage error here, not a numpy
-    # warning.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        mat = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
+    # warning.  Every read error names the input by its role and quotes its path.
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            mat = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {role} {path!r}: {exc}") from exc
     if mat.size == 0:
-        raise ValueError(f"{path} contains no data")
+        raise ValueError(f"cannot read {role} {path!r}: contains no data")
     return mat
 
 
 def cmd_compute(args) -> int:
-    try:
-        x, y = _load_matrix(args.x), _load_matrix(args.y)
-        cross = None if args.cross_cov is None else _load_matrix(args.cross_cov)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read matrix: {exc}") from exc
+    inputs = (("X", args.x), ("Y", args.y), ("--cross-cov", args.cross_cov))
+    for role, path in inputs:
+        if path == "":  # names no file: refused before any input is read
+            raise ValueError(f"{role} must name a file, got an empty path")
+    x, y, cross = (None if path is None else _load_matrix(role, path) for role, path in inputs)
     # The two checks no callee makes: np.vstack would take a Y of another m, and the
     # centering would warn on inf - inf before the kernel rejects it.  The callees own the
     # rest: evaluate_grams() checks k, then C against the data's m (through

@@ -7,7 +7,7 @@ Everything a replicate (or ``subalign compute``) reports is a function of
 the 2m x 2m Gram matrix of the stacked centered data ``Zc = [Xc; Yc]``.
 Centering and the Gram product are written once, in
 :func:`center_gram_inplace`, which centers an array its caller owns (such
-as the normal block that ``model.mvn_grams`` refills for each seed of a
+as the normal block that ``model.mvn_grams`` draws for each seed of a
 chunk, or the data ``compute`` reads) without a copy.  From S:
 
 * the PCA bases A and B are the top-k eigenvectors of Sxx and Syy (the
@@ -108,7 +108,7 @@ def center_gram_inplace(z: np.ndarray) -> np.ndarray:
     if z.shape[1] < 2:
         raise ValueError("need at least 2 observations to center")
     z -= z.mean(axis=1, keepdims=True)
-    return np.dot(z, z.T)  # releases the interpreter lock, where z @ z.T holds it
+    return np.dot(z, z.T)  # releases the interpreter lock
 
 
 def gram_blocks(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

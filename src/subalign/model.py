@@ -90,17 +90,15 @@ def mvn_grams(jc: JointCovariance, n: int, seeds: list[int]) -> np.ndarray:
     The pairs are ``L G`` with ``L = jc.root`` and ``G`` one ``(2m, n)``
     standard-normal block, but the data is never formed: centering commutes
     with ``L``, so the Gram matrix of the centered pairs is ``L (Gc Gc^T) L^T``
-    with ``Gc`` the centered normal block.  One block is allocated per call
-    and refilled for each seed, which draws the same numbers as a fresh
-    ``standard_normal((2m, n))``.  An overflow is not reported here: it
-    leaves a non-finite entry, which :func:`subalign.kernel.evaluate_grams`
-    rejects.
+    with ``Gc`` the centered normal block.  An overflow is not reported here:
+    it leaves a non-finite entry, which
+    :func:`subalign.kernel.evaluate_grams` rejects.
     """
-    root, block = jc.root, np.empty((2 * jc.m, n))
+    root = jc.root
     grams = np.empty((len(seeds), 2 * jc.m, 2 * jc.m))
     with np.errstate(over="ignore", invalid="ignore"):
         for gram, rng in zip(grams, map(np.random.default_rng, seeds)):
-            gram[...] = root @ center_gram_inplace(rng.standard_normal(out=block)) @ root.T
+            gram[...] = root @ center_gram_inplace(rng.standard_normal((2 * jc.m, n))) @ root.T
     return grams
 
 

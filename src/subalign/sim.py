@@ -230,7 +230,7 @@ def _pool_size(workers: int, tasks: int) -> int:
 # Most consecutive replicates of one (cell, n) in a chunk, one kernel call.  A
 # failure or an interrupt waits for the chunks already running, at most one per
 # thread, so this bounds that wait (256 replicates of an illus2 cell at n = 1e4
-# take ~3 s).
+# took 1.6-1.9 s on a 2-vCPU Xeon with 1 BLAS thread).
 _MAX_CHUNK = 256
 # Most bytes of a chunk's Gram stack and the two eigenvector stacks the kernel
 # makes from it, 48 m^2 bytes per replicate: chunks at m > 52 are shorter.

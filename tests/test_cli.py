@@ -91,6 +91,8 @@ def test_records_roundtrip_reproduces_summary(tmp_path):
      ["illus2", "--k", "1", "2", "--n", "2", "500", "--reps", "3", "--lambda2", "0.7", "0.75"],
      1),
     ("illus3", ["illus3", "--k", "1", "2", "--n", "500", "--reps", "3"], 0),
+    ("illus3_trivial",
+     ["illus3", "--k", "1", "2", "--n", "500", "--reps", "3", "--method", "trivial"], 0),
     ("illus1_pca", ["illus1", "--n", "200", "--reps", "2"], 0),
     ("illus2_nsweep", ["illus2", "--n-sweep", "--m", "8", "--reps", "3"], 0),
 ])
@@ -98,7 +100,9 @@ def test_outputs_match_the_golden_files(tmp_path, name, argv, code):
     # tests/data holds the records CSV and summary JSON these argv wrote: at
     # 0.13.0, the trivial path, the PCA path with deficient_rank rows (n = 2),
     # and the isometry path with its corrected distance and correction gap; at
-    # 0.14.0, illus1's default betas by PCA and the illus2 n sweep.
+    # 0.14.0, illus1's default betas by PCA and the illus2 n sweep; at 0.30.0, the
+    # isometry path with the trivial bases, whose corrected distance reads W's
+    # leading k x k block.
     out, summary = tmp_path / "records.csv", tmp_path / "summary.json"
     assert main([*argv, "--out", str(out), "--summary", str(summary)]) == code
     assert out.read_bytes() == (GOLDEN / f"{name}_records.csv").read_bytes()
@@ -498,6 +502,32 @@ class TestCompute:
         assert main(["compute", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
                      "--k", "1"]) == 2
 
+    @pytest.mark.parametrize("argv, err", [
+        (["missing.csv", "y.csv"], "error: cannot read X 'missing.csv': "),
+        (["x.csv", "missing.csv"], "error: cannot read Y 'missing.csv': "),
+        (["x.csv", "y.csv", "--cross-cov", "missing.csv"],
+         "error: cannot read --cross-cov 'missing.csv': "),
+        (["", "y.csv"], "error: X must name a file, got an empty path\n"),
+        (["x.csv", ""], "error: Y must name a file, got an empty path\n"),
+        (["missing.csv", ""], "error: Y must name a file, got an empty path\n"),
+        (["x.csv", "y.csv", "--cross-cov", ""],
+         "error: --cross-cov must name a file, got an empty path\n"),
+    ], ids=["missing_x", "missing_y", "missing_cross_cov", "empty_x", "empty_y",
+            "empty_y_before_reading_x", "empty_cross_cov"])
+    def test_unreadable_input_is_named(self, tmp_path, monkeypatch, rng, capsys, argv, err):
+        # One line that names the input by its role and quotes its path; an empty path is
+        # refused before any input is read.
+        monkeypatch.chdir(tmp_path)
+        write_matrix(tmp_path / "x.csv", rng.standard_normal((4, 30)))
+        write_matrix(tmp_path / "y.csv", rng.standard_normal((4, 30)))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(["compute", *argv, "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("content", ["", "# a comment, no rows\n"], ids=["empty", "comment"])
     @pytest.mark.parametrize("empty", ["x", "y", "cross"])
     def test_empty_input_exits_2_with_one_line(self, tmp_path, rng, capsys, empty, content):
@@ -513,7 +543,8 @@ class TestCompute:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: cannot read matrix: {paths[empty]} contains no data\n"
+        role, path = {"x": "X", "y": "Y", "cross": "--cross-cov"}[empty], str(paths[empty])
+        assert captured.err == f"error: cannot read {role} {path!r}: contains no data\n"
 
     @pytest.mark.parametrize("content", [
         b"1,2,3\n4,5\n", b"1;2;3\n4;5;6\n", b"1,2,3,\n4,5,6,\n", b"1,2,3\n4,5,\xff\xfe\n", None,
@@ -528,7 +559,7 @@ class TestCompute:
         assert main(["compute", str(x), str(y), "--k", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: cannot read matrix: ")
+        assert captured.err.startswith(f"error: cannot read X {str(x)!r}: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_byte_order_mark_is_skipped(self, tmp_path, rng, capsys):
@@ -909,13 +940,17 @@ def run_module(argv, cwd, **kwargs):
 
 def test_serial_runs_do_not_import_the_pool(tmp_path):
     # run_experiment imports concurrent.futures only when it starts a pool: the import
-    # costs every serial run about 10 ms of start-up.  A fresh interpreter, since this
-    # suite imports it.
+    # costs every serial run about 10 ms of start-up.  numpy.random (about 5.6 MiB of
+    # peak memory) is imported by the first draw, so neither the CLI's import nor
+    # compute loads it.  A fresh interpreter, since this suite imports both.
     write_matrix(tmp_path / "x.csv", np.random.default_rng(4).standard_normal((4, 30)))
     script = """if True:
         import sys
         from subalign.cli import main
+        assert "numpy.random" not in sys.modules
         loaded = ["concurrent.futures" in sys.modules]
+        assert main(["compute", "x.csv", "x.csv", "--k", "2"]) == 0
+        assert "numpy.random" not in sys.modules
         assert main(["illus1", "--n", "50", "--reps", "2", "--beta", "0.5"]) == 0
         loaded.append("concurrent.futures" in sys.modules)
         assert main(["compute", "x.csv", "x.csv", "--k", "2"]) == 0

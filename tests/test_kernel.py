@@ -405,8 +405,9 @@ def counted(fn, calls):
 
 
 class TestMvnGrams:
-    """``mvn_grams``, which refills one (2m, n) block for every seed of a chunk, against
+    """``mvn_grams``, which draws a fresh (2m, n) block for every seed of a chunk, against
     each seed's matrix drawn alone: bit for bit, across chunk lengths, shapes, calls and
+    threads.  These tests also guard against a buffer shared across seeds, calls or
     threads."""
 
     def test_matches_fresh_draw_across_shape_changes(self):
