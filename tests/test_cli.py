@@ -91,10 +91,10 @@ def test_records_roundtrip_reproduces_summary(tmp_path):
      ["illus2", "--k", "1", "2", "--n", "2", "500", "--reps", "3", "--lambda2", "0.7", "0.75"],
      1),
     ("illus3", ["illus3", "--k", "1", "2", "--n", "500", "--reps", "3"], 0),
-    ("illus3_trivial",
-     ["illus3", "--k", "1", "2", "--n", "500", "--reps", "3", "--method", "trivial"], 0),
     ("illus1_pca", ["illus1", "--n", "200", "--reps", "2"], 0),
     ("illus2_nsweep", ["illus2", "--n-sweep", "--m", "8", "--reps", "3"], 0),
+    ("illus3_trivial",
+     ["illus3", "--k", "1", "2", "--n", "500", "--reps", "3", "--method", "trivial"], 0),
 ])
 def test_outputs_match_the_golden_files(tmp_path, name, argv, code):
     # tests/data holds the records CSV and summary JSON these argv wrote: at
