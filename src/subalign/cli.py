@@ -146,7 +146,8 @@ def _temporary_beside(target: str, made: list) -> str | None:
 def _run_and_write(args, models, k_values, n_values, **params) -> int:
     """Build the run from the shared flags, the experiment's k and n values and ``models``,
     a lazy iterable of (sweep_param, model, isometry) triples consumed before any file is
-    made; refuse sweep values that print alike; probe the output paths, run, and write.
+    made; refuse sweep values that print alike; probe the output paths, refuse one regular
+    file behind both outputs or behind an output and stdout or stderr, run, and write.
     ``params`` is the fixed beta or lambda2 to echo.  A rejected, failed or interrupted
     run removes the files its probe created.  An output that is a regular file (through
     any symlinks) is written to a temporary file beside it, and both temporaries replace
@@ -169,23 +170,36 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
     lines = _reference_lines(cfg.cells)
     out_path = args.out or f"{args.command}_records.csv"
     summary_path = args.summary or f"{args.command}_summary.json"
-    created, temporaries = [], []
+    made = []  # every file this run made: the probe's new outputs and the staged temporaries
     try:
         for path in (out_path, summary_path):
             if not os.path.exists(path):
-                created.append(os.path.realpath(path))  # through a dangling link: its target
+                made.append(os.path.realpath(path))  # through a dangling link: its target
             with open(path, "a"):  # an unwritable path fails here, before any replicate runs
                 pass
         # The summary would overwrite the records in one regular file; a device such as
         # /dev/null, or one terminal behind /dev/stdout and /dev/stderr, takes both.
         if os.path.isfile(out_path) and os.path.samefile(out_path, summary_path):
             raise ValueError(f"--out and --summary name the same file: {out_path}")
+        # A regular file behind stdout or stderr would be replaced under the shell's open
+        # descriptor, losing what was written to it before and during the run.
+        streams = []
+        for stream, descriptor in (("stdout", 1), ("stderr", 2)):
+            try:
+                streams.append((stream, os.fstat(descriptor)))
+            except OSError:  # a closed descriptor is no file
+                pass
+        for flag, path in (("--out", out_path), ("--summary", summary_path)):
+            status = os.stat(path)
+            for stream, stream_status in streams:
+                if stat.S_ISREG(status.st_mode) and os.path.samestat(status, stream_status):
+                    raise ValueError(f"{flag} and {stream} name the same file: {path}")
         for line in lines:
             print(f"rho(sweep_param={line['sweep_param']:.12g}, k={line['k']}) = {line['rho']:.12g}")
         records = run_experiment(cfg, workers=args.threads)
         payload = _summary_payload(args.command, cfg, records, lines, args.threads, params)
         targets = [os.path.realpath(path) for path in (out_path, summary_path)]
-        staged = [_temporary_beside(target, temporaries) for target in targets]
+        staged = [_temporary_beside(target, made) for target in targets]
         write_records_csv(records, staged[0] or out_path, args.command)
         with open(staged[1] or summary_path, "w") as handle:
             json.dump(payload, handle, indent=2, allow_nan=False)
@@ -194,7 +208,7 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
             if temporary:
                 os.replace(temporary, target)
     except BaseException:
-        for path in created + temporaries:
+        for path in made:
             if os.path.exists(path):
                 os.remove(path)
         raise
@@ -297,8 +311,16 @@ def cmd_compute(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ValueErrors, so that :func:`main` reports them as
+    one ``error:`` line; the subcommands' parsers are made with this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subalign",
         description="Monte Carlo experiments on Procrustes fitting-error vs. subspace distance",
     )
@@ -337,10 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code; the one place an error becomes exit 2
-    (a ValueError, MemoryError or OSError, as one ``error:`` line).  Interrupts propagate."""
-    args = build_parser().parse_args(argv)
+    """Parse ``argv``, run its subcommand and return the exit code; the one place an error
+    becomes exit 2 (a usage error, ValueError, MemoryError or OSError, as one ``error:``
+    line).  ``-h`` prints help and exits 0 through SystemExit; interrupts propagate."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         message = exc

@@ -248,10 +248,12 @@ def test_models_and_rho_are_computed_once_per_cell(tmp_path, monkeypatch):
     assert len(rho_calls) == 3 * 2
 
 
-def test_invalid_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["illus1", "--bogus"])
-    assert exc.value.code == 2
+def test_invalid_flag_exits_2(capsys):
+    # A usage error is one error: line like any other, not argparse's usage block.
+    assert main(["illus1", "--bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --bogus\n"
 
 
 def test_illus1_default_record_count_formula():
@@ -967,7 +969,8 @@ def test_serial_runs_do_not_import_the_pool(tmp_path):
     (["illus1", "--n", "2", "--k", "2", "--reps", "2", "--beta", "0.5"], 1),
     (["compute", "empty.csv", "empty.csv", "--k", "1"], 2),
     (["compute", "constant.csv", "constant.csv", "--k", "2", "--method", "trivial"], 3),
-], ids=["exit0", "exit1", "exit2", "exit3"])
+    (["illus1", "--seed", "x"], 2),
+], ids=["exit0", "exit1", "exit2", "exit3", "exit2_usage"])
 def test_installed_entry_path_exit_codes(tmp_path, argv, code):
     # python -m subalign runs cli.entry, which turns main's return value into the exit code.
     (tmp_path / "empty.csv").write_text("")
@@ -986,6 +989,30 @@ def test_installed_entry_path_exit_codes(tmp_path, argv, code):
     else:
         summary = (tmp_path / f"{argv[0]}_summary.json").read_text()
         json.loads(summary, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("flag, path, stream", [
+    ("--out", "/dev/stdout", "stdout"),
+    ("--summary", "/dev/stderr", "stderr"),
+    ("--out", "log.txt", "stdout"),
+], ids=["out_dev_stdout", "summary_dev_stderr", "out_log_file"])
+def test_output_on_the_file_behind_a_stream_exits_2(tmp_path, flag, path, stream):
+    # A regular file behind stdout or stderr would be replaced under the open descriptor,
+    # and what was in it lost; the run is refused before any line is printed.
+    log = tmp_path / "log.txt"
+    log.write_text("kept\n")
+    other = "--summary" if flag == "--out" else "--out"
+    argv = ["illus1", "--n", "50", "--reps", "2", "--beta", "0.5", flag, path, other, "other"]
+    with open(log, "a") as handle:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: handle}
+        proc = run_module(argv, tmp_path, **streams)
+    line = f"error: {flag} and {stream} name the same file: {path}\n"
+    assert proc.returncode == 2
+    if stream == "stdout":
+        assert log.read_text() == "kept\n" and proc.stderr == line
+    else:
+        assert log.read_text() == "kept\n" + line and proc.stdout == ""
+    assert list(tmp_path.iterdir()) == [log]
 
 
 def test_records_to_stdout_and_summary_to_stderr_on_one_pipe(tmp_path):
