@@ -42,4 +42,4 @@ from .sim import (
 )
 from .theory import plugin_rho, predicted_fit_error_sq, rho
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"

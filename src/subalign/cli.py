@@ -128,31 +128,17 @@ def _summary_payload(experiment: str, cfg: ExperimentConfig, records: Records, l
     }
 
 
-def _temporary_beside(target: str, made: list) -> str | None:
-    """A new file in ``target``'s directory with ``target``'s permission bits, to be written
-    and then moved onto ``target``; its name is appended to ``made`` as soon as it exists.
-    None where ``target`` is not a regular file or its directory is not writable: such a
-    target (a device, a FIFO) is written directly."""
-    directory = os.path.dirname(target)
-    if not (os.path.isfile(target) and os.access(directory, os.W_OK)):
-        return None
-    handle, temporary = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=directory)
-    made.append(temporary)
-    os.close(handle)
-    os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
-    return temporary
-
-
 def _run_and_write(args, models, k_values, n_values, **params) -> int:
     """Build the run from the shared flags, the experiment's k and n values and ``models``,
     a lazy iterable of (sweep_param, model, isometry) triples consumed before any file is
-    made; refuse sweep values that print alike; probe the output paths, refuse one regular
-    file behind both outputs or behind an output and stdout or stderr, run, and write.
-    ``params`` is the fixed beta or lambda2 to echo.  A rejected, failed or interrupted
-    run removes the files its probe created.  An output that is a regular file (through
-    any symlinks) is written to a temporary file beside it, and both temporaries replace
-    their targets only once both outputs are written, so a failed write leaves an
-    existing file as it was."""
+    made; refuse sweep values that print alike; open each output once and refuse a regular
+    file that an output shares with another of the four writers (--out, --summary, stdout,
+    stderr); print and flush the rho lines, run, and write.  ``params`` is the fixed beta
+    or lambda2 to echo.  A rejected, failed or interrupted run removes the files its probe
+    created.  An output that is a regular file (through any symlinks) is written to a
+    temporary file beside it, and both temporaries replace their targets only once both
+    outputs are written, so a failed write leaves an existing file as it was.  The probe's
+    handles stay open until then, so the reader of a FIFO, written directly, gets it all."""
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     for flag, path in (("--out", args.out), ("--summary", args.summary)):
@@ -170,36 +156,43 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
     lines = _reference_lines(cfg.cells)
     out_path = args.out or f"{args.command}_records.csv"
     summary_path = args.summary or f"{args.command}_summary.json"
-    made = []  # every file this run made: the probe's new outputs and the staged temporaries
+    # made: the files this run made; writers: (name, path, stat) of the outputs, then of the
+    # streams, which are looked at first, since a probe may take a closed one's descriptor.
+    made, probes, writers = [], [], []
+    for stream, descriptor in (("stdout", 1), ("stderr", 2)):
+        try:
+            writers.append((stream, None, os.fstat(descriptor)))
+        except OSError:  # a closed descriptor is no file
+            pass
     try:
-        for path in (out_path, summary_path):
+        for index, (flag, path) in enumerate((("--out", out_path), ("--summary", summary_path))):
             if not os.path.exists(path):
                 made.append(os.path.realpath(path))  # through a dangling link: its target
-            with open(path, "a"):  # an unwritable path fails here, before any replicate runs
-                pass
-        # The summary would overwrite the records in one regular file; a device such as
-        # /dev/null, or one terminal behind /dev/stdout and /dev/stderr, takes both.
-        if os.path.isfile(out_path) and os.path.samefile(out_path, summary_path):
-            raise ValueError(f"--out and --summary name the same file: {out_path}")
-        # A regular file behind stdout or stderr would be replaced under the shell's open
-        # descriptor, losing what was written to it before and during the run.
-        streams = []
-        for stream, descriptor in (("stdout", 1), ("stderr", 2)):
-            try:
-                streams.append((stream, os.fstat(descriptor)))
-            except OSError:  # a closed descriptor is no file
-                pass
-        for flag, path in (("--out", out_path), ("--summary", summary_path)):
-            status = os.stat(path)
-            for stream, stream_status in streams:
-                if stat.S_ISREG(status.st_mode) and os.path.samestat(status, stream_status):
-                    raise ValueError(f"{flag} and {stream} name the same file: {path}")
+            probes.append(open(path, "a"))  # an unwritable path fails here, before any replicate
+            writers.insert(index, (flag, path, os.fstat(probes[-1].fileno())))
+        # A regular file behind two writers loses what the first wrote: the summary would
+        # overwrite the records, and a replaced output what the shell's stream had written.
+        # A device such as /dev/null, or one terminal behind all four, takes them all.
+        for index, (flag, path, status) in enumerate(writers[:2]):
+            for other, _, other_status in writers[index + 1:]:
+                if stat.S_ISREG(status.st_mode) and os.path.samestat(status, other_status):
+                    raise ValueError(f"{flag} and {other} name the same file: {path}")
         for line in lines:
             print(f"rho(sweep_param={line['sweep_param']:.12g}, k={line['k']}) = {line['rho']:.12g}")
+        print(end="", flush=True)  # a stdout that cannot be written fails here, before the run
         records = run_experiment(cfg, workers=args.threads)
         payload = _summary_payload(args.command, cfg, records, lines, args.threads, params)
         targets = [os.path.realpath(path) for path in (out_path, summary_path)]
-        staged = [_temporary_beside(target, made) for target in targets]
+        staged = [None, None]  # a temporary beside each regular-file target, or a direct write
+        for index, (target, (_, _, status)) in enumerate(zip(targets, writers)):
+            directory = os.path.dirname(target)
+            if stat.S_ISREG(status.st_mode) and os.access(directory, os.W_OK):
+                handle, temporary = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
+                                                     dir=directory)
+                staged[index] = temporary
+                made.append(temporary)
+                os.close(handle)
+                os.chmod(temporary, stat.S_IMODE(status.st_mode))
         write_records_csv(records, staged[0] or out_path, args.command)
         with open(staged[1] or summary_path, "w") as handle:
             json.dump(payload, handle, indent=2, allow_nan=False)
@@ -212,6 +205,9 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
             if os.path.exists(path):
                 os.remove(path)
         raise
+    finally:
+        for probe in probes:
+            probe.close()
     failed = payload["failed_replicates"]
     print(f"wrote {len(records)} records to {out_path}; summary to {summary_path}")
     if failed:
@@ -359,12 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse ``argv``, run its subcommand and return the exit code; the one place an error
-    becomes exit 2 (a usage error, ValueError, MemoryError or OSError, as one ``error:``
-    line).  ``-h`` prints help and exits 0 through SystemExit; interrupts propagate."""
+    """Parse ``argv``, run its subcommand, flush stdout and return the exit code; the one
+    place an error becomes exit 2 (a usage error, ValueError, MemoryError or OSError, a
+    stdout that cannot be written included, as one ``error:`` line).  ``-h`` prints help
+    and exits 0 through SystemExit; interrupts propagate."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a stdout that cannot be written fails here, not at exit
+        return code
     except ValueError as exc:
         message = exc
     except MemoryError as exc:
@@ -376,4 +375,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        print(end="", flush=True)
+    except OSError:  # main reported it: the output left unwritten goes nowhere, not into exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -925,13 +926,13 @@ def test_outputs_do_not_depend_on_threads(tmp_path, capsys, argv, err):
     assert outputs[0] == outputs[1]
 
 
-def run_python(args, cwd, **kwargs):
+def run_python(args, cwd, timeout=300, **kwargs):
     """``python *args`` in ``cwd`` on this checkout's package, with a numpy RuntimeWarning
     made an error, so that it cannot pass as a line of stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = os.environ | {"PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, text=True, timeout=300,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, text=True, timeout=timeout,
                           **kwargs)
 
 
@@ -995,11 +996,14 @@ def test_installed_entry_path_exit_codes(tmp_path, argv, code):
     ("--out", "/dev/stdout", "stdout"),
     ("--summary", "/dev/stderr", "stderr"),
     ("--out", "log.txt", "stdout"),
-], ids=["out_dev_stdout", "summary_dev_stderr", "out_log_file"])
+    ("--summary", "log.txt", "stdout"),
+    ("--out", "err.log", "stderr"),
+], ids=["out_dev_stdout", "summary_dev_stderr", "out_log_file", "summary_log_file",
+        "out_err_log_file"])
 def test_output_on_the_file_behind_a_stream_exits_2(tmp_path, flag, path, stream):
     # A regular file behind stdout or stderr would be replaced under the open descriptor,
     # and what was in it lost; the run is refused before any line is printed.
-    log = tmp_path / "log.txt"
+    log = tmp_path / ("log.txt" if path.startswith("/dev/") else path)
     log.write_text("kept\n")
     other = "--summary" if flag == "--out" else "--out"
     argv = ["illus1", "--n", "50", "--reps", "2", "--beta", "0.5", flag, path, other, "other"]
@@ -1026,3 +1030,72 @@ def test_records_to_stdout_and_summary_to_stderr_on_one_pipe(tmp_path):
     summary, _ = json.JSONDecoder().raw_decode(proc.stdout, proc.stdout.index('{\n  "experiment"'))
     assert summary["experiment"] == "illus1" and summary["failed_replicates"] == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_is_no_writer(tmp_path):
+    # With descriptor 1 closed (`>&-`), sys.stdout is None and the probe's first handle
+    # takes number 1; stdout is looked at before the probe, so the run is not refused.
+    script = ("import os, sys; os.close(1); "
+              "os.execv(sys.executable, [sys.executable, '-m', 'subalign', *sys.argv[1:]])")
+    proc = run_python(["-c", script, "illus1", "--n", "50", "--reps", "2", "--beta", "0.5",
+                       "--out", "r.csv", "--summary", "s.json"], tmp_path, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(read_rows(tmp_path / "r.csv")) == 2
+    assert json.loads((tmp_path / "s.json").read_text())["experiment"] == "illus1"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, target", [
+    pytest.param(["compute", "x.csv", "x.csv", "--k", "2"], "/dev/full", marks=NEEDS_DEV_FULL),
+    pytest.param(["illus1", "--n", "50", "--reps", "2", "--beta", "0.5", "--out", "r.csv",
+                  "--summary", "s.json"], "/dev/full", marks=NEEDS_DEV_FULL),
+    (["compute", "x.csv", "x.csv", "--k", "2"], None),
+    (["illus1", "--n", "50", "--reps", "2", "--beta", "0.5", "--out", "r.csv",
+      "--summary", "s.json"], None),
+], ids=["compute_dev_full", "illus1_dev_full", "compute_closed_pipe", "illus1_closed_pipe"])
+def test_stdout_that_cannot_be_written_exits_2(tmp_path, monkeypatch, unbuffered, argv, target):
+    # Unbuffered, print fails; buffered, a flush does, which would otherwise be interpreter
+    # shutdown's: exit 120 and an "Exception ignored" report, with the outputs written.
+    # Either way it is one error line and exit 2, and a run fails before any replicate.
+    # A pipe whose read end is closed (as under `| head -0`) fails with EPIPE.
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    write_matrix(tmp_path / "x.csv", np.random.default_rng(5).standard_normal((4, 30)))
+    if target:
+        stdout = os.open(target, os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        proc = run_module(argv, tmp_path, stdout=stdout, stderr=subprocess.PIPE)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ") and proc.stderr.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_output_on_a_fifo_reaches_its_reader(tmp_path):
+    # The FIFO is written directly, and the probe's handle on it stays open until the
+    # records are written: a reader that reads to end-of-file gets all of them.
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    argv = ["illus1", "--n", "50", "--reps", "2", "--beta", "0.5",
+            "--summary", str(tmp_path / "s.json")]
+    try:
+        proc = run_module([*argv, "--out", str(fifo)], tmp_path, timeout=30, capture_output=True)
+    finally:
+        try:  # a reader still waiting for a writer gets end-of-file, so no failure can hang
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader is waiting
+            pass
+        reader.join(10)
+    assert proc.returncode == 0, proc.stderr
+    assert main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
+    assert got == [(tmp_path / "r.csv").read_bytes()]
