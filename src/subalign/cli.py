@@ -183,16 +183,16 @@ def _run_and_write(args, models, k_values, n_values, **params) -> int:
         records = run_experiment(cfg, workers=args.threads)
         payload = _summary_payload(args.command, cfg, records, lines, args.threads, params)
         targets = [os.path.realpath(path) for path in (out_path, summary_path)]
-        staged = [None, None]  # a temporary beside each regular-file target, or a direct write
-        for index, (target, (_, _, status)) in enumerate(zip(targets, writers)):
-            directory = os.path.dirname(target)
+        staged = []  # per output: a temporary beside its regular-file target, or None
+        for target, (_, _, status) in zip(targets, writers):
+            directory, temporary = os.path.dirname(target), None
             if stat.S_ISREG(status.st_mode) and os.access(directory, os.W_OK):
                 handle, temporary = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
                                                      dir=directory)
-                staged[index] = temporary
                 made.append(temporary)
                 os.close(handle)
                 os.chmod(temporary, stat.S_IMODE(status.st_mode))
+            staged.append(temporary)
         write_records_csv(records, staged[0] or out_path, args.command)
         with open(staged[1] or summary_path, "w") as handle:
             json.dump(payload, handle, indent=2, allow_nan=False)
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
-        print(end="", flush=True)  # a stdout that cannot be written fails here, not at exit
+        print(end="", flush=True)  # sys.stdout.flush(), where sys.stdout may be None (>&-)
         return code
     except ValueError as exc:
         message = exc
